@@ -22,8 +22,13 @@ removing/unguarding move that keeps k of the k+t pebbles.
   computes the attractor (least fixed point) of the Robber-stuck
   positions, folding Robber replies into for-all edges.
 
-Verdicts carry optional strategy certificates that
-:func:`replay_certificate` replays against exhaustive adversaries.
+Each game has one successor function (``_BijectionMoves``,
+``_PursuitMoves``) that both the solver and :func:`replay_certificate`
+call.  Verdicts carry optional strategy certificates, and replay checks
+a stored strategy against that same successor function under an
+exhaustive adversary.  Replay is therefore no second copy of the rules;
+the independent oracles stay the treewidth DP (Cops win iff treewidth
+<= k) and agreement of the bijection game with refinement.
 """
 
 from __future__ import annotations
@@ -110,7 +115,6 @@ class _MoveTables:
             self.r_groups.append(stage)
         self._f_groups: dict = {}
         self._atp_ids: dict = {}
-        self._iso_intern: dict = {}
 
     def _f_stages(self, main: tuple) -> list[dict]:
         cached = self._f_groups.get(main)
@@ -142,6 +146,96 @@ class _MoveTables:
             ident = shared_intern.setdefault(iso, len(shared_intern))
             self._atp_ids[tup] = ident
         return ident
+
+
+# ---------------------------------------------------------------------------
+# Successor functions, shared by the solvers and certificate replay
+
+
+class _BijectionMoves:
+    """The bijection game on ``(g, h)``.  A state key is ``(phase,
+    g-side tuple, h-side tuple)``; one atp intern shared by both sides
+    decides whether two occupied tuples have the same type."""
+
+    def __init__(self, spec: GfwlSpec, g: Graph, h: Graph):
+        self.spec = spec
+        self.tables_g = _MoveTables(spec, g)
+        self.tables_h = _MoveTables(spec, h)
+        self._intern: dict = {}
+
+    def choices(self, key: tuple) -> tuple[list, list]:
+        """The g-side and h-side choice sets of a putting state."""
+        phase, pos_g, pos_h = key
+        return self.tables_g.put_choices(phase, pos_g), self.tables_h.put_choices(phase, pos_h)
+
+    def put(self, key: tuple, a: tuple, b: tuple) -> tuple | None:
+        """The state after ``a`` is put in g and ``b`` in h, or None on a
+        type mismatch."""
+        phase, pos_g, pos_h = key
+        new_g, new_h = pos_g + a, pos_h + b
+        if self.tables_g.atp_id(new_g, self._intern) != self.tables_h.atp_id(new_h, self._intern):
+            return None
+        return (_next_phase(self.spec, phase), new_g, new_h)
+
+    def removal(self, key: tuple, combo: tuple) -> tuple | None:
+        """The state after the pebbles at index selection ``combo`` are
+        kept, or None on a type mismatch."""
+        _, pos_g, pos_h = key
+        sel_g = tuple([pos_g[i] for i in combo])
+        sel_h = tuple([pos_h[i] for i in combo])
+        if self.tables_g.atp_id(sel_g, self._intern) != self.tables_h.atp_id(sel_h, self._intern):
+            return None
+        return (("U", 1), sel_g, sel_h)
+
+    def removals(self, key: tuple) -> list[tuple]:
+        """``[(index selection, successor or None)]`` of a removing state."""
+        return [
+            (combo, self.removal(key, combo))
+            for combo in _index_vectors(self.spec.k, self.spec.t)
+        ]
+
+
+class _PursuitMoves:
+    """The pursuit game on one graph.  A state key is ``(phase, pebbles,
+    Robber's component)``.  Robber's component is always a component of
+    g minus the pebbled nodes, so every component comes from one table
+    keyed by the blocked node set."""
+
+    def __init__(self, spec: GfwlSpec, g: Graph):
+        self.spec = spec
+        self.g = g
+        self.tables = _MoveTables(spec, g)
+        self._components: dict = {}
+
+    def _avoiding(self, blocked: tuple) -> list[frozenset]:
+        blocked = frozenset(blocked)
+        comps = self._components.get(blocked)
+        if comps is None:
+            comps = self._components[blocked] = components_avoiding(self.g, blocked)
+        return comps
+
+    def initial(self) -> list[tuple]:
+        """The empty board with Robber in each component of g."""
+        return [(("I", 1), (), comp) for comp in self._avoiding(())]
+
+    def moves(self, key: tuple) -> list[tuple]:
+        """Cops' moves as ``[(choice, [successor per Robber reply])]``.
+        A put leaves Robber the components inside the current one; a
+        removal grows Robber's component to the one that contains it."""
+        phase, pos, comp = key
+        out = []
+        if phase[0] in ("I", "U"):
+            nxt = _next_phase(self.spec, phase)
+            for delta in self.tables.put_choices(phase, pos):
+                new_pos = pos + delta
+                replies = [(nxt, new_pos, c) for c in self._avoiding(new_pos) if c <= comp]
+                out.append((("put", delta), replies))
+            return out
+        for combo in _index_vectors(self.spec.k, self.spec.t):
+            new_pos = tuple(pos[i] for i in combo)
+            grown = next(c for c in self._avoiding(new_pos) if comp <= c)
+            out.append((("rm", combo), [(("U", 1), new_pos, grown)]))
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -225,9 +319,7 @@ def spoiler_wins(
 class _EfSolver:
     def __init__(self, spec: GfwlSpec, g: Graph, h: Graph, max_states: int):
         self.spec = spec
-        self.tables_g = _MoveTables(spec, g)
-        self.tables_h = _MoveTables(spec, h)
-        self.iso_intern: dict = {}
+        self.game = _BijectionMoves(spec, g, h)
         self.max_states = max_states
         self.keys: list = []
         self.index: dict = {}
@@ -238,11 +330,6 @@ class _EfSolver:
         self.pairs: list = []  # putting: [(ai, bi, succ_id)] type-consistent
         self.rm_succs: list = []  # removing: succ id per index combo, -1 = type mismatch
         self.preds: dict = {}
-
-    def _atp_eq(self, pos_g: tuple, pos_h: tuple) -> bool:
-        return self.tables_g.atp_id(pos_g, self.iso_intern) == self.tables_h.atp_id(
-            pos_h, self.iso_intern
-        )
 
     def _state(self, key: tuple) -> int:
         sid = self.index.get(key)
@@ -271,53 +358,48 @@ class _EfSolver:
         while head < len(self.queue):
             sid = self.queue[head]
             head += 1
-            phase, pos_g, pos_h = self.keys[sid]
-            if self.kind[sid] == "put":
-                d = self.tables_g.put_choices(phase, pos_g)
-                e = self.tables_h.put_choices(phase, pos_h)
-                self.choice_g[sid] = d
-                self.choice_h[sid] = e
-                if len(d) != len(e):
-                    self.alive[sid] = False  # no bijection exists at all
-                    self.pairs[sid] = []
-                    continue
-                nxt = _next_phase(self.spec, phase)
-                pairs = []
-                for ai, a in enumerate(d):
-                    new_g = pos_g + a
-                    for bi, b in enumerate(e):
-                        new_h = pos_h + b
-                        if self._atp_eq(new_g, new_h):
-                            succ = self._state((nxt, new_g, new_h))
-                            pairs.append((ai, bi, succ))
-                            self.preds.setdefault(succ, set()).add(sid)
-                self.pairs[sid] = pairs
-            else:
-                succs = []
-                for combo in _index_vectors(self.spec.k, self.spec.t):
-                    sel_g = tuple(pos_g[i] for i in combo)
-                    sel_h = tuple(pos_h[i] for i in combo)
-                    if self._atp_eq(sel_g, sel_h):
-                        succ = self._state((("U", 1), sel_g, sel_h))
-                        succs.append(succ)
+            key = self.keys[sid]
+            if self.kind[sid] == "rm":
+                succs = [-1 if s is None else self._state(s) for _, s in self.game.removals(key)]
+                for succ in succs:
+                    if succ != -1:
                         self.preds.setdefault(succ, set()).add(sid)
-                    else:
-                        succs.append(-1)
                 self.rm_succs[sid] = succs
+                continue
+            d, e = self.game.choices(key)
+            self.choice_g[sid] = d
+            self.choice_h[sid] = e
+            if len(d) != len(e):
+                self.alive[sid] = False  # no bijection exists at all
+                self.pairs[sid] = []
+                continue
+            pairs = []
+            put = self.game.put
+            for ai, a in enumerate(d):
+                for bi, b in enumerate(e):
+                    succ_key = put(key, a, b)
+                    if succ_key is not None:
+                        succ = self._state(succ_key)
+                        pairs.append((ai, bi, succ))
+                        self.preds.setdefault(succ, set()).add(sid)
+            self.pairs[sid] = pairs
+
+    def _matching(self, sid: int) -> list:
+        """Maximum matching of a putting state's choices over the pairs
+        whose successor survives: h-side index per g-side index, -1
+        where unmatched."""
+        adjacency: list[list[int]] = [[] for _ in self.choice_g[sid]]
+        for ai, bi, succ in self.pairs[sid]:
+            if self.alive[succ]:
+                adjacency[ai].append(bi)
+        return _max_matching(len(self.choice_g[sid]), len(self.choice_h[sid]), adjacency)
 
     def _survives(self, sid: int) -> bool:
         if self.kind[sid] == "rm":
             return all(s != -1 and self.alive[s] for s in self.rm_succs[sid])
-        d = self.choice_g[sid]
-        e = self.choice_h[sid]
-        if len(d) != len(e):
+        if len(self.choice_g[sid]) != len(self.choice_h[sid]):
             return False
-        adjacency: list[list[int]] = [[] for _ in d]
-        for ai, bi, succ in self.pairs[sid]:
-            if self.alive[succ]:
-                adjacency[ai].append(bi)
-        matched = _max_matching(len(d), len(e), adjacency)
-        return all(b != -1 for b in matched)
+        return -1 not in self._matching(sid)
 
     def fixpoint(self) -> None:
         dead_list = [sid for sid in range(len(self.keys)) if self.alive[sid] and not self._survives(sid)]
@@ -338,12 +420,7 @@ class _EfSolver:
                     continue
                 d = self.choice_g[sid]
                 e = self.choice_h[sid]
-                adjacency: list[list[int]] = [[] for _ in d]
-                for ai, bi, succ in self.pairs[sid]:
-                    if self.alive[succ]:
-                        adjacency[ai].append(bi)
-                matched = _max_matching(len(d), len(e), adjacency)
-                matchings[key] = [(d[ai], e[bi]) for ai, bi in enumerate(matched)]
+                matchings[key] = [(d[ai], e[bi]) for ai, bi in enumerate(self._matching(sid))]
             return {"winner": "duplicator", "matchings": matchings}
         dead_keys = [self.keys[sid] for sid in range(len(self.keys)) if not self.alive[sid]]
         remove_choices = {}
@@ -364,41 +441,6 @@ class _EfSolver:
 
 # ---------------------------------------------------------------------------
 # Pursuit game solver
-
-
-def _subcomponents(g: Graph, comp: frozenset, blocked: set) -> list[frozenset]:
-    """Connected components of ``comp`` minus ``blocked`` (within g),
-    sorted by smallest member."""
-    remaining = set(comp) - blocked
-    out = []
-    while remaining:
-        start = min(remaining)
-        stack = [start]
-        found = {start}
-        while stack:
-            u = stack.pop()
-            for w in g.adj[u]:
-                if w in remaining and w not in found:
-                    found.add(w)
-                    stack.append(w)
-        remaining -= found
-        out.append(frozenset(found))
-    return sorted(out, key=min)
-
-
-def _containing_component(g: Graph, blocked: set, seed: frozenset) -> frozenset:
-    """The component of g minus ``blocked`` containing ``seed`` (which
-    must be disjoint from ``blocked``)."""
-    start = min(seed)
-    stack = [start]
-    found = {start}
-    while stack:
-        u = stack.pop()
-        for w in g.adj[u]:
-            if w not in blocked and w not in found:
-                found.add(w)
-                stack.append(w)
-    return frozenset(found)
 
 
 def cops_robber_wins(
@@ -433,8 +475,7 @@ def cops_robber_wins(
 class _CrSolver:
     def __init__(self, spec: GfwlSpec, f: Graph, max_states: int):
         self.spec = spec
-        self.g = f
-        self.tables = _MoveTables(spec, f)
+        self.game = _PursuitMoves(spec, f)
         self.max_states = max_states
         self.keys: list = []
         self.index: dict = {}
@@ -460,35 +501,21 @@ class _CrSolver:
 
     def generate(self) -> None:
         self.queue: list[int] = []
-        for comp in components_avoiding(self.g, ()):
-            self.initial.append(self._state((("I", 1), (), comp)))
+        self.initial = [self._state(key) for key in self.game.initial()]
         head = 0
         while head < len(self.queue):
             sid = self.queue[head]
             head += 1
-            phase, pos, comp = self.keys[sid]
-            edges = []
-            if phase[0] in ("I", "U"):
-                nxt = _next_phase(self.spec, phase)
-                for delta in self.tables.put_choices(phase, pos):
-                    blocked = set(pos) | set(delta)
-                    succs = [
-                        self._state((nxt, pos + delta, c))
-                        for c in _subcomponents(self.g, comp, blocked)
-                    ]
-                    edges.append((("put", delta), succs))
-            else:
-                for combo in _index_vectors(self.spec.k, self.spec.t):
-                    new_pos = tuple(pos[i] for i in combo)
-                    grown = _containing_component(self.g, set(new_pos), comp)
-                    succs = [self._state((("U", 1), new_pos, grown))]
-                    edges.append((("rm", combo), succs))
-            self.edges[sid] = edges
-        n = self.g.n
+            self.edges[sid] = [
+                (choice, [self._state(succ) for succ in succs])
+                for choice, succs in self.game.moves(self.keys[sid])
+            ]
+        n = self.game.g.n
         bound = (n + 1) ** (self.spec.k + self.spec.t) * 2 ** n * (
             self.spec.n_stages + self.spec.m_stages + 1
         )
-        assert len(self.keys) <= bound, "reachable state count exceeded its bound"
+        if len(self.keys) > bound:
+            raise RuntimeError("reachable state count exceeded its bound")
 
     def attract(self) -> None:
         pending: list[list[int]] = []
@@ -574,11 +601,18 @@ def replay_certificate(verdict: GameVerdict, spec: GfwlSpec, inputs) -> bool:
     return _replay_duplicator(cert, spec, g, h)
 
 
+def _component(stored) -> frozenset:
+    try:
+        return frozenset(stored)
+    except TypeError as exc:
+        raise CertificateError(f"component {stored!r} is not a node set") from exc
+
+
 def _replay_cops(cert: dict, spec: GfwlSpec, g: Graph) -> bool:
     moves = cert.get("moves")
     if not isinstance(moves, dict):
         raise CertificateError("cops certificate needs a moves table")
-    tables = _MoveTables(spec, g)
+    game = _PursuitMoves(spec, g)
     proven: set = set()
 
     def wins_from(key: tuple, path: frozenset) -> bool:
@@ -589,33 +623,19 @@ def _replay_cops(cert: dict, spec: GfwlSpec, g: Graph) -> bool:
         choice = moves.get(key)
         if choice is None:
             return False
-        phase, pos, comp = key
-        tag, payload = choice
-        if phase[0] in ("I", "U"):
-            if tag != "put" or payload not in tables.put_choices(phase, pos):
-                return False
-            delta = payload
-            blocked = set(pos) | set(delta)
-            succs = [
-                (_next_phase(spec, phase), pos + delta, c)
-                for c in _subcomponents(g, comp, blocked)
-            ]
-        else:
-            if tag != "rm" or payload not in _index_vectors(spec.k, spec.t):
-                return False
-            new_pos = tuple(pos[i] for i in payload)
-            succs = [
-                (("U", 1), new_pos, _containing_component(g, set(new_pos), comp))
-            ]
+        try:
+            tag, payload = choice
+        except (TypeError, ValueError) as exc:
+            raise CertificateError(f"cops move {choice!r} is not a (tag, payload) pair") from exc
+        succs = next((s for c, s in game.moves(key) if c == (tag, payload)), None)
+        if succs is None:
+            return False  # not a legal move in this state
         ok = all(wins_from(s, path | {key}) for s in succs)
         if ok:
             proven.add(key)
         return ok
 
-    return all(
-        wins_from((("I", 1), (), comp), frozenset())
-        for comp in components_avoiding(g, ())
-    )
+    return all(wins_from(key, frozenset()) for key in game.initial())
 
 
 def _replay_robber(cert: dict, spec: GfwlSpec, g: Graph) -> bool:
@@ -623,31 +643,22 @@ def _replay_robber(cert: dict, spec: GfwlSpec, g: Graph) -> bool:
     initial = cert.get("initial_component")
     if not isinstance(responses, dict) or initial is None:
         raise CertificateError("robber certificate needs responses and an initial component")
-    if frozenset(initial) not in components_avoiding(g, ()):
+    game = _PursuitMoves(spec, g)
+    start = (("I", 1), (), _component(initial))
+    if start not in game.initial():
         return False
-    tables = _MoveTables(spec, g)
-    start = (("I", 1), (), frozenset(initial))
     seen = {start}
     frontier = [start]
     while frontier:
         key = frontier.pop()
-        phase, pos, comp = key
-        if phase[0] in ("I", "U"):
-            nxt = _next_phase(spec, phase)
-            for delta in tables.put_choices(phase, pos):
-                blocked = set(pos) | set(delta)
-                options = _subcomponents(g, comp, blocked)
-                stored = responses.get((key, ("put", delta)))
-                if stored is None or frozenset(stored) not in options:
+        for choice, succs in game.moves(key):
+            if choice[0] == "put":
+                stored = responses.get((key, choice))
+                reply = None if stored is None else _component(stored)
+                succs = [s for s in succs if s[2] == reply]
+                if not succs:
                     return False  # stuck or invalid reply: Robber loses this line
-                succ = (nxt, pos + delta, frozenset(stored))
-                if succ not in seen:
-                    seen.add(succ)
-                    frontier.append(succ)
-        else:
-            for combo in _index_vectors(spec.k, spec.t):
-                new_pos = tuple(pos[i] for i in combo)
-                succ = (("U", 1), new_pos, _containing_component(g, set(new_pos), comp))
+            for succ in succs:
                 if succ not in seen:
                     seen.add(succ)
                     frontier.append(succ)
@@ -658,49 +669,35 @@ def _replay_duplicator(cert: dict, spec: GfwlSpec, g: Graph, h: Graph) -> bool:
     matchings = cert.get("matchings")
     if not isinstance(matchings, dict):
         raise CertificateError("duplicator certificate needs a matchings table")
-    tables_g = _MoveTables(spec, g)
-    tables_h = _MoveTables(spec, h)
-    intern: dict = {}
-
-    def consistent(pos_g: tuple, pos_h: tuple) -> bool:
-        return tables_g.atp_id(pos_g, intern) == tables_h.atp_id(pos_h, intern)
-
+    game = _BijectionMoves(spec, g, h)
     start = (("I", 1), (), ())
     seen = {start}
     frontier = [start]
     while frontier:
         key = frontier.pop()
-        phase, pos_g, pos_h = key
-        if phase[0] in ("I", "U"):
-            d = tables_g.put_choices(phase, pos_g)
-            e = tables_h.put_choices(phase, pos_h)
+        if key[0][0] in ("I", "U"):
+            d, e = game.choices(key)
             stored = matchings.get(key)
             if stored is None:
                 return False
-            pairs = [(tuple(a), tuple(b)) for a, b in stored]
-            if sorted(a for a, _ in pairs) != sorted(d) or sorted(
-                b for _, b in pairs
-            ) != sorted(e):
+            try:
+                pairs = [(tuple(a), tuple(b)) for a, b in stored]
+                bijective = sorted(a for a, _ in pairs) == sorted(d) and sorted(
+                    b for _, b in pairs
+                ) == sorted(e)
+            except (TypeError, ValueError) as exc:
+                raise CertificateError(f"matching {stored!r} is not a list of tuple pairs") from exc
+            if not bijective:
                 return False  # not a bijection between the two choice sets
-            nxt = _next_phase(spec, phase)
-            for a, b in pairs:
-                new_g, new_h = pos_g + a, pos_h + b
-                if not consistent(new_g, new_h):
-                    return False
-                succ = (nxt, new_g, new_h)
-                if succ not in seen:
-                    seen.add(succ)
-                    frontier.append(succ)
+            succs = [game.put(key, a, b) for a, b in pairs]
         else:
-            for combo in _index_vectors(spec.k, spec.t):
-                sel_g = tuple(pos_g[i] for i in combo)
-                sel_h = tuple(pos_h[i] for i in combo)
-                if not consistent(sel_g, sel_h):
-                    return False
-                succ = (("U", 1), sel_g, sel_h)
-                if succ not in seen:
-                    seen.add(succ)
-                    frontier.append(succ)
+            succs = [succ for _, succ in game.removals(key)]
+        if None in succs:
+            return False
+        for succ in succs:
+            if succ not in seen:
+                seen.add(succ)
+                frontier.append(succ)
     return True  # play never reaches a mismatch; infinite play wins
 
 
@@ -709,57 +706,43 @@ def _replay_spoiler(cert: dict, spec: GfwlSpec, g: Graph, h: Graph) -> bool:
     remove_choices = cert.get("remove_choices")
     if not isinstance(dead, list) or not isinstance(remove_choices, dict):
         raise CertificateError("spoiler certificate needs dead states and remove choices")
-    dead_set = set(dead)
-    tables_g = _MoveTables(spec, g)
-    tables_h = _MoveTables(spec, h)
-    intern: dict = {}
+    try:
+        dead_set = set(dead)
+    except TypeError as exc:
+        raise CertificateError("dead states must be state keys") from exc
+    game = _BijectionMoves(spec, g, h)
     proven: set = set()
 
-    def consistent(pos_g: tuple, pos_h: tuple) -> bool:
-        return tables_g.atp_id(pos_g, intern) == tables_h.atp_id(pos_h, intern)
+    def refuted(key: tuple, succ: tuple | None, path: frozenset) -> bool:
+        """A type mismatch, or a dead successor from which Spoiler wins."""
+        return succ is None or (
+            succ in dead_set and succ not in path and wins_from(succ, path | {key})
+        )
 
     def wins_from(key: tuple, path: frozenset) -> bool:
         """Spoiler forces a win from ``key`` against every adversary move."""
         if key in proven:
             return True
-        phase, pos_g, pos_h = key
-        if phase[0] in ("I", "U"):
-            d = tables_g.put_choices(phase, pos_g)
-            e = tables_h.put_choices(phase, pos_h)
-            if len(d) != len(e):
-                proven.add(key)
-                return True
-            nxt = _next_phase(spec, phase)
-
-            def refutable(a: tuple, b: tuple) -> bool:
-                new_g, new_h = pos_g + a, pos_h + b
-                if not consistent(new_g, new_h):
-                    return True
-                succ = (nxt, new_g, new_h)
-                return succ in dead_set and succ not in path and wins_from(
-                    succ, path | {key}
-                )
-
+        if key[0][0] in ("I", "U"):
+            d, e = game.choices(key)
             # Every bijection contains a refutable pair iff the
             # non-refutable pairs admit no perfect matching.
-            safe = [(a, b) for a in d for b in e if not refutable(a, b)]
-            if has_safe_bijection(d, e, safe):
+            if len(d) == len(e) and has_safe_bijection(
+                d, e, [(a, b) for a in d for b in e if not refuted(key, game.put(key, a, b), path)]
+            ):
                 return False
             proven.add(key)
             return True
         choice = remove_choices.get(key)
         if choice is None:
             return False
-        combo = tuple(choice)
+        try:
+            combo = tuple(choice)
+        except TypeError as exc:
+            raise CertificateError(f"invalid index selection {choice!r}") from exc
         if combo not in _index_vectors(spec.k, spec.t):
             raise CertificateError(f"invalid index selection {choice!r}")
-        sel_g = tuple(pos_g[i] for i in combo)
-        sel_h = tuple(pos_h[i] for i in combo)
-        if not consistent(sel_g, sel_h):
-            proven.add(key)
-            return True
-        succ = (("U", 1), sel_g, sel_h)
-        ok = succ in dead_set and succ not in path and wins_from(succ, path | {key})
+        ok = refuted(key, game.removal(key, combo), path)
         if ok:
             proven.add(key)
         return ok

@@ -342,7 +342,8 @@ def stabilize(
         signature = new_signature
         # Partition chains on a finite universe are strictly shorter
         # than this; exceeding it means the stability check is broken.
-        assert iterations <= len(ctx.rset) + 1
+        if iterations > len(ctx.rset) + 1:
+            raise RuntimeError("refinement exceeded its round bound")
     return RefinementResult(
         stable_colors=ColorMap(colors, dic),
         iterations=iterations,
@@ -377,7 +378,8 @@ def joint_graph_colors(spec: GfwlSpec, g: Graph, h: Graph) -> tuple[int, int]:
         if new_signature == signature:
             break
         signature = new_signature
-        assert iterations <= len(ctx_g.rset) + len(ctx_h.rset) + 1
+        if iterations > len(ctx_g.rset) + len(ctx_h.rset) + 1:
+            raise RuntimeError("joint refinement exceeded its round bound")
     return ctx_g.pool(colors_g), ctx_h.pool(colors_h)
 
 

@@ -12,7 +12,7 @@ import pytest
 
 import wlpower as wl
 from wlpower.errors import BudgetError, CertificateError
-from wlpower.games import has_safe_bijection
+from wlpower.games import _PursuitMoves, has_safe_bijection
 
 
 def nx_trees(n: int) -> list[wl.Graph]:
@@ -165,6 +165,16 @@ def test_replay_cops():
     tampered.certificate["moves"] = {}
     assert not wl.replay_certificate(tampered, spec, g)
 
+    # well-formed but illegal root moves
+    root = (("I", 1), (), frozenset(range(g.n)))
+    tampered = copy.deepcopy(verdict)
+    tampered.certificate["moves"][root] = ("put", (g.n,))  # outside the choice set
+    assert not wl.replay_certificate(tampered, spec, g)
+
+    tampered = copy.deepcopy(verdict)
+    tampered.certificate["moves"][root] = ("rm", (0,))  # removal in a putting phase
+    assert not wl.replay_certificate(tampered, spec, g)
+
 
 def test_replay_robber():
     spec = wl.fwl_spec(2)
@@ -179,6 +189,15 @@ def test_replay_robber():
 
     tampered = copy.deepcopy(verdict)
     tampered.certificate["responses"] = {}
+    assert not wl.replay_certificate(tampered, spec, g)
+
+    # a reply outside Robber's current component: the whole node set
+    # still holds the nodes just pebbled
+    start = (("I", 1), (), frozenset(verdict.certificate["initial_component"]))
+    tampered = copy.deepcopy(verdict)
+    responses = tampered.certificate["responses"]
+    first_reply = next(key for key in responses if key[0] == start)
+    responses[first_reply] = frozenset(range(g.n))
     assert not wl.replay_certificate(tampered, spec, g)
 
 
@@ -248,6 +267,52 @@ def test_replay_malformed():
     with pytest.raises(CertificateError):
         wl.replay_certificate(ef, spec, wl.complete_graph(3))
 
+    unhashable_dead = copy.deepcopy(ef)
+    unhashable_dead.certificate["dead"] = [[0]]
+    with pytest.raises(CertificateError):
+        wl.replay_certificate(unhashable_dead, spec, (wl.complete_graph(3), wl.path_graph(3)))
+
+
+def test_replay_robber_initial_component_not_a_set():
+    spec = wl.fwl_spec(2)
+    g = wl.complete_graph(4)
+    verdict = wl.cops_robber_wins(spec, g)
+    verdict.certificate["initial_component"] = 5
+    with pytest.raises(CertificateError):
+        wl.replay_certificate(verdict, spec, g)
+
+
+def test_replay_cops_move_not_a_pair():
+    spec = wl.local_fwl_spec(1)
+    g = wl.path_graph(4)
+    verdict = wl.cops_robber_wins(spec, g)
+    verdict.certificate["moves"][(("I", 1), (), frozenset(range(g.n)))] = "x"
+    with pytest.raises(CertificateError):
+        wl.replay_certificate(verdict, spec, g)
+
+
+def test_replay_spoiler_remove_choice_not_a_selection(c6, two_c3):
+    spec = wl.fwl_spec(2)
+    verdict = wl.spoiler_wins(spec, c6, two_c3)
+    remove_choices = verdict.certificate["remove_choices"]
+    assert remove_choices
+    for key in remove_choices:
+        remove_choices[key] = 7
+    with pytest.raises(CertificateError):
+        wl.replay_certificate(verdict, spec, (c6, two_c3))
+
+
+def test_replay_duplicator_matching_not_pairs(c6, two_c3):
+    spec = wl.local_fwl_spec(1)
+    verdict = wl.spoiler_wins(spec, c6, two_c3)
+    root = (("I", 1), (), ())
+    matching = verdict.certificate["matchings"][root]
+    for bad in ([1, 2], [(("a",), matching[0][1])] + matching[1:]):
+        tampered = copy.deepcopy(verdict)
+        tampered.certificate["matchings"][root] = bad
+        with pytest.raises(CertificateError):
+            wl.replay_certificate(tampered, spec, (c6, two_c3))
+
 
 def test_certificates_optional():
     verdict = wl.cops_robber_wins(
@@ -276,3 +341,38 @@ def test_pursuit_replay_round_trip(classes4):
     for g in classes4:
         verdict = wl.cops_robber_wins(spec, g)
         assert wl.replay_certificate(verdict, spec, g)
+
+
+def test_pursuit_moves_match_networkx_components(classes5):
+    """The component table against networkx on every reachable state: a
+    put's replies are the components of Robber's component minus the new
+    pebbles; a removal grows it to its component of g minus the kept
+    pebbles."""
+    for spec in (wl.fwl_spec(2), wl.drfwl2_spec(1)):
+        for g in classes5:
+            nx_g = nx.Graph()
+            nx_g.add_nodes_from(range(g.n))
+            nx_g.add_edges_from(g.edge_set)
+            game = _PursuitMoves(spec, g)
+            expected = sorted(map(frozenset, nx.connected_components(nx_g)), key=min)
+            assert [key[2] for key in game.initial()] == expected
+            seen = set(game.initial())
+            frontier = list(seen)
+            while frontier:
+                key = frontier.pop()
+                _, pos, comp = key
+                for (tag, payload), succs in game.moves(key):
+                    if tag == "put":
+                        rest = nx_g.subgraph(comp - set(payload))
+                        expected = sorted(map(frozenset, nx.connected_components(rest)), key=min)
+                        assert [s[2] for s in succs] == expected
+                        assert all(s[1] == pos + payload for s in succs)
+                    else:
+                        kept = tuple(pos[i] for i in payload)
+                        rest = nx_g.subgraph(set(range(g.n)) - set(kept))
+                        grown = frozenset(nx.node_connected_component(rest, min(comp)))
+                        assert [(s[1], s[2]) for s in succs] == [(kept, grown)]
+                    for succ in succs:
+                        if succ not in seen:
+                            seen.add(succ)
+                            frontier.append(succ)
