@@ -50,6 +50,7 @@ from .selectors import (
 )
 from .refinement import (
     BUILTIN_SPECS,
+    PRESET_SPECS,
     ColorDictionary,
     ColorMap,
     GfwlSpec,
@@ -62,11 +63,9 @@ from .refinement import (
     init_colors,
     joint_graph_colors,
     local_fwl_spec,
-    prefix_project,
     refine_step,
     replacements,
     stabilize,
-    suffix_set,
     validate_spec,
 )
 from .games import (
@@ -88,4 +87,4 @@ from .power import (
     validate_theorem2,
     write_power_csv,
 )
-from .cli import RunConfig, cache_key, cache_lookup, cache_store, load_graph, load_spec, preset_path, run
+from .cli import RunConfig, cache_key, cache_lookup, cache_store, load_graph, load_spec, run

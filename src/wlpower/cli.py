@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import importlib.resources
 import json
 import os
 import sys
@@ -19,9 +18,10 @@ import tempfile
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable
 
 from . import __version__
-from .errors import BudgetError, ConfigurationError, DomainError, GraphFormatError
+from .errors import BudgetError, ClosureError, ConfigurationError, DomainError, GraphFormatError
 from .games import DEFAULT_MAX_STATES, cops_robber_wins, spoiler_wins
 from .graphs import Graph, canonical_form, emit_graph6, hom_count, parse_graph6, parse_graph_json
 from .power import (
@@ -33,16 +33,8 @@ from .power import (
     validate_theorem2,
     write_power_csv,
 )
-from .refinement import GfwlSpec, distinguish
+from .refinement import PRESET_SPECS, GfwlSpec, distinguish
 
-PRESET_NAMES = ("fwl_k", "local_fwl_k", "drfwl2_delta", "fwl_plus_k_t")
-
-
-def preset_path(name: str) -> Path:
-    """Filesystem path of a shipped spec preset."""
-    if name not in PRESET_NAMES:
-        raise ConfigurationError(f"unknown preset {name!r}; choices: {', '.join(PRESET_NAMES)}")
-    return Path(str(importlib.resources.files("wlpower") / "presets" / f"{name}.json"))
 
 
 @dataclass
@@ -76,10 +68,11 @@ class RunConfig:
 
 
 def load_spec(value: str) -> GfwlSpec:
-    """Load a spec from a JSON file path or a shipped preset name."""
+    """Load a spec from a JSON file path or a preset name
+    (:data:`~wlpower.refinement.PRESET_SPECS`); an existing file wins."""
     path = Path(value)
-    if not path.exists() and value in PRESET_NAMES:
-        path = preset_path(value)
+    if not path.exists() and value in PRESET_SPECS:
+        return PRESET_SPECS[value]
     if not path.exists():
         raise ConfigurationError(f"spec file not found: {value}")
     try:
@@ -172,6 +165,169 @@ def cache_store(cache_dir: str, key: str, payload: dict) -> None:
 
 
 # ---------------------------------------------------------------------------
+# Command table
+#
+# A compute function takes ``(config, specs, graphs, time_check)``, with
+# the specs and graphs loaded once by :func:`run` in the order its entry
+# names them, and returns ``(payload, extra telemetry)``.  Solvers are
+# reached through this module's globals at call time, so wrapping or
+# patching ``wlpower.cli.<name>`` reaches every call.
+
+
+def _distinguish(config, specs, graphs, time_check):
+    (spec,), (g, h) = specs, graphs
+    payload = {"spec": spec.to_json_dict(), "g": emit_graph6(g), "h": emit_graph6(h)}
+    return {**payload, "distinguished": distinguish(spec, g, h)}, {}
+
+
+def _cops(config, specs, graphs, time_check):
+    (spec,), (g,) = specs, graphs
+    verdict = cops_robber_wins(spec, g, max_states=config.max_states, want_certificate=False)
+    payload = {"spec": spec.to_json_dict(), "graph": emit_graph6(g), "winner": verdict.winner}
+    return payload, {"states_explored": verdict.states_explored}
+
+
+def _ef(config, specs, graphs, time_check):
+    (spec,), (g, h) = specs, graphs
+    verdict = spoiler_wins(spec, g, h, max_states=config.max_states, want_certificate=False)
+    payload = {"spec": spec.to_json_dict(), "g": emit_graph6(g), "h": emit_graph6(h)}
+    return {**payload, "winner": verdict.winner}, {"states_explored": verdict.states_explored}
+
+
+def _hom(config, specs, graphs, time_check):
+    pattern, target = graphs
+    payload = {"pattern": emit_graph6(pattern), "target": emit_graph6(target)}
+    return {**payload, "count": hom_count(pattern, target)}, {}
+
+
+def _power(config, specs, graphs, time_check):
+    report = enumerate_power(
+        *specs, config.max_nodes, max_states=config.max_states, time_check=time_check
+    )
+    if config.csv_path:
+        with open(config.csv_path, "w", newline="") as handle:
+            write_power_csv(report, handle)
+    return report.payload_dict(), {"per_graph": report.per_graph_stats}
+
+
+def _validate(config, specs, graphs, time_check):
+    return SUITES[config.suite].run(config, specs, time_check).to_json_dict(), {}
+
+
+@dataclass(frozen=True)
+class Suite:
+    """One ``validate --suite`` choice: ``run(config, specs, time_check)``
+    returns a ValidationReport; ``specs`` are the RunConfig fields it
+    loads specs from, each required."""
+
+    run: Callable
+    default_nodes: int
+    specs: tuple[str, ...] = ()
+
+
+SUITES = {
+    "theorem2": Suite(
+        lambda c, specs, tc: validate_theorem2(
+            *specs, c.max_nodes, max_states=c.max_states, time_check=tc
+        ),
+        default_nodes=4,
+        specs=("spec_path",),
+    ),
+    "treewidth": Suite(
+        lambda c, specs, tc: compare_to_treewidth(c.k, c.max_nodes, max_states=c.max_states),
+        default_nodes=7,
+    ),
+    "soundness": Suite(
+        lambda c, specs, tc: validate_soundness(
+            *specs, c.max_nodes, c.max_patterns, max_states=c.max_states, time_check=tc
+        ),
+        default_nodes=5,
+        specs=("spec_path",),
+    ),
+    "monotonicity": Suite(
+        lambda c, specs, tc: check_monotonicity(
+            *specs, c.max_nodes, max_states=c.max_states, time_check=tc
+        ),
+        default_nodes=6,
+        specs=("spec_small_path", "spec_large_path"),
+    ),
+    "hom_closed": Suite(
+        lambda c, specs, tc: validate_hom_closedness(*specs, c.max_nodes),
+        default_nodes=4,
+        specs=("spec_path",),
+    ),
+}
+
+
+@dataclass(frozen=True)
+class Command:
+    """One subcommand: its own ``(flag, add_argument kwargs)`` pairs (the
+    budget and output flags are common to all), the flags that give its
+    graph inputs, the RunConfig fields it loads specs from (validate's
+    suite names those), the RunConfig fields in its cache key (None: not
+    cached), and the exit code of a run that produced a payload."""
+
+    help: str
+    args: tuple[tuple[str, dict], ...]
+    compute: Callable
+    graphs: tuple[str, ...] = ()
+    specs: tuple[str, ...] = ()
+    cache_params: tuple[str, ...] | None = None
+    exit_code: Callable[[dict], int] = lambda payload: 0
+
+
+_SPEC = ("--spec", {"required": True})
+_G = ("--g", {"required": True})
+_H = ("--h", {"required": True})
+
+COMMANDS = {
+    "distinguish": Command(
+        "joint color refinement on a graph pair", (_SPEC, _G, _H), _distinguish,
+        graphs=("g", "h"), specs=("spec_path",), cache_params=(),
+    ),
+    "cops": Command(
+        "decide the pursuit game on a query graph", (_SPEC, _G), _cops,
+        graphs=("g",), specs=("spec_path",), cache_params=("max_states",),
+    ),
+    "ef": Command(
+        "decide the bijection game on a graph pair", (_SPEC, _G, _H), _ef,
+        graphs=("g", "h"), specs=("spec_path",), cache_params=("max_states",),
+    ),
+    "hom": Command(
+        "count homomorphisms pattern -> target",
+        (("--pattern", {"required": True}), ("--target", {"required": True})), _hom,
+        graphs=("pattern", "target"), cache_params=(),
+    ),
+    "power": Command(
+        "enumerate the counting-power set",
+        (
+            _SPEC,
+            ("--max-nodes", {"type": int, "required": True}),
+            ("--csv", {"default": None, "help": "also write the per-graph CSV summary here"}),
+        ),
+        _power,
+        specs=("spec_path",),
+        cache_params=("max_states", "max_nodes"),
+        exit_code=lambda payload: 0 if payload["complete"] else 3,
+    ),
+    "validate": Command(
+        "run a validation suite",
+        (
+            ("--suite", {"required": True, "choices": list(SUITES)}),
+            ("--spec", {"default": None}),
+            ("--spec-small", {"default": None}),
+            ("--spec-large", {"default": None}),
+            ("--k", {"type": int, "default": 2}),
+            ("--max-nodes", {"type": int, "default": None}),
+            ("--max-patterns", {"type": int, "default": 6}),
+        ),
+        _validate,
+        exit_code=lambda payload: 0 if payload["passed"] else 1,
+    ),
+}
+
+
+# ---------------------------------------------------------------------------
 # Command execution
 
 
@@ -189,114 +345,17 @@ def _deadline_check(config: RunConfig, start: float):
     return check
 
 
-def _compute_payload(config: RunConfig, start: float) -> tuple[dict, dict]:
-    """Returns (payload, extra_telemetry) for the configured command."""
-    command = config.command
-    time_check = _deadline_check(config, start)
-    if command == "distinguish":
-        spec = load_spec(config.spec_path)
-        g, h = (load_graph(v) for v in config.graph_inputs)
-        payload = {
-            "command": command,
-            "spec": spec.to_json_dict(),
-            "g": emit_graph6(g),
-            "h": emit_graph6(h),
-            "distinguished": distinguish(spec, g, h),
-        }
-        return payload, {}
-    if command == "cops":
-        spec = load_spec(config.spec_path)
-        g = load_graph(config.graph_inputs[0])
-        verdict = cops_robber_wins(spec, g, max_states=config.max_states, want_certificate=False)
-        payload = {
-            "command": command,
-            "spec": spec.to_json_dict(),
-            "graph": emit_graph6(g),
-            "winner": verdict.winner,
-        }
-        return payload, {"states_explored": verdict.states_explored}
-    if command == "ef":
-        spec = load_spec(config.spec_path)
-        g, h = (load_graph(v) for v in config.graph_inputs)
-        verdict = spoiler_wins(spec, g, h, max_states=config.max_states, want_certificate=False)
-        payload = {
-            "command": command,
-            "spec": spec.to_json_dict(),
-            "g": emit_graph6(g),
-            "h": emit_graph6(h),
-            "winner": verdict.winner,
-        }
-        return payload, {"states_explored": verdict.states_explored}
-    if command == "hom":
-        pattern, target = (load_graph(v) for v in config.graph_inputs)
-        payload = {
-            "command": command,
-            "pattern": emit_graph6(pattern),
-            "target": emit_graph6(target),
-            "count": hom_count(pattern, target),
-        }
-        return payload, {}
-    if command == "power":
-        spec = load_spec(config.spec_path)
-        report = enumerate_power(
-            spec, config.max_nodes, max_states=config.max_states, time_check=time_check
-        )
-        if config.csv_path:
-            with open(config.csv_path, "w", newline="") as handle:
-                write_power_csv(report, handle)
-        payload = {"command": command, **report.payload_dict()}
-        return payload, {"per_graph": report.per_graph_stats}
-    if command == "validate":
-        report = _run_suite(config, time_check)
-        payload = {"command": command, **report.to_json_dict()}
-        return payload, {}
-    raise ConfigurationError(f"unknown command {command!r}")
-
-
-def _run_suite(config: RunConfig, time_check):
-    suite = config.suite
-    if suite == "treewidth":
-        return compare_to_treewidth(config.k, config.max_nodes, max_states=config.max_states)
-    if suite == "theorem2":
-        spec = load_spec(config.spec_path)
-        return validate_theorem2(
-            spec, config.max_nodes, max_states=config.max_states, time_check=time_check
-        )
-    if suite == "soundness":
-        spec = load_spec(config.spec_path)
-        return validate_soundness(
-            spec,
-            config.max_nodes,
-            config.max_patterns,
-            max_states=config.max_states,
-            time_check=time_check,
-        )
-    if suite == "monotonicity":
-        small = load_spec(config.spec_small_path)
-        large = load_spec(config.spec_large_path)
-        return check_monotonicity(
-            small, large, config.max_nodes, max_states=config.max_states, time_check=time_check
-        )
-    if suite == "hom_closed":
-        spec = load_spec(config.spec_path)
-        return validate_hom_closedness(spec, config.max_nodes)
-    raise ConfigurationError(f"unknown validation suite {suite!r}")
-
-
-_CACHED_COMMANDS = ("distinguish", "cops", "ef", "hom", "power")
-
-
-def _cache_key_for(config: RunConfig) -> str | None:
-    if config.command not in _CACHED_COMMANDS:
-        return None
-    spec = load_spec(config.spec_path) if config.spec_path else None
-    graphs = [load_graph(v) for v in config.graph_inputs]
-    params: dict = {}
-    if config.command in ("cops", "ef", "power"):
-        params["max_states"] = config.max_states
-    if config.command == "power":
-        params["max_nodes"] = config.max_nodes
-    return cache_key(config.command, spec, graphs, params)
+def _entries(config: RunConfig) -> tuple[Command, Command | Suite]:
+    """The command of a run, and the entry that names its specs: the
+    suite for validate, else the command itself."""
+    command = COMMANDS.get(config.command)
+    if command is None:
+        raise ConfigurationError(f"unknown command {config.command!r}")
+    if config.command != "validate":
+        return command, command
+    if config.suite not in SUITES:
+        raise ConfigurationError(f"unknown validation suite {config.suite!r}")
+    return command, SUITES[config.suite]
 
 
 def _emit(config: RunConfig, envelope: dict) -> None:
@@ -312,20 +371,25 @@ def run(config: RunConfig) -> int:
     start = time.perf_counter()
     try:
         config.validate()
+        command, spec_entry = _entries(config)
+        specs = [load_spec(getattr(config, name)) for name in spec_entry.specs]
+        graphs = [load_graph(value) for value in config.graph_inputs]
         cache_dir = os.environ.get("WLPOWER_CACHE") or config.cache_dir
-        key = _cache_key_for(config) if cache_dir else None
+        key = None
+        if cache_dir and command.cache_params is not None:
+            params = {name: getattr(config, name) for name in command.cache_params}
+            key = cache_key(config.command, specs[0] if specs else None, graphs, params)
         cache_status = "off" if cache_dir is None else "miss"
-        payload = None
+        payload = cache_lookup(cache_dir, key) if key is not None else None
         extra: dict = {}
-        if key is not None:
-            payload = cache_lookup(cache_dir, key)
-            if payload is not None:
-                cache_status = "hit"
-        if payload is None:
-            payload, extra = _compute_payload(config, start)
+        if payload is not None:
+            cache_status = "hit"
+        else:
+            body, extra = command.compute(config, specs, graphs, _deadline_check(config, start))
+            payload = {"command": config.command, **body}
             if key is not None:
                 cache_store(cache_dir, key, payload)
-    except (GraphFormatError, ConfigurationError, DomainError) as exc:
+    except (GraphFormatError, ConfigurationError, DomainError, ClosureError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BudgetError as exc:
@@ -338,11 +402,7 @@ def run(config: RunConfig) -> int:
         **extra,
     }
     _emit(config, {"payload": payload, "telemetry": telemetry})
-    if config.command == "validate" and not payload["passed"]:
-        return 1
-    if config.command == "power" and not payload["complete"]:
-        return 3
-    return 0
+    return command.exit_code(payload)
 
 
 # ---------------------------------------------------------------------------
@@ -365,73 +425,19 @@ def build_parser() -> argparse.ArgumentParser:
         description="Refinement specs, pebble games, and counting-power reports.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("distinguish", help="joint color refinement on a graph pair")
-    p.add_argument("--spec", required=True)
-    p.add_argument("--g", required=True)
-    p.add_argument("--h", required=True)
-    _add_common(p)
-
-    p = sub.add_parser("cops", help="decide the pursuit game on a query graph")
-    p.add_argument("--spec", required=True)
-    p.add_argument("--g", required=True)
-    _add_common(p)
-
-    p = sub.add_parser("ef", help="decide the bijection game on a graph pair")
-    p.add_argument("--spec", required=True)
-    p.add_argument("--g", required=True)
-    p.add_argument("--h", required=True)
-    _add_common(p)
-
-    p = sub.add_parser("hom", help="count homomorphisms pattern -> target")
-    p.add_argument("--pattern", required=True)
-    p.add_argument("--target", required=True)
-    _add_common(p)
-
-    p = sub.add_parser("power", help="enumerate the counting-power set")
-    p.add_argument("--spec", required=True)
-    p.add_argument("--max-nodes", type=int, required=True)
-    p.add_argument("--csv", default=None, help="also write the per-graph CSV summary here")
-    _add_common(p)
-
-    p = sub.add_parser("validate", help="run a validation suite")
-    p.add_argument(
-        "--suite",
-        required=True,
-        choices=["theorem2", "treewidth", "soundness", "monotonicity", "hom_closed"],
-    )
-    p.add_argument("--spec", default=None)
-    p.add_argument("--spec-small", default=None)
-    p.add_argument("--spec-large", default=None)
-    p.add_argument("--k", type=int, default=2)
-    p.add_argument("--max-nodes", type=int, default=None)
-    p.add_argument("--max-patterns", type=int, default=6)
-    _add_common(p)
-
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for flag, kwargs in command.args:
+            p.add_argument(flag, **kwargs)
+        _add_common(p)
     return parser
 
 
-_SUITE_DEFAULT_NODES = {
-    "treewidth": 7,
-    "theorem2": 4,
-    "soundness": 5,
-    "monotonicity": 6,
-    "hom_closed": 4,
-}
-
-
 def build_config(args: argparse.Namespace) -> RunConfig:
-    graphs: list[str] = []
-    if args.command in ("distinguish", "ef"):
-        graphs = [args.g, args.h]
-    elif args.command == "cops":
-        graphs = [args.g]
-    elif args.command == "hom":
-        graphs = [args.pattern, args.target]
     config = RunConfig(
         command=args.command,
         spec_path=getattr(args, "spec", None),
-        graph_inputs=graphs,
+        graph_inputs=[getattr(args, name) for name in COMMANDS[args.command].graphs],
         max_states=args.max_states,
         max_nodes=getattr(args, "max_nodes", None),
         time_limit_ms=args.time_limit_ms,
@@ -444,20 +450,14 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         spec_small_path=getattr(args, "spec_small", None),
         spec_large_path=getattr(args, "spec_large", None),
     )
-    if config.command == "validate" and config.max_nodes is None:
-        config.max_nodes = _SUITE_DEFAULT_NODES[config.suite]
-    if config.command == "validate":
-        missing = []
-        if config.suite in ("theorem2", "soundness", "hom_closed") and not config.spec_path:
-            missing.append("--spec")
-        if config.suite == "monotonicity" and not (
-            config.spec_small_path and config.spec_large_path
-        ):
-            missing.append("--spec-small/--spec-large")
-        if missing:
-            raise ConfigurationError(
-                f"suite {config.suite} requires {', '.join(missing)}"
-            )
+    suite = SUITES.get(config.suite)
+    if suite is not None:
+        if config.max_nodes is None:
+            config.max_nodes = suite.default_nodes
+        if not all(getattr(config, name) for name in suite.specs):
+            # RunConfig field spec_small_path comes from flag --spec-small.
+            flags = "/".join("--" + name[: -len("_path")].replace("_", "-") for name in suite.specs)
+            raise ConfigurationError(f"suite {config.suite} requires {flags}")
     return config
 
 

@@ -98,6 +98,19 @@ def _next_phase(spec: GfwlSpec, phase: tuple) -> tuple:
     return ("U", 1)
 
 
+def _stage_groups(tuples: set[tuple[int, ...]], seq: tuple[int, ...]) -> list[dict]:
+    """For each stage ``(seq[n-1], seq[n])``: the length-``seq[n]``
+    prefixes of ``tuples``, in sorted order, as suffixes grouped by their
+    length-``seq[n-1]`` prefix."""
+    groups = []
+    for prev, cur in zip(seq, seq[1:]):
+        stage: dict = {}
+        for tup in sorted({full[:cur] for full in tuples}):
+            stage.setdefault(tup[:prev], []).append(tup[prev:])
+        groups.append(stage)
+    return groups
+
+
 class _MoveTables:
     """Per-graph choice sets: for each putting stage, the suffix sets of
     the staged tuple universe grouped by occupied prefix."""
@@ -105,14 +118,7 @@ class _MoveTables:
     def __init__(self, spec: GfwlSpec, g: Graph):
         self.spec = spec
         self.g = g
-        r_full = sorted(r_set(spec.r_selector, spec.k, g))
-        self.r_groups: list[dict] = []
-        for n in range(1, spec.n_stages + 1):
-            i_prev, i_cur = spec.i_seq[n - 1], spec.i_seq[n]
-            stage = {}
-            for tup in sorted({r[:i_cur] for r in r_full}):
-                stage.setdefault(tup[:i_prev], []).append(tup[i_prev:])
-            self.r_groups.append(stage)
+        self.r_groups = _stage_groups(r_set(spec.r_selector, spec.k, g), spec.i_seq)
         self._f_groups: dict = {}
         self._atp_ids: dict = {}
 
@@ -120,14 +126,7 @@ class _MoveTables:
         cached = self._f_groups.get(main)
         if cached is None:
             spec = self.spec
-            f_full = sorted(f_set(spec.f_selector, spec.t, self.g, main))
-            cached = []
-            for m in range(1, spec.m_stages + 1):
-                j_prev, j_cur = spec.j_seq[m - 1], spec.j_seq[m]
-                stage = {}
-                for tup in sorted({f[:j_cur] for f in f_full}):
-                    stage.setdefault(tup[:j_prev], []).append(tup[j_prev:])
-                cached.append(stage)
+            cached = _stage_groups(f_set(spec.f_selector, spec.t, self.g, main), spec.j_seq)
             self._f_groups[main] = cached
         return cached
 

@@ -21,7 +21,7 @@ import itertools
 import json
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import ClosureError, ConfigurationError, DomainError
 from .graphs import Graph, atp
@@ -42,28 +42,6 @@ def replacements(v: Sequence[int], u: Sequence[int]) -> list[tuple[int, ...]]:
     v, u = tuple(v), tuple(u)
     concat = v + u
     return [tuple(concat[i] for i in vec) for vec in _index_vectors(len(v), len(u))]
-
-
-def prefix_project(tuples: Iterable[tuple[int, ...]], length: int) -> set:
-    """Set of length-``length`` prefixes of the members."""
-    out = set()
-    for tup in tuples:
-        if length > len(tup):
-            raise DomainError(f"prefix length {length} exceeds tuple length {len(tup)}")
-        out.add(tup[:length])
-    return out
-
-
-def suffix_set(tuples: Iterable[tuple[int, ...]], prefix: tuple[int, ...]) -> set:
-    """``{w : prefix + w in tuples}``."""
-    prefix = tuple(prefix)
-    out = set()
-    for tup in tuples:
-        if len(prefix) > len(tup):
-            raise DomainError("prefix longer than tuple")
-        if tup[: len(prefix)] == prefix:
-            out.add(tup[len(prefix):])
-    return out
 
 
 class ColorDictionary:
@@ -203,11 +181,20 @@ def fwl_plus_spec(k: int, t: int) -> GfwlSpec:
     )
 
 
+# Named instances.  ``BUILTIN_SPECS`` are the specs the acceptance suites
+# sweep; ``PRESET_SPECS`` are the names ``wlpower --spec NAME`` accepts.
 BUILTIN_SPECS = {
     "local_1fwl": local_fwl_spec(1),
     "2fwl": fwl_spec(2),
     "local_2fwl": local_fwl_spec(2),
     "drfwl2_1": drfwl2_spec(1),
+}
+
+PRESET_SPECS = {
+    "fwl_k": fwl_spec(2),
+    "local_fwl_k": local_fwl_spec(2),
+    "drfwl2_delta": drfwl2_spec(1),
+    "fwl_plus_k_t": fwl_plus_spec(2, 2),
 }
 
 
@@ -249,6 +236,21 @@ def _collapse(values: dict, lengths: Sequence[int], stage: str, dic: ColorDictio
     return cur[()]
 
 
+def _replacement_walk(spec: GfwlSpec, g: Graph, rset: list):
+    """Every (colored tuple ``v``, aggregation tuple ``u``) pair on ``g``
+    in sorted order, as ``(v, u, replacements of v by u, choice indices
+    of the replacements outside the tuple universe)``."""
+    universe = set(rset)
+    closed = universe.issuperset
+    for v in rset:
+        for u in sorted(f_set(spec.f_selector, spec.t, g, v)):
+            reps = replacements(v, u)
+            if closed(reps):
+                yield v, u, reps, ()
+            else:
+                yield v, u, reps, [c for c, w in enumerate(reps) if w not in universe]
+
+
 class _Context:
     """Per-(spec, graph) precomputation shared by all update steps:
     sorted tuple universe, per-tuple aggregation sets, replacement
@@ -260,23 +262,20 @@ class _Context:
         self.g = g
         self.dictionary = dictionary
         self.rset = sorted(r_set(spec.r_selector, spec.k, g))
-        rset_set = set(self.rset)
-        self.fsets: dict = {}
+        self.fsets: dict = {v: [] for v in self.rset}
         self.rep_tuples: dict = {}
         self.atp_ids: dict = {}
-        for v in self.rset:
-            fs = sorted(f_set(spec.f_selector, spec.t, g, v))
-            self.fsets[v] = fs
-            for u in fs:
-                reps = replacements(v, u)
-                for c, w in enumerate(reps):
-                    if w not in rset_set:
-                        raise ClosureError(
-                            f"replacement {w} of v={v} by u={u} (choice index {c})"
-                            " lies outside the colored tuple universe"
-                        )
-                self.rep_tuples[(v, u)] = reps
-                self.atp_ids[(v, u)] = dictionary.id_for(("atp", atp(g, v + u)))
+        fsets, rep_tuples, atp_ids = self.fsets, self.rep_tuples, self.atp_ids
+        for v, u, reps, outside in _replacement_walk(spec, g, self.rset):
+            if outside:
+                c = outside[0]
+                raise ClosureError(
+                    f"replacement {reps[c]} of v={v} by u={u} (choice index {c})"
+                    " lies outside the colored tuple universe"
+                )
+            fsets[v].append(u)
+            rep_tuples[(v, u)] = reps
+            atp_ids[(v, u)] = dictionary.id_for(("atp", atp(g, v + u)))
         self.j_desc = tuple(reversed(spec.j_seq[:-1]))
         self.i_desc = tuple(reversed(spec.i_seq[:-1]))
 
@@ -299,9 +298,34 @@ class _Context:
         return _collapse(dict(colors), self.i_desc, "pool", self.dictionary)
 
 
-def _partition_signature(order: Sequence, colors: dict) -> tuple:
+def _partition_signature(contexts: Sequence[_Context], colors: Sequence[dict]) -> tuple:
     seen: dict = {}
-    return tuple(seen.setdefault(colors[key], len(seen)) for key in order)
+    return tuple(
+        seen.setdefault(cols[v], len(seen))
+        for ctx, cols in zip(contexts, colors)
+        for v in ctx.rset
+    )
+
+
+def _stabilize(contexts: Sequence[_Context]) -> tuple[list[dict], int]:
+    """Step every context until the partition over the union of their
+    tuple universes stops changing; returns the stable colorings, one
+    per context, and the number of steps."""
+    colors = [ctx.initial_colors() for ctx in contexts]
+    signature = _partition_signature(contexts, colors)
+    bound = sum(len(ctx.rset) for ctx in contexts) + 1
+    iterations = 0
+    while True:
+        colors = [ctx.step(cols) for ctx, cols in zip(contexts, colors)]
+        iterations += 1
+        new_signature = _partition_signature(contexts, colors)
+        if new_signature == signature:
+            return colors, iterations
+        signature = new_signature
+        # Partition chains on a finite universe are strictly shorter
+        # than this; exceeding it means the stability check is broken.
+        if iterations > bound:
+            raise RuntimeError("refinement exceeded its round bound")
 
 
 def init_colors(spec: GfwlSpec, g: Graph, dictionary: ColorDictionary | None = None) -> ColorMap:
@@ -329,21 +353,7 @@ def stabilize(
     then pool to the graph-level color."""
     dic = dictionary if dictionary is not None else ColorDictionary()
     ctx = _Context(spec, g, dic)
-    colors = ctx.initial_colors()
-    signature = _partition_signature(ctx.rset, colors)
-    iterations = 0
-    while True:
-        new = ctx.step(colors)
-        iterations += 1
-        new_signature = _partition_signature(ctx.rset, new)
-        colors = new
-        if new_signature == signature:
-            break
-        signature = new_signature
-        # Partition chains on a finite universe are strictly shorter
-        # than this; exceeding it means the stability check is broken.
-        if iterations > len(ctx.rset) + 1:
-            raise RuntimeError("refinement exceeded its round bound")
+    (colors,), iterations = _stabilize([ctx])
     return RefinementResult(
         stable_colors=ColorMap(colors, dic),
         iterations=iterations,
@@ -356,31 +366,9 @@ def joint_graph_colors(spec: GfwlSpec, g: Graph, h: Graph) -> tuple[int, int]:
     dictionary and a single stabilization loop over both tuple
     universes, so the two identifiers are directly comparable."""
     dic = ColorDictionary()
-    ctx_g = _Context(spec, g, dic)
-    ctx_h = _Context(spec, h, dic)
-    colors_g = ctx_g.initial_colors()
-    colors_h = ctx_h.initial_colors()
-    order = [(0, v) for v in ctx_g.rset] + [(1, v) for v in ctx_h.rset]
-
-    def joint_signature(cg: dict, ch: dict) -> tuple:
-        seen: dict = {}
-        return tuple(
-            seen.setdefault(cg[key] if side == 0 else ch[key], len(seen))
-            for side, key in order
-        )
-
-    signature = joint_signature(colors_g, colors_h)
-    iterations = 0
-    while True:
-        colors_g, colors_h = ctx_g.step(colors_g), ctx_h.step(colors_h)
-        iterations += 1
-        new_signature = joint_signature(colors_g, colors_h)
-        if new_signature == signature:
-            break
-        signature = new_signature
-        if iterations > len(ctx_g.rset) + len(ctx_h.rset) + 1:
-            raise RuntimeError("joint refinement exceeded its round bound")
-    return ctx_g.pool(colors_g), ctx_h.pool(colors_h)
+    contexts = [_Context(spec, g, dic), _Context(spec, h, dic)]
+    colors, _ = _stabilize(contexts)
+    return tuple(ctx.pool(cols) for ctx, cols in zip(contexts, colors))
 
 
 def distinguish(spec: GfwlSpec, g: Graph, h: Graph) -> bool:
@@ -420,12 +408,9 @@ def validate_spec(spec: GfwlSpec | dict, g: Graph) -> SpecValidationReport:
             report.structure_issues.append(str(exc))
             return report
     # Construction enforces (a) and (b); reaching here means both hold.
-    universe = r_set(spec.r_selector, spec.k, g)
-    for v in sorted(universe):
-        for u in sorted(f_set(spec.f_selector, spec.t, g, v)):
-            for c, w in enumerate(replacements(v, u)):
-                if w not in universe:
-                    report.closure_violations.append(
-                        {"v": v, "u": u, "choice": c, "replacement": w}
-                    )
+    rset = sorted(r_set(spec.r_selector, spec.k, g))
+    for v, u, reps, outside in _replacement_walk(spec, g, rset):
+        report.closure_violations += (
+            {"v": v, "u": u, "choice": c, "replacement": reps[c]} for c in outside
+        )
     return report

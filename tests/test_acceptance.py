@@ -19,14 +19,6 @@ import wlpower.cli as cli
 
 SEED = 20260814
 
-ALL_SPECS = {
-    "local_1fwl": wl.local_fwl_spec(1),
-    "2fwl": wl.fwl_spec(2),
-    "local_2fwl": wl.local_fwl_spec(2),
-    "drfwl2_1": wl.drfwl2_spec(1),
-}
-
-
 @contextmanager
 def criterion(log: list, num: int, label: str, budget_s: float | None = None):
     start = time.perf_counter()
@@ -69,17 +61,17 @@ def test_criterion_1_treewidth_characterization(acceptance_log):
 
 def test_criterion_2_game_refinement_equivalence(acceptance_log):
     with criterion(acceptance_log, 2, "distinguish equals spoiler win", budget_s=900):
-        for spec in ALL_SPECS.values():
+        for spec in wl.BUILTIN_SPECS.values():
             report = wl.validate_theorem2(spec, 4)
             assert report.passed, report.mismatches
-        report = wl.validate_theorem2(ALL_SPECS["local_1fwl"], 5)
+        report = wl.validate_theorem2(wl.BUILTIN_SPECS["local_1fwl"], 5)
         assert report.cases_run == 496
         assert report.passed, report.mismatches
 
 
 def test_criterion_3_soundness(acceptance_log):
     with criterion(acceptance_log, 3, "undistinguished pairs count alike", budget_s=600):
-        for spec in ALL_SPECS.values():
+        for spec in wl.BUILTIN_SPECS.values():
             report = wl.validate_soundness(spec, 5, 6)
             assert report.passed, report.mismatches
             assert report.cases_run == 465  # distinct unordered pairs
@@ -87,8 +79,8 @@ def test_criterion_3_soundness(acceptance_log):
 
 def test_criterion_4_known_pair(acceptance_log, c6, two_c3):
     with criterion(acceptance_log, 4, "C6 vs 2*C3 with K3 witness"):
-        assert not wl.distinguish(ALL_SPECS["local_1fwl"], c6, two_c3)
-        assert wl.distinguish(ALL_SPECS["2fwl"], c6, two_c3)
+        assert not wl.distinguish(wl.BUILTIN_SPECS["local_1fwl"], c6, two_c3)
+        assert wl.distinguish(wl.BUILTIN_SPECS["2fwl"], c6, two_c3)
         k3 = wl.complete_graph(3)
         counts = (wl.hom_count(k3, c6), wl.hom_count(k3, two_c3))
         assert counts == (0, 12)
@@ -131,7 +123,7 @@ def test_criterion_6_monotonicity(acceptance_log):
 def test_criterion_7_permutation_invariance(acceptance_log):
     with criterion(acceptance_log, 7, "verdicts invariant under relabeling"):
         rng = random.Random(SEED + 7)
-        for spec in ALL_SPECS.values():
+        for spec in wl.BUILTIN_SPECS.values():
             for _ in range(200):
                 g = random_graph(rng, rng.randint(1, 6))
                 h = g if rng.random() < 0.3 else random_graph(rng, rng.randint(1, 6))
@@ -149,7 +141,7 @@ def test_criterion_7_permutation_invariance(acceptance_log):
 
 def test_criterion_8_power_determinism(acceptance_log, tmp_path):
     with criterion(acceptance_log, 8, "power payload byte-identical"):
-        for spec in ALL_SPECS.values():
+        for spec in wl.BUILTIN_SPECS.values():
             a = wl.enumerate_power(spec, 5)
             b = wl.enumerate_power(spec, 5)
             assert a.payload_bytes() == b.payload_bytes()

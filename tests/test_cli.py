@@ -37,7 +37,7 @@ def run_cli(capsys, argv):
 
 
 def test_preset_files_all_load():
-    for name in cli.PRESET_NAMES:
+    for name in wl.PRESET_SPECS:
         spec = cli.load_spec(name)
         assert isinstance(spec, wl.GfwlSpec)
     assert cli.load_spec("fwl_k") == wl.fwl_spec(2)
@@ -45,7 +45,7 @@ def test_preset_files_all_load():
     assert cli.load_spec("drfwl2_delta") == wl.drfwl2_spec(1)
     assert cli.load_spec("fwl_plus_k_t") == wl.fwl_plus_spec(2, 2)
     with pytest.raises(ConfigurationError):
-        cli.preset_path("no_such_preset")
+        cli.load_spec("no_such_preset")
 
 
 def test_load_spec_from_file(tmp_path):
@@ -244,15 +244,31 @@ def test_validate_missing_spec_flag(capsys):
 
 
 def test_validate_failure_exits_1(capsys, monkeypatch):
-    def fake_suite(config, time_check):
+    def fake_suite(spec, max_nodes, **budgets):
         return ValidationReport(suite="theorem2", cases_run=1, mismatches=[{"bad": True}])
 
-    monkeypatch.setattr(cli, "_run_suite", fake_suite)
+    monkeypatch.setattr(cli, "validate_theorem2", fake_suite)
     code, envelope, _ = run_cli(
         capsys, ["validate", "--suite", "theorem2", "--spec", "fwl_k"]
     )
     assert code == 1
     assert envelope["payload"]["passed"] is False
+
+
+def test_non_closed_spec_exits_2(capsys, tmp_path):
+    # Distance-restricted pairs aggregated over all nodes: replacing a
+    # pebble by a far node leaves the colored universe.
+    bad = tmp_path / "bad.json"
+    spec = wl.GfwlSpec(2, 1, (0, 2), (0, 1), wl.RSelector("distance_restricted", 1),
+                       wl.FSelector("all_nodes"))
+    bad.write_text(json.dumps(spec.to_json_dict()))
+    for argv in (
+        ["distinguish", "--spec", str(bad), "--g", "Bg", "--h", "Bw"],
+        ["validate", "--suite", "theorem2", "--spec", str(bad), "--max-nodes", "3"],
+    ):
+        code, envelope, err = run_cli(capsys, argv)
+        assert code == 2 and envelope is None
+        assert err.startswith("error:") and "outside the colored tuple universe" in err
 
 
 # ---------------------------------------------------------------------------

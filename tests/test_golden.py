@@ -10,7 +10,10 @@ import hashlib
 import itertools
 import json
 
+import pytest
+
 import wlpower as wl
+import wlpower.cli as cli
 
 POWER_SHA256 = {
     "local_1fwl": "fd32e40b3fca1f36c76683cf9567c3d2442e97d16ee2cb77b858bbfe0289136a",
@@ -48,3 +51,101 @@ def test_bijection_certificate_digest(classes4):
     pairs = itertools.combinations(classes4, 2)
     digest = verdicts_digest(wl.spoiler_wins(spec, g, h) for g, h in pairs)
     assert digest == SPOILER_FWL2_N4_SHA256
+
+
+# One argv per CLI command and per validate suite (at 3 nodes), with the
+# SHA-256 of its payload's sorted-key JSON and its cache key: the key of
+# an uncached command is None.  A cache written by an earlier build
+# still hits as long as these hold.
+CLI_GOLDEN = {
+    "distinguish": (
+        ["distinguish", "--spec", "fwl_k", "--g", "EhEG", "--h", "EwCW"],
+        "1beb98fc98f3a6d07e637beb1073300b7047395c0b2be20cde5dfd4af545c325",
+        "2d7430290af58f46926b6ca4e2d939f624bf6b449ce87126ce519c04a4128fdf",
+    ),
+    "cops": (
+        ["cops", "--spec", "fwl_k", "--g", "C~"],
+        "7f5ec3210e4bbb8c570a911fbc8f6d1d919053d67083a6561fe49abaeaf2e9d7",
+        "f0a7e8dbd8de85256580dc4ae8dcc143ef285772cc22f8a340a35e18e0fe4553",
+    ),
+    "ef": (
+        ["ef", "--spec", "fwl_k", "--g", "EhEG", "--h", "EwCW"],
+        "3c5d0d763cf3b2ea6fca5a16be4b931e92f438ab63ca63d01b3d5dfa8e3e4139",
+        "ef22356ef9180a8b6f42c948dc725176eebb5fb96d9f4b50c609c76a28a9a483",
+    ),
+    "hom": (
+        ["hom", "--pattern", "EhEG", "--target", "Bw"],
+        "1aac9fdb02f8a87e17f108053b7c9fe9caa5bf60f11dadbbb692b020edae98ad",
+        "9f666f0b4ff0d44c12335204b1e21c94391fd04a2c18f19f12229be5cfebddb8",
+    ),
+    "power": (
+        ["power", "--spec", "fwl_k", "--max-nodes", "4"],
+        "7e40e9ffec4401c447248c71ece8c2ee42e4ed52bef9457db394107eccb54617",
+        "87ee9de164248a60b4a822baae9613c56c2d39e540c73ba7903180cf6df4a68b",
+    ),
+    "validate-treewidth": (
+        ["validate", "--suite", "treewidth", "--k", "2", "--max-nodes", "3"],
+        "862c2c6454234d3c9aba4c860347feaccacd01bf7cfd77b3a187a0a41f1b35d5",
+        None,
+    ),
+    "validate-theorem2": (
+        ["validate", "--suite", "theorem2", "--spec", "fwl_k", "--max-nodes", "3"],
+        "8d705ef99caa7accff481368e12f2221bbd2d79e0c9a0a0949e9273d504d7bb6",
+        None,
+    ),
+    "validate-soundness": (
+        ["validate", "--suite", "soundness", "--spec", "fwl_k", "--max-nodes", "3"],
+        "e36c45d9903c55dd3ec3eee4b1e0a3c92be2a1905b5af6729e42c2b355a080cf",
+        None,
+    ),
+    "validate-monotonicity": (
+        [
+            "validate", "--suite", "monotonicity", "--spec-small", "drfwl2_delta",
+            "--spec-large", "fwl_k", "--max-nodes", "3",
+        ],
+        "6184a8ceb1779e97d04a7646f8f09b9e6715e0843aada82196a1b4d707882e09",
+        None,
+    ),
+    "validate-hom_closed": (
+        ["validate", "--suite", "hom_closed", "--spec", "local_fwl_k", "--max-nodes", "3"],
+        "4b1a5d090790a7ce585b477190731a582526135d3db4e7152a57986c64c79a32",
+        None,
+    ),
+}
+
+
+@pytest.fixture
+def no_cache_env(monkeypatch):
+    monkeypatch.delenv("WLPOWER_CACHE", raising=False)
+
+
+@pytest.mark.parametrize("name", CLI_GOLDEN)
+def test_cli_payload_and_cache_key_digests(name, tmp_path, no_cache_env):
+    argv, payload_sha256, key = CLI_GOLDEN[name]
+    cache, out = tmp_path / "cache", tmp_path / "out.json"
+    assert cli.main(argv + ["--cache-dir", str(cache), "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())["payload"]
+    assert hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest() == payload_sha256
+    keys = [p.stem for p in cache.glob("*.json")]
+    assert keys == ([key] if key else [])
+
+
+def test_cache_miss_loads_each_input_once(tmp_path, monkeypatch, no_cache_env):
+    calls = {"load_spec": 0, "load_graph": 0}
+
+    def counted(name):
+        original = getattr(cli, name)
+
+        def wrapper(value):
+            calls[name] += 1
+            return original(value)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(cli, name, counted(name))
+    argv, _, _ = CLI_GOLDEN["distinguish"]
+    out = tmp_path / "out.json"
+    assert cli.main(argv + ["--cache-dir", str(tmp_path / "cache"), "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["telemetry"]["cache"] == "miss"
+    assert calls == {"load_spec": 1, "load_graph": 2}

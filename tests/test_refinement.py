@@ -71,26 +71,6 @@ def test_replacements_k2_t2():
     assert out == [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
 
 
-def test_prefix_project():
-    assert wl.prefix_project({(0, 1), (0, 2)}, 1) == {(0,)}
-    tuples = {(0, 1), (2, 2)}
-    assert wl.prefix_project(tuples, 2) == tuples
-    assert wl.prefix_project(tuples, 0) == {()}
-    with pytest.raises(DomainError):
-        wl.prefix_project({(0,)}, 2)
-    p3 = wl.path_graph(3)
-    near = wl.r_set(wl.RSelector("distance_restricted", delta=1), 2, p3)
-    assert wl.prefix_project(near, 1) == {(0,), (1,), (2,)}
-
-
-def test_suffix_set():
-    tuples = {(0, 1), (0, 2), (1, 2)}
-    assert wl.suffix_set(tuples, (0,)) == {(1,), (2,)}
-    assert wl.suffix_set(tuples, (9,)) == set()
-    assert wl.suffix_set(tuples, (0, 1)) == {()}
-    assert wl.suffix_set(tuples, ()) == tuples
-
-
 # ---------------------------------------------------------------------------
 # Spec construction
 
