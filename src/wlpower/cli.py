@@ -234,7 +234,9 @@ SUITES = {
         specs=("spec_path",),
     ),
     "treewidth": Suite(
-        lambda c, specs, tc: compare_to_treewidth(c.k, c.max_nodes, max_states=c.max_states),
+        lambda c, specs, tc: compare_to_treewidth(
+            c.k, c.max_nodes, max_states=c.max_states, time_check=tc
+        ),
         default_nodes=7,
     ),
     "soundness": Suite(
@@ -252,7 +254,7 @@ SUITES = {
         specs=("spec_small_path", "spec_large_path"),
     ),
     "hom_closed": Suite(
-        lambda c, specs, tc: validate_hom_closedness(*specs, c.max_nodes),
+        lambda c, specs, tc: validate_hom_closedness(*specs, c.max_nodes, time_check=tc),
         default_nodes=4,
         specs=("spec_path",),
     ),

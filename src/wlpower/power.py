@@ -29,7 +29,10 @@ from .graphs import (
     parse_graph6,
     treewidth,
 )
-from .refinement import GfwlSpec, distinguish, fwl_spec
+# ``distinguish`` is not called here any more.  It stays a module
+# attribute because the benchmark's span tracer (``perfbench/spans.py``)
+# wraps ``wlpower.power.distinguish``, and ``--trace 1`` fails without it.
+from .refinement import GfwlSpec, distinguish, fwl_spec, joint_graph_colors  # noqa: F401
 from .selectors import FSelector, RSelector, check_hom_closed
 
 
@@ -165,9 +168,16 @@ def enumerate_power(
     )
 
 
-def compare_to_treewidth(k: int, n_max: int, *, max_states: int = DEFAULT_MAX_STATES) -> ValidationReport:
+def compare_to_treewidth(
+    k: int,
+    n_max: int,
+    *,
+    max_states: int = DEFAULT_MAX_STATES,
+    time_check: Callable[[], None] | None = None,
+) -> ValidationReport:
     """Check Cops-win under the full k-tuple spec ⇔ treewidth ≤ k, for
-    every connected class up to ``n_max`` nodes."""
+    every connected class up to ``n_max`` nodes; ``time_check`` (if
+    given) is invoked once per class."""
     if k not in (1, 2, 3):
         raise ConfigurationError("k must be 1, 2, or 3 for the treewidth suite")
     if n_max > 7:
@@ -176,6 +186,8 @@ def compare_to_treewidth(k: int, n_max: int, *, max_states: int = DEFAULT_MAX_ST
     mismatches = []
     cases = 0
     for g in connected_classes(n_max):
+        if time_check is not None:
+            time_check()
         cases += 1
         cops = cops_robber_wins(spec, g, max_states=max_states, want_certificate=False)
         width = treewidth(g)
@@ -202,21 +214,27 @@ def validate_theorem2(
 ) -> ValidationReport:
     """Check distinguish(g, h) == first player wins the bijection game,
     over all unordered pairs of connected classes up to ``n_max`` plus
-    one permuted equal-class pair per class."""
+    one permuted equal-class pair per class.  The refinement side is one
+    joint run over the classes and their permuted copies; the game side
+    is solved per pair."""
     if n_max > 5:
         raise ConfigurationError("bijection-game suite is budgeted for n_max <= 5")
     classes = connected_classes(n_max)
     rng = random.Random(seed)
-    pairs: list[tuple[Graph, Graph]] = []
-    for i, g in enumerate(classes):
-        pairs.append((g, _permuted_copy(g, rng)))
-        for h in classes[i + 1:]:
-            pairs.append((g, h))
+    copies = [_permuted_copy(g, rng) for g in classes]
+    graphs = [*classes, *copies]
+    colors = joint_graph_colors(spec, *graphs)
+    count = len(classes)
+    pairs: list[tuple[int, int]] = []  # indices into ``graphs``
+    for i in range(count):
+        pairs.append((i, count + i))
+        pairs.extend((i, j) for j in range(i + 1, count))
     mismatches = []
-    for g, h in pairs:
+    for a, b in pairs:
         if time_check is not None:
             time_check()
-        refined = distinguish(spec, g, h)
+        g, h = graphs[a], graphs[b]
+        refined = colors[a] != colors[b]
         game = spoiler_wins(spec, g, h, max_states=max_states, want_certificate=False)
         if refined != (game.winner == "spoiler"):
             mismatches.append(
@@ -245,47 +263,53 @@ def validate_soundness(
     distinguished pairs the suite searches the Cops-win patterns in
     ascending order for a witness with differing counts; a miss only
     lowers coverage, since witnesses may exceed the pattern cap.
+
+    The refinement colors come from one joint run over all classes, and
+    each homomorphism count is computed at most once, when first needed.
     """
-    power = enumerate_power(spec, n_max_patterns, max_states=max_states)
+    power = enumerate_power(spec, n_max_patterns, max_states=max_states, time_check=time_check)
     if not power.complete:
         raise BudgetError("pattern enumeration incomplete", stats={"undecided": len(power.undecided)})
     patterns = [parse_graph6(key) for key in power.cops_win]
     classes = connected_classes(n_max_pairs)
+    colors = joint_graph_colors(spec, *classes)
+    counts: dict[tuple[int, int], int] = {}
+
+    def hom(p: int, c: int) -> int:
+        """hom(patterns[p], classes[c]), memoized per call."""
+        value = counts.get((p, c))
+        if value is None:
+            value = counts[(p, c)] = hom_count(patterns[p], classes[c])
+        return value
+
     mismatches = []
     hits = 0
     misses = 0
     undistinguished = 0
     distinguished = 0
     cases = 0
-    for i, g in enumerate(classes):
-        for h in classes[i + 1:]:
+    pattern_ids = range(len(patterns))
+    for i in range(len(classes)):
+        for j in range(i + 1, len(classes)):
             if time_check is not None:
                 time_check()
             cases += 1
-            if distinguish(spec, g, h):
+            if colors[i] != colors[j]:
                 distinguished += 1
-                witness = next(
-                    (
-                        f
-                        for f in patterns
-                        if hom_count(f, g) != hom_count(f, h)
-                    ),
-                    None,
-                )
-                if witness is None:
-                    misses += 1
-                else:
+                if any(hom(p, i) != hom(p, j) for p in pattern_ids):
                     hits += 1
+                else:
+                    misses += 1
             else:
                 undistinguished += 1
-                for f in patterns:
-                    cg, ch = hom_count(f, g), hom_count(f, h)
+                for p in pattern_ids:
+                    cg, ch = hom(p, i), hom(p, j)
                     if cg != ch:
                         mismatches.append(
                             {
-                                "g": emit_graph6(g),
-                                "h": emit_graph6(h),
-                                "pattern": emit_graph6(f),
+                                "g": emit_graph6(classes[i]),
+                                "h": emit_graph6(classes[j]),
+                                "pattern": emit_graph6(patterns[p]),
                                 "hom_g": cg,
                                 "hom_h": ch,
                             }
@@ -379,16 +403,15 @@ def validate_hom_closedness(
     n_max: int,
     *,
     max_maps_per_pair: int = 50_000,
+    time_check: Callable[[], None] | None = None,
 ) -> ValidationReport:
     """Check both selectors of ``spec`` for homomorphism-closedness over
-    the pool of connected classes up to ``n_max``."""
+    the pool of connected classes up to ``n_max``; ``time_check`` (if
+    given) is invoked once per pool pair."""
     pool = list(connected_classes(n_max))
-    r_report = check_hom_closed(
-        spec.r_selector, spec.k, None, pool, max_maps_per_pair=max_maps_per_pair
-    )
-    f_report = check_hom_closed(
-        spec.f_selector, spec.k, spec.t, pool, max_maps_per_pair=max_maps_per_pair
-    )
+    budgets = {"max_maps_per_pair": max_maps_per_pair, "time_check": time_check}
+    r_report = check_hom_closed(spec.r_selector, spec.k, None, pool, **budgets)
+    f_report = check_hom_closed(spec.f_selector, spec.k, spec.t, pool, **budgets)
     def describe(selector: str, ce: dict) -> dict:
         out = {
             "selector": selector,

@@ -12,7 +12,8 @@ All hashing goes through one shared append-only :class:`ColorDictionary`
 mapping canonical content keys to fresh integers, so color identifiers
 are injective by construction.  Identifiers are only comparable within
 one dictionary; :func:`distinguish` therefore runs both graphs jointly
-against a single dictionary.
+against a single dictionary, and :func:`joint_graph_colors` does the
+same for any number of graphs.
 """
 
 from __future__ import annotations
@@ -361,12 +362,16 @@ def stabilize(
     )
 
 
-def joint_graph_colors(spec: GfwlSpec, g: Graph, h: Graph) -> tuple[int, int]:
-    """Graph-level colors of ``g`` and ``h`` from one joint run: a single
-    dictionary and a single stabilization loop over both tuple
-    universes, so the two identifiers are directly comparable."""
+def joint_graph_colors(spec: GfwlSpec, *graphs: Graph) -> tuple[int, ...]:
+    """Graph-level colors of one or more graphs from one joint run: a
+    single dictionary and a single stabilization loop over all their
+    tuple universes, so the identifiers are directly comparable.  Two
+    graphs get equal colors exactly when :func:`distinguish` says they
+    are not distinguished: once the joint partition is stable, further
+    rounds only rename colors, so stopping later for other graphs in
+    the batch changes no verdict."""
     dic = ColorDictionary()
-    contexts = [_Context(spec, g, dic), _Context(spec, h, dic)]
+    contexts = [_Context(spec, g, dic) for g in graphs]
     colors, _ = _stabilize(contexts)
     return tuple(ctx.pool(cols) for ctx, cols in zip(contexts, colors))
 

@@ -1,6 +1,10 @@
 """Command-line harness: report envelopes, exit codes, caching, presets."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -176,6 +180,33 @@ def test_exit_code_budget(capsys, c6_str):
         ["power", "--spec", "fwl_k", "--max-nodes", "5", "--time-limit-ms", "1"],
     )
     assert code == 3 and "time limit" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["validate", "--suite", "treewidth", "--k", "2", "--max-nodes", "6"],
+        ["validate", "--suite", "hom_closed", "--spec", "fwl_k", "--max-nodes", "5"],
+    ],
+)
+def test_validate_suite_time_limit_exits_3(capsys, argv):
+    code, envelope, err = run_cli(capsys, argv + ["--time-limit-ms", "1"])
+    assert code == 3 and "time limit" in err
+    assert envelope is None
+
+
+def test_module_entry_point():
+    # ``python -m wlpower`` runs the CLI without re-importing wlpower.cli
+    # as a second module (which prints a RuntimeWarning).
+    src = str(Path(wl.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-W", "default", "-m", "wlpower", "--help"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "usage: wlpower" in done.stdout
+    assert "RuntimeWarning" not in done.stderr
 
 
 def test_power_incomplete_exits_3(capsys):

@@ -53,6 +53,39 @@ def test_bijection_certificate_digest(classes4):
     assert digest == SPOILER_FWL2_N4_SHA256
 
 
+# SHA-256 of ``to_json_dict()`` of the refinement-side validation
+# suites, computed before they moved from pairwise refinement to one
+# joint run per class set.
+SOUNDNESS_SHA256 = {
+    # 3 undistinguished pairs among the 10,153 n<=6 pairs.
+    ("local_1fwl", 6, 6): "08e5257d7ac2c1829a05b42c715d3977bdf0684416e4601bdf872e5b6a6e0fa0",
+    ("2fwl", 5, 6): "7a1e5fb2fb0d5aa77fa12d68d4ef8846c82fc5b4845ec6177ecff303fb3041c0",
+}
+THEOREM2_SHA256 = {
+    ("local_1fwl", 4): "fa726a2678af78b52f7716e5d7c71b2fdea6613dee9a9353d903eeeb2747c349",
+    ("2fwl", 4): "fa726a2678af78b52f7716e5d7c71b2fdea6613dee9a9353d903eeeb2747c349",
+    ("local_2fwl", 4): "fa726a2678af78b52f7716e5d7c71b2fdea6613dee9a9353d903eeeb2747c349",
+    ("drfwl2_1", 4): "fa726a2678af78b52f7716e5d7c71b2fdea6613dee9a9353d903eeeb2747c349",
+    ("local_1fwl", 5): "241de5ac35445036e66361936350f89c45822be975cdafc899b936ab43112bd4",
+}
+
+
+def report_digest(report) -> str:
+    return hashlib.sha256(json.dumps(report.to_json_dict(), sort_keys=True).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name, n_pairs, n_patterns", sorted(SOUNDNESS_SHA256))
+def test_soundness_report_digests(name, n_pairs, n_patterns):
+    report = wl.validate_soundness(wl.BUILTIN_SPECS[name], n_pairs, n_patterns)
+    assert report_digest(report) == SOUNDNESS_SHA256[(name, n_pairs, n_patterns)]
+
+
+@pytest.mark.parametrize("name, n_max", sorted(THEOREM2_SHA256))
+def test_theorem2_report_digests(name, n_max):
+    report = wl.validate_theorem2(wl.BUILTIN_SPECS[name], n_max, seed=7)
+    assert report_digest(report) == THEOREM2_SHA256[(name, n_max)]
+
+
 # One argv per CLI command and per validate suite (at 3 nodes), with the
 # SHA-256 of its payload's sorted-key JSON and its cache key: the key of
 # an uncached command is None.  A cache written by an earlier build

@@ -114,6 +114,25 @@ def test_validate_soundness_small():
     assert cov["witness_hits"] + cov["witness_misses"] == cov["distinguished_pairs"]
 
 
+def test_suites_report_merged_refinement_colors(monkeypatch):
+    # Both suites read their refinement verdicts from one joint run; a
+    # run that gives K1 and K2 (the first two classes) one color must
+    # show up as a mismatch in each.
+    original = wl.power.joint_graph_colors
+
+    def merged(spec, *graphs):
+        colors = list(original(spec, *graphs))
+        assert wl.emit_graph6(graphs[0]) == "@" and wl.emit_graph6(graphs[1]) == "A_"
+        colors[1] = colors[0]
+        return tuple(colors)
+
+    monkeypatch.setattr(wl.power, "joint_graph_colors", merged)
+    soundness = wl.validate_soundness(wl.local_fwl_spec(1), 3, 3)
+    assert {"g": "@", "h": "A_"} == {k: soundness.mismatches[0][k] for k in ("g", "h")}
+    theorem2 = wl.validate_theorem2(wl.local_fwl_spec(1), 3)
+    assert {"g": "@", "h": "A_", "distinguish": False, "game_winner": "spoiler"} in theorem2.mismatches
+
+
 def test_validate_soundness_budget():
     with pytest.raises(BudgetError):
         wl.validate_soundness(wl.fwl_spec(2), 3, 4, max_states=30)

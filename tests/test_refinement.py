@@ -10,6 +10,8 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import wlpower as wl
 from wlpower.errors import ClosureError, ConfigurationError, DomainError
@@ -269,6 +271,57 @@ def test_joint_colors_equal_iff_undistinguished(c6, two_c3):
     assert cg == ch
     cg, ch = wl.joint_graph_colors(wl.fwl_spec(2), c6, two_c3)
     assert cg != ch
+
+
+@st.composite
+def graph_lists(draw):
+    """Two to six graphs with one to six nodes each; some are relabeled
+    copies of earlier ones, so undistinguished pairs are common."""
+    out = []
+    for _ in range(draw(st.integers(min_value=2, max_value=6))):
+        if out and draw(st.booleans()):
+            g = draw(st.sampled_from(out))
+            out.append(g.permuted(list(draw(st.permutations(range(g.n))))))
+            continue
+        n = draw(st.integers(min_value=1, max_value=6))
+        pairs = list(itertools.combinations(range(n), 2))
+        edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+        out.append(wl.Graph(n, edges))
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(graph_lists())
+def test_joint_colors_match_pairwise_distinguish(graphs):
+    # One joint run over the whole list against a fresh pairwise run per
+    # pair: the batch stops only when every graph is stable, which must
+    # not change any pair's verdict.
+    for name, spec in wl.BUILTIN_SPECS.items():
+        colors = wl.joint_graph_colors(spec, *graphs)
+        assert len(colors) == len(graphs)
+        for (i, g), (j, h) in itertools.combinations(enumerate(graphs), 2):
+            assert (colors[i] == colors[j]) == (not wl.distinguish(spec, g, h)), name
+
+
+def test_joint_colors_wait_for_the_slowest_graph(c6, two_c3):
+    # Two trees with degree sequence 3,2,2,1,1,1 that classic refinement
+    # separates only in its second round, batched after a graph that is
+    # stable after one round.
+    t1 = wl.Graph(6, [(0, 1), (0, 2), (0, 3), (3, 4), (4, 5)])
+    t2 = wl.Graph(6, [(0, 1), (0, 2), (0, 3), (1, 4), (2, 5)])
+    graphs = [wl.Graph(1, []), t1, t2, c6, two_c3]
+    for name, spec in wl.BUILTIN_SPECS.items():
+        colors = wl.joint_graph_colors(spec, *graphs)
+        for i, j in itertools.combinations(range(len(graphs)), 2):
+            expected = not wl.distinguish(spec, graphs[i], graphs[j])
+            assert (colors[i] == colors[j]) == expected, (name, i, j)
+    colors = wl.joint_graph_colors(wl.local_fwl_spec(1), *graphs)
+    assert colors[1] != colors[2] and colors[3] == colors[4]
+
+
+def test_joint_colors_single_graph(c6):
+    (color,) = wl.joint_graph_colors(wl.fwl_spec(2), c6)
+    assert color == wl.stabilize(wl.fwl_spec(2), c6).graph_color
 
 
 def test_distinguish_different_sizes():
