@@ -472,7 +472,3 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return run(config)
-
-
-if __name__ == "__main__":
-    sys.exit(main())

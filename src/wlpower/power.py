@@ -223,6 +223,10 @@ def validate_theorem2(
     rng = random.Random(seed)
     copies = [_permuted_copy(g, rng) for g in classes]
     graphs = [*classes, *copies]
+    # The joint run is one work item: the budget is checked before it
+    # and again before the first pair.
+    if time_check is not None:
+        time_check()
     colors = joint_graph_colors(spec, *graphs)
     count = len(classes)
     pairs: list[tuple[int, int]] = []  # indices into ``graphs``
@@ -272,6 +276,10 @@ def validate_soundness(
         raise BudgetError("pattern enumeration incomplete", stats={"undecided": len(power.undecided)})
     patterns = [parse_graph6(key) for key in power.cops_win]
     classes = connected_classes(n_max_pairs)
+    # The joint run is one work item: the budget is checked before it
+    # and again before the first pair.
+    if time_check is not None:
+        time_check()
     colors = joint_graph_colors(spec, *classes)
     counts: dict[tuple[int, int], int] = {}
 
@@ -409,9 +417,14 @@ def validate_hom_closedness(
     the pool of connected classes up to ``n_max``; ``time_check`` (if
     given) is invoked once per pool pair."""
     pool = list(connected_classes(n_max))
-    budgets = {"max_maps_per_pair": max_maps_per_pair, "time_check": time_check}
-    r_report = check_hom_closed(spec.r_selector, spec.k, None, pool, **budgets)
-    f_report = check_hom_closed(spec.f_selector, spec.k, spec.t, pool, **budgets)
+    r_report = check_hom_closed(
+        spec.r_selector, spec.k, None, pool,
+        max_maps_per_pair=max_maps_per_pair, time_check=time_check,
+    )
+    f_report = check_hom_closed(
+        spec.f_selector, spec.k, spec.t, pool,
+        max_maps_per_pair=max_maps_per_pair, time_check=time_check,
+    )
     def describe(selector: str, ce: dict) -> dict:
         out = {
             "selector": selector,

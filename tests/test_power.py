@@ -133,6 +133,22 @@ def test_suites_report_merged_refinement_colors(monkeypatch):
     assert {"g": "@", "h": "A_", "distinguish": False, "game_winner": "spoiler"} in theorem2.mismatches
 
 
+def test_suites_check_the_budget_before_the_joint_run(monkeypatch):
+    # The deadline cannot interrupt the joint run, so an exhausted budget
+    # must stop each suite before the run starts.
+    def unreachable(spec, *graphs):
+        raise AssertionError("joint run started after the budget ran out")
+
+    def exhausted():
+        raise BudgetError("time limit exceeded")
+
+    monkeypatch.setattr(wl.power, "joint_graph_colors", unreachable)
+    with pytest.raises(BudgetError):
+        wl.validate_soundness(wl.local_fwl_spec(1), 3, 3, time_check=exhausted)
+    with pytest.raises(BudgetError):
+        wl.validate_theorem2(wl.local_fwl_spec(1), 3, time_check=exhausted)
+
+
 def test_validate_soundness_budget():
     with pytest.raises(BudgetError):
         wl.validate_soundness(wl.fwl_spec(2), 3, 4, max_states=30)
