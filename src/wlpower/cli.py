@@ -182,9 +182,11 @@ def _distinguish(config, specs, graphs, time_check):
 
 def _cops(config, specs, graphs, time_check):
     (spec,), (g,) = specs, graphs
-    verdict = cops_robber_wins(spec, g, max_states=config.max_states, want_certificate=False)
+    verdict = cops_robber_wins(
+        spec, g, max_states=config.max_states, want_certificate=False, time_check=time_check
+    )
     payload = {"spec": spec.to_json_dict(), "graph": emit_graph6(g), "winner": verdict.winner}
-    return payload, {"states_explored": verdict.states_explored}
+    return payload, {"states_explored": verdict.states_explored, **verdict.stats}
 
 
 def _ef(config, specs, graphs, time_check):

@@ -20,7 +20,12 @@ removing/unguarding move that keeps k of the k+t pebbles.
   after each placement and grows back to its enclosing component after
   each removal.  Cops must trap Robber in finite play, so the solver
   computes the attractor (least fixed point) of the Robber-stuck
-  positions, folding Robber replies into for-all edges.
+  positions, folding Robber replies into for-all edges.  Its state keys
+  hold Robber's component as an integer node mask, grown from the
+  graph's adjacency masks; certificates hold the same keys with the
+  component decoded to a frozenset of nodes.  One generation pass
+  records every edge, its pending reply count and the reverse edges, so
+  the attractor only propagates.
 
 Each game has one successor function (``_BijectionMoves``,
 ``_PursuitMoves``) that both the solver and :func:`replay_certificate`
@@ -33,11 +38,12 @@ the independent oracles stay the treewidth DP (Cops win iff treewidth
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+import time
+from dataclasses import dataclass, field
+from typing import Callable, Iterable, Sequence
 
 from .errors import BudgetError, CertificateError
-from .graphs import Graph, atp, components_avoiding
+from .graphs import Graph, atp, component_masks, mask_nodes, node_mask
 from .refinement import GfwlSpec, _index_vectors
 from .selectors import f_set, r_set
 
@@ -196,26 +202,41 @@ class _BijectionMoves:
 
 class _PursuitMoves:
     """The pursuit game on one graph.  A state key is ``(phase, pebbles,
-    Robber's component)``.  Robber's component is always a component of
-    g minus the pebbled nodes, so every component comes from one table
-    keyed by the blocked node set."""
+    Robber's component)``, with the component as a node mask (bit ``v``
+    set iff node ``v`` is in it).  Robber's component is always a
+    component of g minus the pebbled nodes, so every component comes
+    from one table keyed by the blocked-node mask.  A put's replies are
+    memoized per (blocked mask, Robber mask), and a removal's grown
+    component per (kept mask, lowest bit of Robber's mask): Robber's
+    component is connected and avoids the kept pebbles, so the one
+    component of g minus them that holds any of its nodes holds it all.
+    Certificates store components as frozensets; :meth:`decode` converts
+    a key to that form."""
 
     def __init__(self, spec: GfwlSpec, g: Graph):
         self.spec = spec
         self.g = g
         self.tables = _MoveTables(spec, g)
-        self._components: dict = {}
+        self._components: dict[int, list[int]] = {}
+        self._replies: dict[tuple[int, int], list[int]] = {}
+        self._grown: dict[tuple[int, int], int] = {}
+        self.table_misses = 0  # memo lookups in moves() that had to compute
 
-    def _avoiding(self, blocked: tuple) -> list[frozenset]:
-        blocked = frozenset(blocked)
+    def _avoiding(self, blocked: int) -> list[int]:
         comps = self._components.get(blocked)
         if comps is None:
-            comps = self._components[blocked] = components_avoiding(self.g, blocked)
+            comps = self._components[blocked] = component_masks(self.g, blocked)
         return comps
 
     def initial(self) -> list[tuple]:
         """The empty board with Robber in each component of g."""
-        return [(("I", 1), (), comp) for comp in self._avoiding(())]
+        return [(("I", 1), (), comp) for comp in self._avoiding(0)]
+
+    @staticmethod
+    def decode(key: tuple) -> tuple:
+        """The key with Robber's component as a frozenset of nodes."""
+        phase, pos, comp = key
+        return (phase, pos, frozenset(mask_nodes(comp)))
 
     def moves(self, key: tuple) -> list[tuple]:
         """Cops' moves as ``[(choice, [successor per Robber reply])]``.
@@ -223,16 +244,31 @@ class _PursuitMoves:
         removal grows Robber's component to the one that contains it."""
         phase, pos, comp = key
         out = []
-        if phase[0] in ("I", "U"):
+        if phase[0] != "R":
             nxt = _next_phase(self.spec, phase)
+            blocked = node_mask(pos)
+            replies_memo = self._replies
             for delta in self.tables.put_choices(phase, pos):
+                new_blocked = blocked
+                for v in delta:
+                    new_blocked |= 1 << v
+                replies = replies_memo.get((new_blocked, comp))
+                if replies is None:
+                    self.table_misses += 1
+                    replies = replies_memo[(new_blocked, comp)] = [
+                        c for c in self._avoiding(new_blocked) if not c & ~comp
+                    ]
                 new_pos = pos + delta
-                replies = [(nxt, new_pos, c) for c in self._avoiding(new_pos) if c <= comp]
-                out.append((("put", delta), replies))
+                out.append((("put", delta), [(nxt, new_pos, c) for c in replies]))
             return out
+        low = comp & -comp
         for combo in _index_vectors(self.spec.k, self.spec.t):
-            new_pos = tuple(pos[i] for i in combo)
-            grown = next(c for c in self._avoiding(new_pos) if comp <= c)
+            new_pos = tuple([pos[i] for i in combo])
+            kept = node_mask(new_pos)
+            grown = self._grown.get((kept, low))
+            if grown is None:
+                self.table_misses += 1
+                grown = self._grown[(kept, low)] = next(c for c in self._avoiding(kept) if c & low)
             out.append((("rm", combo), [(("U", 1), new_pos, grown)]))
         return out
 
@@ -248,11 +284,15 @@ class GameVerdict:
     ``winner`` is ``"cops"``/``"robber"`` for the pursuit game and
     ``"spoiler"``/``"duplicator"`` for the bijection game;
     ``first_player`` folds these back to the mover/defender split.
+    ``stats`` holds solver counters (phase milliseconds, edges, table
+    hits); they vary between runs and are no part of the verdict, so
+    neither equality nor :meth:`to_json_dict` reads them.
     """
 
     winner: str
     states_explored: int
     certificate: dict | None = None
+    stats: dict = field(default_factory=dict, compare=False)
 
     @property
     def first_player(self) -> bool:
@@ -448,6 +488,7 @@ def cops_robber_wins(
     *,
     max_states: int = DEFAULT_MAX_STATES,
     want_certificate: bool = True,
+    time_check: Callable[[], None] | None = None,
 ) -> GameVerdict:
     """Decide the pursuit game on the query graph ``f``.
 
@@ -456,15 +497,26 @@ def cops_robber_wins(
     then computes the attractor of the Robber-stuck positions by
     backward counter propagation.  Cops win iff every initial component
     choice lies in the attractor; every state outside it (cycles
-    included) is a Robber win.
+    included) is a Robber win.  ``time_check`` (if given) is called
+    every 256 generated states and may raise to abort the solve.
     """
-    solver = _CrSolver(spec, f, max_states)
+    solver = _CrSolver(spec, f, max_states, time_check)
+    start = time.perf_counter()
     solver.generate()
+    generated = time.perf_counter()
     solver.attract()
+    attracted = time.perf_counter()
     cops = all(solver.win[sid] for sid in solver.initial)
+    edges = len(solver.edge_owner)
     verdict = GameVerdict(
         winner="cops" if cops else "robber",
         states_explored=len(solver.keys),
+        stats={
+            "generate_ms": round((generated - start) * 1000, 3),
+            "attract_ms": round((attracted - generated) * 1000, 3),
+            "edges": edges,
+            "component_table_hits": edges - solver.game.table_misses,
+        },
     )
     if want_certificate:
         verdict.certificate = solver.certificate(cops)
@@ -472,14 +524,27 @@ def cops_robber_wins(
 
 
 class _CrSolver:
-    def __init__(self, spec: GfwlSpec, f: Graph, max_states: int):
+    """Reachable states in generation order, and per for-all edge (one
+    Cops move) its owner state, choice and count of Robber replies not
+    yet known to be Cops wins.  ``rev[sid]`` lists the edges that have
+    state ``sid`` as a reply, in (owner, edge, reply) order."""
+
+    def __init__(
+        self, spec: GfwlSpec, f: Graph, max_states: int, time_check: Callable[[], None] | None
+    ):
         self.spec = spec
         self.game = _PursuitMoves(spec, f)
         self.max_states = max_states
+        self.time_check = time_check
         self.keys: list = []
         self.index: dict = {}
-        self.edges: list = []  # per state: list of (choice, [succ ids])
-        self.win: list = []
+        self.rev: list[list[int]] = []
+        self.win: list[bool] = []
+        self.win_edge: list = []
+        self.edge_owner: list[int] = []
+        self.edge_choice: list = []
+        self.edge_pending: list[int] = []
+        self.won: list[int] = []  # attractor queue, seeded by generate()
         self.initial: list[int] = []
 
     def _state(self, key: tuple) -> int:
@@ -493,60 +558,63 @@ class _CrSolver:
                 )
             self.index[key] = sid
             self.keys.append(key)
-            self.edges.append(None)
+            self.rev.append([])
             self.win.append(False)
-            self.queue.append(sid)
+            self.win_edge.append(None)
         return sid
 
     def generate(self) -> None:
-        self.queue: list[int] = []
+        """Explore states in sid order, recording every edge and reverse
+        edge once, and queue the states where some Cops move leaves
+        Robber no reply (the first such move is the winning one)."""
         self.initial = [self._state(key) for key in self.game.initial()]
-        head = 0
-        while head < len(self.queue):
-            sid = self.queue[head]
-            head += 1
-            self.edges[sid] = [
-                (choice, [self._state(succ) for succ in succs])
-                for choice, succs in self.game.moves(self.keys[sid])
-            ]
+        keys, index, rev, win = self.keys, self.index, self.rev, self.win
+        owner, choices, pending = self.edge_owner, self.edge_choice, self.edge_pending
+        moves, state, time_check = self.game.moves, self._state, self.time_check
+        sid = eid = 0
+        while sid < len(keys):
+            if time_check is not None and not sid & 255:
+                time_check()
+            for choice, succs in moves(keys[sid]):
+                owner.append(sid)
+                choices.append(choice)
+                pending.append(len(succs))
+                if not succs and not win[sid]:
+                    win[sid] = True
+                    self.win_edge[sid] = choice
+                    self.won.append(sid)
+                for succ in succs:
+                    tid = index.get(succ)
+                    rev[state(succ) if tid is None else tid].append(eid)
+                eid += 1
+            sid += 1
         n = self.game.g.n
         bound = (n + 1) ** (self.spec.k + self.spec.t) * 2 ** n * (
             self.spec.n_stages + self.spec.m_stages + 1
         )
-        if len(self.keys) > bound:
+        if len(keys) > bound:
             raise RuntimeError("reachable state count exceeded its bound")
 
     def attract(self) -> None:
-        pending: list[list[int]] = []
-        rev: dict[int, list[tuple[int, int]]] = {}
-        queue = []
-        self.win_edge: list = [None] * len(self.keys)
-        for sid, edges in enumerate(self.edges):
-            counts = []
-            for eidx, (choice, succs) in enumerate(edges):
-                counts.append(len(succs))
-                if not succs and not self.win[sid]:
-                    self.win[sid] = True
-                    self.win_edge[sid] = choice
-                    queue.append(sid)
-                for succ in succs:
-                    rev.setdefault(succ, []).append((sid, eidx))
-            pending.append(counts)
+        rev, win, win_edge, queue = self.rev, self.win, self.win_edge, self.won
+        owner, choices, pending = self.edge_owner, self.edge_choice, self.edge_pending
         head = 0
         while head < len(queue):
-            won = queue[head]
+            for eid in rev[queue[head]]:
+                pending[eid] -= 1
+                if pending[eid] == 0:
+                    sid = owner[eid]
+                    if not win[sid]:
+                        win[sid] = True
+                        win_edge[sid] = choices[eid]
+                        queue.append(sid)
             head += 1
-            for sid, eidx in rev.get(won, ()):
-                pending[sid][eidx] -= 1
-                if pending[sid][eidx] == 0 and not self.win[sid]:
-                    self.win[sid] = True
-                    self.win_edge[sid] = self.edges[sid][eidx][0]
-                    queue.append(sid)
 
     def certificate(self, cops: bool) -> dict:
+        decode = self.game.decode
         if cops:
             moves = {
-                self.keys[sid]: self.win_edge[sid]
+                decode(self.keys[sid]): self.win_edge[sid]
                 for sid in range(len(self.keys))
                 if self.win[sid] and self.win_edge[sid] is not None
             }
@@ -556,16 +624,17 @@ class _CrSolver:
         for sid, key in enumerate(self.keys):
             if self.win[sid] or key[0][0] not in ("I", "U"):
                 continue
-            for choice, succs in self.edges[sid]:
+            decoded = decode(key)
+            for choice, succs in self.game.moves(key):
                 survivor = next(
-                    (succ for succ in succs if not self.win[succ]), None
+                    (succ for succ in succs if not self.win[self.index[succ]]), None
                 )
                 if survivor is None:
-                    raise AssertionError("losing state must offer a surviving reply")
-                responses[(key, choice)] = self.keys[survivor][2]
+                    raise RuntimeError("losing state must offer a surviving reply")
+                responses[(decoded, choice)] = decode(survivor)[2]
         return {
             "winner": "robber",
-            "initial_component": self.keys[losing_initial][2],
+            "initial_component": decode(self.keys[losing_initial])[2],
             "responses": responses,
         }
 
@@ -619,7 +688,7 @@ def _replay_cops(cert: dict, spec: GfwlSpec, g: Graph) -> bool:
             return True
         if key in path:
             return False  # cycle: Cops never trap Robber on this line
-        choice = moves.get(key)
+        choice = moves.get(game.decode(key))
         if choice is None:
             return False
         try:
@@ -643,18 +712,20 @@ def _replay_robber(cert: dict, spec: GfwlSpec, g: Graph) -> bool:
     if not isinstance(responses, dict) or initial is None:
         raise CertificateError("robber certificate needs responses and an initial component")
     game = _PursuitMoves(spec, g)
-    start = (("I", 1), (), _component(initial))
-    if start not in game.initial():
+    initial_keys = {game.decode(key): key for key in game.initial()}
+    start = initial_keys.get((("I", 1), (), _component(initial)))
+    if start is None:
         return False
     seen = {start}
     frontier = [start]
     while frontier:
         key = frontier.pop()
+        decoded = game.decode(key)
         for choice, succs in game.moves(key):
             if choice[0] == "put":
-                stored = responses.get((key, choice))
+                stored = responses.get((decoded, choice))
                 reply = None if stored is None else _component(stored)
-                succs = [s for s in succs if s[2] == reply]
+                succs = [s for s in succs if game.decode(s)[2] == reply]
                 if not succs:
                     return False  # stuck or invalid reply: Robber loses this line
             for succ in succs:

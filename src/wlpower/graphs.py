@@ -35,7 +35,7 @@ class Graph:
     (use :func:`canonical_form` for isomorphism-class identity).
     """
 
-    __slots__ = ("n", "edge_set", "adj")
+    __slots__ = ("n", "edge_set", "adj", "_adj_masks")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
@@ -67,6 +67,17 @@ class Graph:
 
     def neighbors(self, u: int) -> frozenset:
         return self.adj[u]
+
+    @property
+    def adj_masks(self) -> tuple[int, ...]:
+        """Neighbors of each node as a node mask (bit ``w`` of entry ``u``
+        is set iff ``u`` and ``w`` are adjacent), built on first use."""
+        try:
+            return self._adj_masks
+        except AttributeError:
+            masks = tuple(node_mask(nbrs) for nbrs in self.adj)
+            object.__setattr__(self, "_adj_masks", masks)
+            return masks
 
     def degree(self, u: int) -> int:
         return len(self.adj[u])
@@ -265,6 +276,45 @@ def atp(g: Graph, v: Sequence[int]) -> IsoType:
 # Components and distances
 
 
+def node_mask(nodes: Iterable[int]) -> int:
+    """The node mask of ``nodes``: bit ``v`` set iff ``v`` is among them."""
+    mask = 0
+    for v in nodes:
+        mask |= 1 << v
+    return mask
+
+
+def mask_nodes(mask: int) -> list[int]:
+    """The nodes of a node mask, ascending."""
+    nodes = []
+    while mask:
+        low = mask & -mask
+        nodes.append(low.bit_length() - 1)
+        mask ^= low
+    return nodes
+
+
+def component_masks(g: Graph, blocked: int) -> list[int]:
+    """Connected components of the subgraph induced on nodes outside the
+    node mask ``blocked``, as node masks sorted by smallest member."""
+    adj = g.adj_masks
+    rest = ((1 << g.n) - 1) & ~blocked
+    comps = []
+    while rest:
+        comp = frontier = rest & -rest
+        while frontier:
+            reach = 0
+            while frontier:
+                low = frontier & -frontier
+                reach |= adj[low.bit_length() - 1]
+                frontier ^= low
+            frontier = reach & rest & ~comp
+            comp |= frontier
+        comps.append(comp)
+        rest &= ~comp
+    return comps
+
+
 def components_avoiding(g: Graph, blocked: Iterable[int]) -> list[frozenset]:
     """Connected components of the subgraph induced on nodes outside
     ``blocked``, sorted by smallest member."""
@@ -272,23 +322,7 @@ def components_avoiding(g: Graph, blocked: Iterable[int]) -> list[frozenset]:
     for x in blocked:
         if not 0 <= x < g.n:
             raise DomainError(f"blocked node {x} outside 0..{g.n - 1}")
-    seen = set(blocked)
-    comps = []
-    for start in range(g.n):
-        if start in seen:
-            continue
-        queue = deque([start])
-        seen.add(start)
-        comp = {start}
-        while queue:
-            u = queue.popleft()
-            for w in g.adj[u]:
-                if w not in seen:
-                    seen.add(w)
-                    comp.add(w)
-                    queue.append(w)
-        comps.append(frozenset(comp))
-    return sorted(comps, key=min)
+    return [frozenset(mask_nodes(c)) for c in component_masks(g, node_mask(blocked))]
 
 
 @dataclass(frozen=True)
@@ -590,10 +624,7 @@ def treewidth(g: Graph, *, max_nodes: int = 12) -> int:
     if n == 0:
         return -1
 
-    adj_mask = [0] * n
-    for u in range(n):
-        for w in g.adj[u]:
-            adj_mask[u] |= 1 << w
+    adj_mask = g.adj_masks
 
     def q(s_mask: int, v: int) -> int:
         reach = 0

@@ -195,6 +195,35 @@ def test_validate_suite_time_limit_exits_3(capsys, argv):
     assert envelope is None
 
 
+def test_cops_time_limit_exits_3(capsys, tmp_path):
+    # K6 under the 3-tuple spec explores 1,513 states, so the deadline
+    # check inside the solve fires long before it finishes.
+    spec_file = tmp_path / "fwl3.json"
+    spec_file.write_text(json.dumps(wl.fwl_spec(3).to_json_dict()))
+    assert wl.emit_graph6(wl.complete_graph(6)) == "E~~w"
+    argv = ["cops", "--spec", str(spec_file), "--g", "E~~w", "--time-limit-ms", "1"]
+    code, envelope, err = run_cli(capsys, argv)
+    assert code == 3 and "time limit" in err
+    assert envelope is None
+
+
+def test_cops_solver_counters_in_telemetry(capsys, c6_str):
+    code, envelope, _ = run_cli(capsys, ["cops", "--spec", "fwl_k", "--g", c6_str])
+    assert code == 0
+    telemetry, payload = envelope["telemetry"], envelope["payload"]
+    counters = ("generate_ms", "attract_ms", "edges", "component_table_hits")
+    assert all(name in telemetry for name in counters)
+    assert not any(name in payload for name in counters)
+    assert telemetry["states_explored"] > 0
+    assert 0 < telemetry["component_table_hits"] < telemetry["edges"]
+    assert telemetry["generate_ms"] >= 0 and telemetry["attract_ms"] >= 0
+    verdict = wl.cops_robber_wins(wl.fwl_spec(2), wl.cycle_graph(6))
+    assert set(verdict.stats) == set(counters)
+    assert set(verdict.to_json_dict(include_certificate=True)) == {
+        "winner", "states_explored", "certificate",
+    }
+
+
 def test_module_entry_point():
     # ``python -m wlpower`` runs the CLI without re-importing wlpower.cli
     # as a second module (which prints a RuntimeWarning).

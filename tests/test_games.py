@@ -347,7 +347,8 @@ def test_pursuit_moves_match_networkx_components(classes5):
     """The component table against networkx on every reachable state: a
     put's replies are the components of Robber's component minus the new
     pebbles; a removal grows it to its component of g minus the kept
-    pebbles."""
+    pebbles.  Keys hold components as node masks, so each is compared
+    decoded."""
     for spec in (wl.fwl_spec(2), wl.drfwl2_spec(1)):
         for g in classes5:
             nx_g = nx.Graph()
@@ -355,23 +356,23 @@ def test_pursuit_moves_match_networkx_components(classes5):
             nx_g.add_edges_from(g.edge_set)
             game = _PursuitMoves(spec, g)
             expected = sorted(map(frozenset, nx.connected_components(nx_g)), key=min)
-            assert [key[2] for key in game.initial()] == expected
+            assert [game.decode(key)[2] for key in game.initial()] == expected
             seen = set(game.initial())
             frontier = list(seen)
             while frontier:
                 key = frontier.pop()
-                _, pos, comp = key
+                _, pos, comp = game.decode(key)
                 for (tag, payload), succs in game.moves(key):
                     if tag == "put":
                         rest = nx_g.subgraph(comp - set(payload))
                         expected = sorted(map(frozenset, nx.connected_components(rest)), key=min)
-                        assert [s[2] for s in succs] == expected
+                        assert [game.decode(s)[2] for s in succs] == expected
                         assert all(s[1] == pos + payload for s in succs)
                     else:
                         kept = tuple(pos[i] for i in payload)
                         rest = nx_g.subgraph(set(range(g.n)) - set(kept))
                         grown = frozenset(nx.node_connected_component(rest, min(comp)))
-                        assert [(s[1], s[2]) for s in succs] == [(kept, grown)]
+                        assert [game.decode(s)[1:] for s in succs] == [(kept, grown)]
                     for succ in succs:
                         if succ not in seen:
                             seen.add(succ)

@@ -46,6 +46,29 @@ def test_pursuit_certificate_digest(classes5):
     assert digest == COPS_FWL2_N5_SHA256
 
 
+# SHA-256 over ``(graph6, winner, states_explored)`` of the pursuit solve
+# of every connected class with n <= 6, computed on the set-based solver
+# before the move to node masks: a differential test of the mask path
+# against the path it replaced.
+COPS_N6_SHA256 = {
+    "fwl_1": "6683d981271c67d43b8fc0fcefb2681f642583ac79e26befd2e9e1bd6c9c6691",
+    "local_1fwl": "f5186fac74f479decbf4076be1f3b80f33b60839ae12b2c98271dc9f12437315",
+    "2fwl": "1b9362ef2b7ecfb547c1ff6ee2b0029ceb696f256fa498eea44bf8695607afd0",
+    "local_2fwl": "9ce9cabe4056f942880d747e20b41dbce8bfacf973101c3c6950f15e4f4831e2",
+    "drfwl2_1": "91ee5ebf9330b2ac2a3ceaa3839376f418a872a83586e829795e8c0fe9e323b6",
+}
+
+
+@pytest.mark.parametrize("name", sorted(COPS_N6_SHA256))
+def test_pursuit_winner_and_states_digest(name, classes6):
+    spec = wl.fwl_spec(1) if name == "fwl_1" else wl.BUILTIN_SPECS[name]
+    digest = hashlib.sha256()
+    for g in classes6:
+        verdict = wl.cops_robber_wins(spec, g, want_certificate=False)
+        digest.update(json.dumps([wl.emit_graph6(g), verdict.winner, verdict.states_explored]).encode())
+    assert digest.hexdigest() == COPS_N6_SHA256[name]
+
+
 def test_bijection_certificate_digest(classes4):
     spec = wl.fwl_spec(2)
     pairs = itertools.combinations(classes4, 2)
