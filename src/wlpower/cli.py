@@ -21,7 +21,9 @@ from pathlib import Path
 from typing import Callable
 
 from . import __version__
-from .errors import BudgetError, ClosureError, ConfigurationError, DomainError, GraphFormatError
+from .errors import (
+    BudgetError, ClosureError, ConfigurationError, DomainError, GraphFormatError, deadline,
+)
 from .games import DEFAULT_MAX_STATES, cops_robber_wins, spoiler_wins
 from .graphs import Graph, canonical_form, emit_graph6, hom_count, parse_graph6, parse_graph_json
 from .power import (
@@ -167,58 +169,55 @@ def cache_store(cache_dir: str, key: str, payload: dict) -> None:
 # ---------------------------------------------------------------------------
 # Command table
 #
-# A compute function takes ``(config, specs, graphs, time_check)``, with
+# A compute function takes ``(config, specs, graphs)``, with
 # the specs and graphs loaded once by :func:`run` in the order its entry
 # names them, and returns ``(payload, extra telemetry)``.  Solvers are
 # reached through this module's globals at call time, so wrapping or
 # patching ``wlpower.cli.<name>`` reaches every call.
 
 
-def _distinguish(config, specs, graphs, time_check):
+def _distinguish(config, specs, graphs):
     (spec,), (g, h) = specs, graphs
     payload = {"spec": spec.to_json_dict(), "g": emit_graph6(g), "h": emit_graph6(h)}
     return {**payload, "distinguished": distinguish(spec, g, h)}, {}
 
 
-def _cops(config, specs, graphs, time_check):
+def _cops(config, specs, graphs):
     (spec,), (g,) = specs, graphs
-    verdict = cops_robber_wins(
-        spec, g, max_states=config.max_states, want_certificate=False, time_check=time_check
-    )
+    verdict = cops_robber_wins(spec, g, max_states=config.max_states, want_certificate=False)
     payload = {"spec": spec.to_json_dict(), "graph": emit_graph6(g), "winner": verdict.winner}
     return payload, {"states_explored": verdict.states_explored, **verdict.stats}
 
 
-def _ef(config, specs, graphs, time_check):
+def _ef(config, specs, graphs):
     (spec,), (g, h) = specs, graphs
     verdict = spoiler_wins(spec, g, h, max_states=config.max_states, want_certificate=False)
     payload = {"spec": spec.to_json_dict(), "g": emit_graph6(g), "h": emit_graph6(h)}
-    return {**payload, "winner": verdict.winner}, {"states_explored": verdict.states_explored}
+    telemetry = {"states_explored": verdict.states_explored, **verdict.stats}
+    return {**payload, "winner": verdict.winner}, telemetry
 
 
-def _hom(config, specs, graphs, time_check):
+def _hom(config, specs, graphs):
     pattern, target = graphs
     payload = {"pattern": emit_graph6(pattern), "target": emit_graph6(target)}
     return {**payload, "count": hom_count(pattern, target)}, {}
 
 
-def _power(config, specs, graphs, time_check):
-    report = enumerate_power(
-        *specs, config.max_nodes, max_states=config.max_states, time_check=time_check
-    )
+def _power(config, specs, graphs):
+    report = enumerate_power(*specs, config.max_nodes, max_states=config.max_states)
     if config.csv_path:
         with open(config.csv_path, "w", newline="") as handle:
             write_power_csv(report, handle)
     return report.payload_dict(), {"per_graph": report.per_graph_stats}
 
 
-def _validate(config, specs, graphs, time_check):
-    return SUITES[config.suite].run(config, specs, time_check).to_json_dict(), {}
+def _validate(config, specs, graphs):
+    return SUITES[config.suite].run(config, specs).to_json_dict(), {}
 
 
 @dataclass(frozen=True)
 class Suite:
-    """One ``validate --suite`` choice: ``run(config, specs, time_check)``
+    """One ``validate --suite`` choice: ``run(config, specs)``
     returns a ValidationReport; ``specs`` are the RunConfig fields it
     loads specs from, each required."""
 
@@ -229,34 +228,28 @@ class Suite:
 
 SUITES = {
     "theorem2": Suite(
-        lambda c, specs, tc: validate_theorem2(
-            *specs, c.max_nodes, max_states=c.max_states, time_check=tc
-        ),
+        lambda c, specs: validate_theorem2(*specs, c.max_nodes, max_states=c.max_states),
         default_nodes=4,
         specs=("spec_path",),
     ),
     "treewidth": Suite(
-        lambda c, specs, tc: compare_to_treewidth(
-            c.k, c.max_nodes, max_states=c.max_states, time_check=tc
-        ),
+        lambda c, specs: compare_to_treewidth(c.k, c.max_nodes, max_states=c.max_states),
         default_nodes=7,
     ),
     "soundness": Suite(
-        lambda c, specs, tc: validate_soundness(
-            *specs, c.max_nodes, c.max_patterns, max_states=c.max_states, time_check=tc
+        lambda c, specs: validate_soundness(
+            *specs, c.max_nodes, c.max_patterns, max_states=c.max_states
         ),
         default_nodes=5,
         specs=("spec_path",),
     ),
     "monotonicity": Suite(
-        lambda c, specs, tc: check_monotonicity(
-            *specs, c.max_nodes, max_states=c.max_states, time_check=tc
-        ),
+        lambda c, specs: check_monotonicity(*specs, c.max_nodes, max_states=c.max_states),
         default_nodes=6,
         specs=("spec_small_path", "spec_large_path"),
     ),
     "hom_closed": Suite(
-        lambda c, specs, tc: validate_hom_closedness(*specs, c.max_nodes, time_check=tc),
+        lambda c, specs: validate_hom_closedness(*specs, c.max_nodes),
         default_nodes=4,
         specs=("spec_path",),
     ),
@@ -335,20 +328,6 @@ COMMANDS = {
 # Command execution
 
 
-def _deadline_check(config: RunConfig, start: float):
-    if config.time_limit_ms is None:
-        return None
-
-    def check() -> None:
-        elapsed_ms = (time.perf_counter() - start) * 1000
-        if elapsed_ms > config.time_limit_ms:
-            raise BudgetError(
-                "time limit exceeded", stats={"elapsed_ms": int(elapsed_ms)}
-            )
-
-    return check
-
-
 def _entries(config: RunConfig) -> tuple[Command, Command | Suite]:
     """The command of a run, and the entry that names its specs: the
     suite for validate, else the command itself."""
@@ -389,7 +368,8 @@ def run(config: RunConfig) -> int:
         if payload is not None:
             cache_status = "hit"
         else:
-            body, extra = command.compute(config, specs, graphs, _deadline_check(config, start))
+            with deadline(config.time_limit_ms, start):
+                body, extra = command.compute(config, specs, graphs)
             payload = {"command": config.command, **body}
             if key is not None:
                 cache_store(cache_dir, key, payload)
@@ -417,7 +397,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--max-states", type=int, default=DEFAULT_MAX_STATES,
                         help="state budget per game solve")
     parser.add_argument("--time-limit-ms", type=int, default=None,
-                        help="wall-clock budget, checked between work items")
+                        help="wall-clock budget for the whole run")
     parser.add_argument("--out", default=None, help="report file (default: stdout)")
     parser.add_argument("--cache-dir", default=None,
                         help="verdict cache directory (WLPOWER_CACHE overrides)")

@@ -40,9 +40,9 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
-from .errors import BudgetError, CertificateError
+from .errors import BudgetError, CertificateError, check_deadline
 from .graphs import Graph, atp, component_masks, mask_nodes, node_mask
 from .refinement import GfwlSpec, _index_vectors
 from .selectors import f_set, r_set
@@ -340,15 +340,23 @@ def spoiler_wins(
     the safe pairs (both successors type-consistent and surviving) admit
     a perfect matching; a removing state survives while every index
     selection leads to a surviving state.  The first player wins iff the
-    empty-board root is deleted.
+    empty-board root is deleted.  The run deadline is checked every 256
+    generated states.
     """
     solver = _EfSolver(spec, g, h, max_states)
+    start = time.perf_counter()
     solver.generate()
+    generated = time.perf_counter()
     solver.fixpoint()
+    fixed = time.perf_counter()
     root_alive = solver.alive[solver.root]
     verdict = GameVerdict(
         winner="duplicator" if root_alive else "spoiler",
         states_explored=len(solver.keys),
+        stats={
+            "generate_ms": round((generated - start) * 1000, 3),
+            "fixpoint_ms": round((fixed - generated) * 1000, 3),
+        },
     )
     if want_certificate:
         verdict.certificate = solver.certificate(root_alive)
@@ -362,7 +370,6 @@ class _EfSolver:
         self.max_states = max_states
         self.keys: list = []
         self.index: dict = {}
-        self.kind: list = []  # "put" | "rm"
         self.alive: list = []
         self.choice_g: list = []  # putting: the D list
         self.choice_h: list = []  # putting: the E list
@@ -381,24 +388,21 @@ class _EfSolver:
                 )
             self.index[key] = sid
             self.keys.append(key)
-            self.kind.append("put" if key[0][0] in ("I", "U") else "rm")
             self.alive.append(True)
             self.choice_g.append(None)
             self.choice_h.append(None)
             self.pairs.append(None)
             self.rm_succs.append(None)
-            self.queue.append(sid)
         return sid
 
     def generate(self) -> None:
-        self.queue: list[int] = []
+        """Explore states in sid order; ``keys`` grows during the loop,
+        and list iteration reaches the appended states."""
         self.root = self._state((("I", 1), (), ()))
-        head = 0
-        while head < len(self.queue):
-            sid = self.queue[head]
-            head += 1
-            key = self.keys[sid]
-            if self.kind[sid] == "rm":
+        for sid, key in enumerate(self.keys):
+            if not sid & 255:
+                check_deadline()
+            if key[0][0] == "R":
                 succs = [-1 if s is None else self._state(s) for _, s in self.game.removals(key)]
                 for succ in succs:
                     if succ != -1:
@@ -434,7 +438,7 @@ class _EfSolver:
         return _max_matching(len(self.choice_g[sid]), len(self.choice_h[sid]), adjacency)
 
     def _survives(self, sid: int) -> bool:
-        if self.kind[sid] == "rm":
+        if self.keys[sid][0][0] == "R":
             return all(s != -1 and self.alive[s] for s in self.rm_succs[sid])
         if len(self.choice_g[sid]) != len(self.choice_h[sid]):
             return False
@@ -455,7 +459,7 @@ class _EfSolver:
         if root_alive:
             matchings = {}
             for sid, key in enumerate(self.keys):
-                if not self.alive[sid] or self.kind[sid] != "put":
+                if not self.alive[sid] or key[0][0] == "R":
                     continue
                 d = self.choice_g[sid]
                 e = self.choice_h[sid]
@@ -465,7 +469,7 @@ class _EfSolver:
         remove_choices = {}
         combos = _index_vectors(self.spec.k, self.spec.t)
         for sid, key in enumerate(self.keys):
-            if self.alive[sid] or self.kind[sid] != "rm":
+            if self.alive[sid] or key[0][0] != "R":
                 continue
             for combo, succ in zip(combos, self.rm_succs[sid]):
                 if succ == -1 or not self.alive[succ]:
@@ -488,7 +492,6 @@ def cops_robber_wins(
     *,
     max_states: int = DEFAULT_MAX_STATES,
     want_certificate: bool = True,
-    time_check: Callable[[], None] | None = None,
 ) -> GameVerdict:
     """Decide the pursuit game on the query graph ``f``.
 
@@ -497,10 +500,10 @@ def cops_robber_wins(
     then computes the attractor of the Robber-stuck positions by
     backward counter propagation.  Cops win iff every initial component
     choice lies in the attractor; every state outside it (cycles
-    included) is a Robber win.  ``time_check`` (if given) is called
-    every 256 generated states and may raise to abort the solve.
+    included) is a Robber win.  The run deadline is checked every 256
+    generated states.
     """
-    solver = _CrSolver(spec, f, max_states, time_check)
+    solver = _CrSolver(spec, f, max_states)
     start = time.perf_counter()
     solver.generate()
     generated = time.perf_counter()
@@ -529,13 +532,10 @@ class _CrSolver:
     yet known to be Cops wins.  ``rev[sid]`` lists the edges that have
     state ``sid`` as a reply, in (owner, edge, reply) order."""
 
-    def __init__(
-        self, spec: GfwlSpec, f: Graph, max_states: int, time_check: Callable[[], None] | None
-    ):
+    def __init__(self, spec: GfwlSpec, f: Graph, max_states: int):
         self.spec = spec
         self.game = _PursuitMoves(spec, f)
         self.max_states = max_states
-        self.time_check = time_check
         self.keys: list = []
         self.index: dict = {}
         self.rev: list[list[int]] = []
@@ -570,11 +570,11 @@ class _CrSolver:
         self.initial = [self._state(key) for key in self.game.initial()]
         keys, index, rev, win = self.keys, self.index, self.rev, self.win
         owner, choices, pending = self.edge_owner, self.edge_choice, self.edge_pending
-        moves, state, time_check = self.game.moves, self._state, self.time_check
+        moves, state = self.game.moves, self._state
         sid = eid = 0
         while sid < len(keys):
-            if time_check is not None and not sid & 255:
-                time_check()
+            if not sid & 255:
+                check_deadline()
             for choice, succs in moves(keys[sid]):
                 owner.append(sid)
                 choices.append(choice)

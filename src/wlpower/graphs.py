@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .errors import BudgetError, DomainError, GraphFormatError
+from .errors import BudgetError, DomainError, GraphFormatError, check_deadline
 
 #: Sentinel distance for unreachable node pairs.  Strictly larger than any
 #: supported node count, so predicates of the form ``d(u, v) <= delta``
@@ -383,7 +383,8 @@ def rooted_hom_count(pattern: Graph, pins: Mapping[int, int], target: Graph) -> 
 
     With empty pins this equals :func:`hom_count`.  Counting backtracks
     over pattern nodes in a per-component BFS order, intersecting the
-    target adjacency of already-assigned neighbors.
+    target adjacency of already-assigned neighbors.  The run deadline is
+    checked once per image of each component's first free node.
     """
     for u, img in pins.items():
         if not 0 <= u < pattern.n:
@@ -421,6 +422,8 @@ def rooted_hom_count(pattern: Graph, pins: Mapping[int, int], target: Graph) -> 
                 candidates = range(target.n)
             subtotal = 0
             for img in candidates:
+                if not idx:
+                    check_deadline()
                 assignment[u] = img
                 subtotal += count_from(idx + 1)
                 del assignment[u]

@@ -17,9 +17,9 @@ import random
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Iterable
+from typing import Iterable
 
-from .errors import BudgetError, ConfigurationError
+from .errors import BudgetError, ConfigurationError, check_deadline
 from .games import DEFAULT_MAX_STATES, cops_robber_wins, spoiler_wins
 from .graphs import (
     Graph,
@@ -122,26 +122,23 @@ def enumerate_power(
     n_max: int,
     *,
     max_states: int = DEFAULT_MAX_STATES,
-    time_check: Callable[[], None] | None = None,
 ) -> PowerReport:
     """Solve the pursuit game on every connected class up to ``n_max``.
 
     Per-graph state-budget blowouts are recorded as undecided instead
-    of aborting the sweep; ``time_check`` (if given) is invoked between
-    graphs and may raise to abort the whole run.
+    of aborting the sweep; a passed run deadline aborts the whole sweep.
     """
     cops: list[str] = []
     robber: list[str] = []
     undecided: list[str] = []
     stats: dict[str, dict] = {}
     for g in connected_classes(n_max):
-        if time_check is not None:
-            time_check()
         key = emit_graph6(g)
         start = time.perf_counter()
         try:
             verdict = cops_robber_wins(spec, g, max_states=max_states, want_certificate=False)
         except BudgetError as exc:
+            check_deadline()  # a timeout is no state-budget blowout
             undecided.append(key)
             stats[key] = {
                 "n": g.n,
@@ -173,11 +170,9 @@ def compare_to_treewidth(
     n_max: int,
     *,
     max_states: int = DEFAULT_MAX_STATES,
-    time_check: Callable[[], None] | None = None,
 ) -> ValidationReport:
     """Check Cops-win under the full k-tuple spec ⇔ treewidth ≤ k, for
-    every connected class up to ``n_max`` nodes; ``time_check`` (if
-    given) is invoked once per class."""
+    every connected class up to ``n_max`` nodes."""
     if k not in (1, 2, 3):
         raise ConfigurationError("k must be 1, 2, or 3 for the treewidth suite")
     if n_max > 7:
@@ -186,8 +181,6 @@ def compare_to_treewidth(
     mismatches = []
     cases = 0
     for g in connected_classes(n_max):
-        if time_check is not None:
-            time_check()
         cases += 1
         cops = cops_robber_wins(spec, g, max_states=max_states, want_certificate=False)
         width = treewidth(g)
@@ -210,7 +203,6 @@ def validate_theorem2(
     *,
     max_states: int = DEFAULT_MAX_STATES,
     seed: int = 0,
-    time_check: Callable[[], None] | None = None,
 ) -> ValidationReport:
     """Check distinguish(g, h) == first player wins the bijection game,
     over all unordered pairs of connected classes up to ``n_max`` plus
@@ -223,10 +215,7 @@ def validate_theorem2(
     rng = random.Random(seed)
     copies = [_permuted_copy(g, rng) for g in classes]
     graphs = [*classes, *copies]
-    # The joint run is one work item: the budget is checked before it
-    # and again before the first pair.
-    if time_check is not None:
-        time_check()
+    check_deadline()  # the joint run's setup is not interruptible
     colors = joint_graph_colors(spec, *graphs)
     count = len(classes)
     pairs: list[tuple[int, int]] = []  # indices into ``graphs``
@@ -235,8 +224,6 @@ def validate_theorem2(
         pairs.extend((i, j) for j in range(i + 1, count))
     mismatches = []
     for a, b in pairs:
-        if time_check is not None:
-            time_check()
         g, h = graphs[a], graphs[b]
         refined = colors[a] != colors[b]
         game = spoiler_wins(spec, g, h, max_states=max_states, want_certificate=False)
@@ -258,7 +245,6 @@ def validate_soundness(
     n_max_patterns: int,
     *,
     max_states: int = DEFAULT_MAX_STATES,
-    time_check: Callable[[], None] | None = None,
 ) -> ValidationReport:
     """Check the counting-power sound direction at desk scale.
 
@@ -271,15 +257,11 @@ def validate_soundness(
     The refinement colors come from one joint run over all classes, and
     each homomorphism count is computed at most once, when first needed.
     """
-    power = enumerate_power(spec, n_max_patterns, max_states=max_states, time_check=time_check)
+    power = enumerate_power(spec, n_max_patterns, max_states=max_states)
     if not power.complete:
         raise BudgetError("pattern enumeration incomplete", stats={"undecided": len(power.undecided)})
     patterns = [parse_graph6(key) for key in power.cops_win]
     classes = connected_classes(n_max_pairs)
-    # The joint run is one work item: the budget is checked before it
-    # and again before the first pair.
-    if time_check is not None:
-        time_check()
     colors = joint_graph_colors(spec, *classes)
     counts: dict[tuple[int, int], int] = {}
 
@@ -299,8 +281,6 @@ def validate_soundness(
     pattern_ids = range(len(patterns))
     for i in range(len(classes)):
         for j in range(i + 1, len(classes)):
-            if time_check is not None:
-                time_check()
             cases += 1
             if colors[i] != colors[j]:
                 distinguished += 1
@@ -366,7 +346,6 @@ def check_monotonicity(
     n_max: int,
     *,
     max_states: int = DEFAULT_MAX_STATES,
-    time_check: Callable[[], None] | None = None,
 ) -> ValidationReport:
     """Check cops_win(spec_small) ⊆ cops_win(spec_large) over connected
     classes up to ``n_max``.  Requires identical schedules and pointwise
@@ -388,8 +367,8 @@ def check_monotonicity(
             f"aggregation sets not comparably contained: {spec_small.f_selector.kind} vs "
             f"{spec_large.f_selector.kind}"
         )
-    small = enumerate_power(spec_small, n_max, max_states=max_states, time_check=time_check)
-    large = enumerate_power(spec_large, n_max, max_states=max_states, time_check=time_check)
+    small = enumerate_power(spec_small, n_max, max_states=max_states)
+    large = enumerate_power(spec_large, n_max, max_states=max_states)
     if not (small.complete and large.complete):
         raise BudgetError(
             "power enumeration incomplete",
@@ -411,19 +390,15 @@ def validate_hom_closedness(
     n_max: int,
     *,
     max_maps_per_pair: int = 50_000,
-    time_check: Callable[[], None] | None = None,
 ) -> ValidationReport:
     """Check both selectors of ``spec`` for homomorphism-closedness over
-    the pool of connected classes up to ``n_max``; ``time_check`` (if
-    given) is invoked once per pool pair."""
+    the pool of connected classes up to ``n_max``."""
     pool = list(connected_classes(n_max))
     r_report = check_hom_closed(
-        spec.r_selector, spec.k, None, pool,
-        max_maps_per_pair=max_maps_per_pair, time_check=time_check,
+        spec.r_selector, spec.k, None, pool, max_maps_per_pair=max_maps_per_pair
     )
     f_report = check_hom_closed(
-        spec.f_selector, spec.k, spec.t, pool,
-        max_maps_per_pair=max_maps_per_pair, time_check=time_check,
+        spec.f_selector, spec.k, spec.t, pool, max_maps_per_pair=max_maps_per_pair
     )
     def describe(selector: str, ce: dict) -> dict:
         out = {

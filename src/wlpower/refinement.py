@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Sequence
 
-from .errors import ClosureError, ConfigurationError, DomainError
+from .errors import ClosureError, ConfigurationError, DomainError, check_deadline
 from .graphs import Graph, atp
 from .selectors import FSelector, RSelector, f_set, r_set
 
@@ -311,12 +311,14 @@ def _partition_signature(contexts: Sequence[_Context], colors: Sequence[dict]) -
 def _stabilize(contexts: Sequence[_Context]) -> tuple[list[dict], int]:
     """Step every context until the partition over the union of their
     tuple universes stops changing; returns the stable colorings, one
-    per context, and the number of steps."""
+    per context, and the number of steps.  The run deadline is checked
+    before every step."""
     colors = [ctx.initial_colors() for ctx in contexts]
     signature = _partition_signature(contexts, colors)
     bound = sum(len(ctx.rset) for ctx in contexts) + 1
     iterations = 0
     while True:
+        check_deadline()
         colors = [ctx.step(cols) for ctx, cols in zip(contexts, colors)]
         iterations += 1
         new_signature = _partition_signature(contexts, colors)

@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-from .errors import ConfigurationError, DomainError
+from .errors import ConfigurationError, DomainError, check_deadline
 from .graphs import Graph, distance_table, homomorphisms
 
 _R_KINDS = ("all_k_tuples", "distance_restricted")
@@ -230,7 +230,6 @@ def check_hom_closed(
     *,
     max_maps_per_pair: int = 50000,
     sampler: Callable[[Graph, Graph], Iterable[tuple[int, ...]]] = homomorphisms,
-    time_check: Callable[[], None] | None = None,
 ) -> HomClosedReport:
     """Check closure under homomorphisms on a pool of small graphs.
 
@@ -240,8 +239,7 @@ def check_hom_closed(
     per-pair map budget marks the report as truncated instead of failing.
     ``sel`` may also be a callable (``graph -> set`` in R mode,
     ``(graph, v) -> set`` in F mode) for negative controls.
-    ``time_check`` (if given) is invoked once per pool pair and may
-    raise to abort the check.
+    The run deadline is checked once per pool pair.
     """
     if t is None:
         get_r = sel if callable(sel) else (lambda graph: r_set(sel, k, graph))
@@ -258,8 +256,7 @@ def check_hom_closed(
                 for v in itertools.product(range(g.n), repeat=k)
             }
         for h_graph in pool:
-            if time_check is not None:
-                time_check()
+            check_deadline()
             pairs += 1
             if t is None:
                 source_r = get_r(g)

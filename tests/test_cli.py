@@ -195,16 +195,47 @@ def test_validate_suite_time_limit_exits_3(capsys, argv):
     assert envelope is None
 
 
-def test_cops_time_limit_exits_3(capsys, tmp_path):
-    # K6 under the 3-tuple spec explores 1,513 states, so the deadline
-    # check inside the solve fires long before it finishes.
-    spec_file = tmp_path / "fwl3.json"
-    spec_file.write_text(json.dumps(wl.fwl_spec(3).to_json_dict()))
-    assert wl.emit_graph6(wl.complete_graph(6)) == "E~~w"
-    argv = ["cops", "--spec", str(spec_file), "--g", "E~~w", "--time-limit-ms", "1"]
-    code, envelope, err = run_cli(capsys, argv)
+# Inputs that run far past 1 ms, so a deadline checked inside the work
+# fires before it finishes.  "FWL3" stands for a spec file holding
+# fwl_spec(3); E~~w is K6 (1,513 pursuit states), E~~o is K6 minus an
+# edge (the bijection game runs ~5 s), F~~~w and G~~~~{ are K7 and K8.
+TIME_LIMIT_CASES = {
+    "distinguish": ["--spec", "FWL3", "--g", "E~~w", "--h", "E~~o"],
+    "cops": ["--spec", "FWL3", "--g", "E~~w"],
+    "ef": ["--spec", "FWL3", "--g", "E~~w", "--h", "E~~o"],
+    "hom": ["--pattern", "F~~~w", "--target", "G~~~~{"],
+    "power": ["--spec", "fwl_k", "--max-nodes", "5"],
+}
+
+
+@pytest.fixture
+def fwl3_file(tmp_path):
+    path = tmp_path / "fwl3.json"
+    path.write_text(json.dumps(wl.fwl_spec(3).to_json_dict()))
+    return str(path)
+
+
+@pytest.mark.parametrize("command", sorted(TIME_LIMIT_CASES))
+def test_time_limit_exits_3(capsys, fwl3_file, command):
+    # Every command but validate (test_validate_suite_time_limit_exits_3)
+    # must have a case here.
+    assert set(TIME_LIMIT_CASES) == set(cli.COMMANDS) - {"validate"}
+    complete = [wl.emit_graph6(wl.complete_graph(n)) for n in (6, 7, 8)]
+    assert complete == ["E~~w", "F~~~w", "G~~~~{"]
+    args = [fwl3_file if arg == "FWL3" else arg for arg in TIME_LIMIT_CASES[command]]
+    code, envelope, err = run_cli(capsys, [command, *args, "--time-limit-ms", "1"])
     assert code == 3 and "time limit" in err
     assert envelope is None
+
+
+def test_time_limit_is_scoped_to_one_run(capsys):
+    # In-process callers (the benchmark's CLI workload among them) run
+    # many commands in one process; a deadline must end with its run.
+    argv = ["hom", *TIME_LIMIT_CASES["hom"]]
+    code, envelope, err = run_cli(capsys, argv + ["--time-limit-ms", "1"])
+    assert code == 3 and "time limit" in err and envelope is None
+    code, envelope, _ = run_cli(capsys, argv)
+    assert code == 0 and envelope["payload"]["count"] == 40320
 
 
 def test_cops_solver_counters_in_telemetry(capsys, c6_str):
@@ -218,6 +249,24 @@ def test_cops_solver_counters_in_telemetry(capsys, c6_str):
     assert 0 < telemetry["component_table_hits"] < telemetry["edges"]
     assert telemetry["generate_ms"] >= 0 and telemetry["attract_ms"] >= 0
     verdict = wl.cops_robber_wins(wl.fwl_spec(2), wl.cycle_graph(6))
+    assert set(verdict.stats) == set(counters)
+    assert set(verdict.to_json_dict(include_certificate=True)) == {
+        "winner", "states_explored", "certificate",
+    }
+
+
+def test_ef_solver_counters_in_telemetry(capsys, c6_str, two_c3_str):
+    code, envelope, _ = run_cli(
+        capsys, ["ef", "--spec", "fwl_k", "--g", c6_str, "--h", two_c3_str]
+    )
+    assert code == 0
+    telemetry, payload = envelope["telemetry"], envelope["payload"]
+    counters = ("generate_ms", "fixpoint_ms")
+    assert all(name in telemetry for name in counters)
+    assert not any(name in payload for name in counters)
+    assert telemetry["states_explored"] > 0
+    assert telemetry["generate_ms"] >= 0 and telemetry["fixpoint_ms"] >= 0
+    verdict = wl.spoiler_wins(wl.fwl_spec(2), wl.cycle_graph(6), wl.parse_graph6(two_c3_str))
     assert set(verdict.stats) == set(counters)
     assert set(verdict.to_json_dict(include_certificate=True)) == {
         "winner", "states_explored", "certificate",

@@ -4,11 +4,12 @@ suites built on top of it.
 
 import io
 import random
+import time
 
 import pytest
 
 import wlpower as wl
-from wlpower.errors import BudgetError, ConfigurationError
+from wlpower.errors import BudgetError, ConfigurationError, deadline
 
 
 def g6(g: wl.Graph) -> str:
@@ -133,20 +134,30 @@ def test_suites_report_merged_refinement_colors(monkeypatch):
     assert {"g": "@", "h": "A_", "distinguish": False, "game_winner": "spoiler"} in theorem2.mismatches
 
 
+def expired():
+    """A run deadline that passed a second ago."""
+    return deadline(1, time.perf_counter() - 1.0)
+
+
 def test_suites_check_the_budget_before_the_joint_run(monkeypatch):
-    # The deadline cannot interrupt the joint run, so an exhausted budget
+    # The joint run's setup is not interruptible, so an expired deadline
     # must stop each suite before the run starts.
     def unreachable(spec, *graphs):
         raise AssertionError("joint run started after the budget ran out")
 
-    def exhausted():
-        raise BudgetError("time limit exceeded")
-
     monkeypatch.setattr(wl.power, "joint_graph_colors", unreachable)
-    with pytest.raises(BudgetError):
-        wl.validate_soundness(wl.local_fwl_spec(1), 3, 3, time_check=exhausted)
-    with pytest.raises(BudgetError):
-        wl.validate_theorem2(wl.local_fwl_spec(1), 3, time_check=exhausted)
+    with expired():
+        with pytest.raises(BudgetError):
+            wl.validate_soundness(wl.local_fwl_spec(1), 3, 3)
+        with pytest.raises(BudgetError):
+            wl.validate_theorem2(wl.local_fwl_spec(1), 3)
+
+
+def test_enumerate_power_timeout_aborts_the_sweep():
+    # A state-budget blowout marks a class undecided; a timeout must not.
+    with expired(), pytest.raises(BudgetError, match="time limit"):
+        wl.enumerate_power(wl.fwl_spec(2), 4)
+    assert wl.enumerate_power(wl.fwl_spec(2), 4).complete
 
 
 def test_validate_soundness_budget():
