@@ -87,4 +87,4 @@ from .power import (
     validate_theorem2,
     write_power_csv,
 )
-from .cli import RunConfig, cache_key, cache_lookup, cache_store, load_graph, load_spec, run
+from .cli import cache_key, cache_lookup, cache_store, load_graph, load_spec, run

@@ -16,7 +16,7 @@ import os
 import sys
 import tempfile
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
@@ -36,33 +36,6 @@ from .power import (
     write_power_csv,
 )
 from .refinement import PRESET_SPECS, GfwlSpec, distinguish
-
-
-
-@dataclass
-class RunConfig:
-    """One resolved invocation: command, inputs, budgets, channels."""
-
-    command: str
-    spec_path: str | None = None
-    graph_inputs: list[str] = field(default_factory=list)
-    max_states: int = DEFAULT_MAX_STATES
-    max_nodes: int | None = None
-    time_limit_ms: int | None = None
-    output: str | None = None
-    csv_path: str | None = None
-    cache_dir: str | None = None
-    suite: str | None = None
-    k: int | None = None
-    max_patterns: int | None = None
-    spec_small_path: str | None = None
-    spec_large_path: str | None = None
-
-    def validate(self) -> None:
-        for name in ("max_states", "max_nodes", "time_limit_ms", "max_patterns"):
-            value = getattr(self, name)
-            if value is not None and value <= 0:
-                raise ConfigurationError(f"budget {name} must be strictly positive, got {value}")
 
 
 # ---------------------------------------------------------------------------
@@ -169,57 +142,57 @@ def cache_store(cache_dir: str, key: str, payload: dict) -> None:
 # ---------------------------------------------------------------------------
 # Command table
 #
-# A compute function takes ``(config, specs, graphs)``, with
-# the specs and graphs loaded once by :func:`run` in the order its entry
-# names them, and returns ``(payload, extra telemetry)``.  Solvers are
-# reached through this module's globals at call time, so wrapping or
-# patching ``wlpower.cli.<name>`` reaches every call.
+# A compute function takes ``(args, specs, graphs)``: the parsed command
+# line, and the specs and graphs loaded once by :func:`run` in the order
+# its entry names them.  It returns ``(payload, extra telemetry)``.
+# Solvers are reached through this module's globals at call time, so
+# wrapping or patching ``wlpower.cli.<name>`` reaches every call.
 
 
-def _distinguish(config, specs, graphs):
+def _distinguish(args, specs, graphs):
     (spec,), (g, h) = specs, graphs
     payload = {"spec": spec.to_json_dict(), "g": emit_graph6(g), "h": emit_graph6(h)}
     return {**payload, "distinguished": distinguish(spec, g, h)}, {}
 
 
-def _cops(config, specs, graphs):
+def _cops(args, specs, graphs):
     (spec,), (g,) = specs, graphs
-    verdict = cops_robber_wins(spec, g, max_states=config.max_states, want_certificate=False)
+    verdict = cops_robber_wins(spec, g, max_states=args.max_states, want_certificate=False)
     payload = {"spec": spec.to_json_dict(), "graph": emit_graph6(g), "winner": verdict.winner}
     return payload, {"states_explored": verdict.states_explored, **verdict.stats}
 
 
-def _ef(config, specs, graphs):
+def _ef(args, specs, graphs):
     (spec,), (g, h) = specs, graphs
-    verdict = spoiler_wins(spec, g, h, max_states=config.max_states, want_certificate=False)
+    verdict = spoiler_wins(spec, g, h, max_states=args.max_states, want_certificate=False)
     payload = {"spec": spec.to_json_dict(), "g": emit_graph6(g), "h": emit_graph6(h)}
     telemetry = {"states_explored": verdict.states_explored, **verdict.stats}
     return {**payload, "winner": verdict.winner}, telemetry
 
 
-def _hom(config, specs, graphs):
+def _hom(args, specs, graphs):
     pattern, target = graphs
     payload = {"pattern": emit_graph6(pattern), "target": emit_graph6(target)}
     return {**payload, "count": hom_count(pattern, target)}, {}
 
 
-def _power(config, specs, graphs):
-    report = enumerate_power(*specs, config.max_nodes, max_states=config.max_states)
-    if config.csv_path:
-        with open(config.csv_path, "w", newline="") as handle:
+def _power(args, specs, graphs):
+    report = enumerate_power(*specs, args.max_nodes, max_states=args.max_states)
+    if args.csv:
+        with open(args.csv, "w", newline="") as handle:
             write_power_csv(report, handle)
     return report.payload_dict(), {"per_graph": report.per_graph_stats}
 
 
-def _validate(config, specs, graphs):
-    return SUITES[config.suite].run(config, specs).to_json_dict(), {}
+def _validate(args, specs, graphs):
+    return SUITES[args.suite].run(args, specs).to_json_dict(), {}
 
 
 @dataclass(frozen=True)
 class Suite:
-    """One ``validate --suite`` choice: ``run(config, specs)``
-    returns a ValidationReport; ``specs`` are the RunConfig fields it
-    loads specs from, each required."""
+    """One ``validate --suite`` choice: ``run(args, specs)`` returns a
+    ValidationReport; ``specs`` are the namespace attributes it loads
+    specs from, each required."""
 
     run: Callable
     default_nodes: int
@@ -230,7 +203,7 @@ SUITES = {
     "theorem2": Suite(
         lambda c, specs: validate_theorem2(*specs, c.max_nodes, max_states=c.max_states),
         default_nodes=4,
-        specs=("spec_path",),
+        specs=("spec",),
     ),
     "treewidth": Suite(
         lambda c, specs: compare_to_treewidth(c.k, c.max_nodes, max_states=c.max_states),
@@ -241,17 +214,17 @@ SUITES = {
             *specs, c.max_nodes, c.max_patterns, max_states=c.max_states
         ),
         default_nodes=5,
-        specs=("spec_path",),
+        specs=("spec",),
     ),
     "monotonicity": Suite(
         lambda c, specs: check_monotonicity(*specs, c.max_nodes, max_states=c.max_states),
         default_nodes=6,
-        specs=("spec_small_path", "spec_large_path"),
+        specs=("spec_small", "spec_large"),
     ),
     "hom_closed": Suite(
         lambda c, specs: validate_hom_closedness(*specs, c.max_nodes),
         default_nodes=4,
-        specs=("spec_path",),
+        specs=("spec",),
     ),
 }
 
@@ -260,9 +233,10 @@ SUITES = {
 class Command:
     """One subcommand: its own ``(flag, add_argument kwargs)`` pairs (the
     budget and output flags are common to all), the flags that give its
-    graph inputs, the RunConfig fields it loads specs from (validate's
-    suite names those), the RunConfig fields in its cache key (None: not
-    cached), and the exit code of a run that produced a payload."""
+    graph inputs, the namespace attributes it loads specs from
+    (validate's suite names those), the namespace attributes in its
+    cache key (None: not cached), and the exit code of a run that
+    produced a payload."""
 
     help: str
     args: tuple[tuple[str, dict], ...]
@@ -280,15 +254,15 @@ _H = ("--h", {"required": True})
 COMMANDS = {
     "distinguish": Command(
         "joint color refinement on a graph pair", (_SPEC, _G, _H), _distinguish,
-        graphs=("g", "h"), specs=("spec_path",), cache_params=(),
+        graphs=("g", "h"), specs=("spec",), cache_params=(),
     ),
     "cops": Command(
         "decide the pursuit game on a query graph", (_SPEC, _G), _cops,
-        graphs=("g",), specs=("spec_path",), cache_params=("max_states",),
+        graphs=("g",), specs=("spec",), cache_params=("max_states",),
     ),
     "ef": Command(
         "decide the bijection game on a graph pair", (_SPEC, _G, _H), _ef,
-        graphs=("g", "h"), specs=("spec_path",), cache_params=("max_states",),
+        graphs=("g", "h"), specs=("spec",), cache_params=("max_states",),
     ),
     "hom": Command(
         "count homomorphisms pattern -> target",
@@ -303,7 +277,7 @@ COMMANDS = {
             ("--csv", {"default": None, "help": "also write the per-graph CSV summary here"}),
         ),
         _power,
-        specs=("spec_path",),
+        specs=("spec",),
         cache_params=("max_states", "max_nodes"),
         exit_code=lambda payload: 0 if payload["complete"] else 3,
     ),
@@ -328,49 +302,48 @@ COMMANDS = {
 # Command execution
 
 
-def _entries(config: RunConfig) -> tuple[Command, Command | Suite]:
-    """The command of a run, and the entry that names its specs: the
-    suite for validate, else the command itself."""
-    command = COMMANDS.get(config.command)
-    if command is None:
-        raise ConfigurationError(f"unknown command {config.command!r}")
-    if config.command != "validate":
-        return command, command
-    if config.suite not in SUITES:
-        raise ConfigurationError(f"unknown validation suite {config.suite!r}")
-    return command, SUITES[config.suite]
-
-
-def _emit(config: RunConfig, envelope: dict) -> None:
+def _emit(args: argparse.Namespace, envelope: dict) -> None:
     text = json.dumps(envelope, indent=2, sort_keys=True) + "\n"
-    if config.output:
-        Path(config.output).write_text(text)
+    if args.out:
+        Path(args.out).write_text(text)
     else:
         sys.stdout.write(text)
 
 
-def run(config: RunConfig) -> int:
-    """Execute one command; emits the report and returns the exit code."""
+def run(args: argparse.Namespace) -> int:
+    """Execute one parsed command line; emits the report and returns the
+    exit code.  A validate run without ``--max-nodes`` gets its suite's
+    default written into ``args``."""
     start = time.perf_counter()
+    command = COMMANDS[args.command]
+    suite = SUITES.get(getattr(args, "suite", None))
     try:
-        config.validate()
-        command, spec_entry = _entries(config)
-        specs = [load_spec(getattr(config, name)) for name in spec_entry.specs]
-        graphs = [load_graph(value) for value in config.graph_inputs]
-        cache_dir = os.environ.get("WLPOWER_CACHE") or config.cache_dir
+        if suite is not None:
+            if args.max_nodes is None:
+                args.max_nodes = suite.default_nodes
+            if not all(getattr(args, name) for name in suite.specs):
+                flags = "/".join("--" + name.replace("_", "-") for name in suite.specs)
+                raise ConfigurationError(f"suite {args.suite} requires {flags}")
+        for name in ("max_states", "max_nodes", "time_limit_ms", "max_patterns"):
+            value = getattr(args, name, None)
+            if value is not None and value <= 0:
+                raise ConfigurationError(f"budget {name} must be strictly positive, got {value}")
+        specs = [load_spec(getattr(args, name)) for name in (suite or command).specs]
+        graphs = [load_graph(getattr(args, name)) for name in command.graphs]
+        cache_dir = os.environ.get("WLPOWER_CACHE") or args.cache_dir
         key = None
         if cache_dir and command.cache_params is not None:
-            params = {name: getattr(config, name) for name in command.cache_params}
-            key = cache_key(config.command, specs[0] if specs else None, graphs, params)
+            params = {name: getattr(args, name) for name in command.cache_params}
+            key = cache_key(args.command, specs[0] if specs else None, graphs, params)
         cache_status = "off" if cache_dir is None else "miss"
         payload = cache_lookup(cache_dir, key) if key is not None else None
         extra: dict = {}
         if payload is not None:
             cache_status = "hit"
         else:
-            with deadline(config.time_limit_ms, start):
-                body, extra = command.compute(config, specs, graphs)
-            payload = {"command": config.command, **body}
+            with deadline(args.time_limit_ms, start):
+                body, extra = command.compute(args, specs, graphs)
+            payload = {"command": args.command, **body}
             if key is not None:
                 cache_store(cache_dir, key, payload)
     except (GraphFormatError, ConfigurationError, DomainError, ClosureError) as exc:
@@ -385,7 +358,7 @@ def run(config: RunConfig) -> int:
         "tool_version": __version__,
         **extra,
     }
-    _emit(config, {"payload": payload, "telemetry": telemetry})
+    _emit(args, {"payload": payload, "telemetry": telemetry})
     return command.exit_code(payload)
 
 
@@ -417,40 +390,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def build_config(args: argparse.Namespace) -> RunConfig:
-    config = RunConfig(
-        command=args.command,
-        spec_path=getattr(args, "spec", None),
-        graph_inputs=[getattr(args, name) for name in COMMANDS[args.command].graphs],
-        max_states=args.max_states,
-        max_nodes=getattr(args, "max_nodes", None),
-        time_limit_ms=args.time_limit_ms,
-        output=args.out,
-        csv_path=getattr(args, "csv", None),
-        cache_dir=args.cache_dir,
-        suite=getattr(args, "suite", None),
-        k=getattr(args, "k", None),
-        max_patterns=getattr(args, "max_patterns", None),
-        spec_small_path=getattr(args, "spec_small", None),
-        spec_large_path=getattr(args, "spec_large", None),
-    )
-    suite = SUITES.get(config.suite)
-    if suite is not None:
-        if config.max_nodes is None:
-            config.max_nodes = suite.default_nodes
-        if not all(getattr(config, name) for name in suite.specs):
-            # RunConfig field spec_small_path comes from flag --spec-small.
-            flags = "/".join("--" + name[: -len("_path")].replace("_", "-") for name in suite.specs)
-            raise ConfigurationError(f"suite {config.suite} requires {flags}")
-    return config
+_PARSER = build_parser()
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    try:
-        config = build_config(args)
-    except ConfigurationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    return run(config)
+    return run(_PARSER.parse_args(argv))

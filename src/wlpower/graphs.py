@@ -384,7 +384,7 @@ def rooted_hom_count(pattern: Graph, pins: Mapping[int, int], target: Graph) -> 
     With empty pins this equals :func:`hom_count`.  Counting backtracks
     over pattern nodes in a per-component BFS order, intersecting the
     target adjacency of already-assigned neighbors.  The run deadline is
-    checked once per image of each component's first free node.
+    checked every 1024 calls that assign a node.
     """
     for u, img in pins.items():
         if not 0 <= u < pattern.n:
@@ -393,6 +393,7 @@ def rooted_hom_count(pattern: Graph, pins: Mapping[int, int], target: Graph) -> 
             raise DomainError(f"pin value {img} is not a target node")
 
     total = 1
+    calls = 0
     for comp in components_avoiding(pattern, ()):
         comp_set = set(comp)
         comp_pins = {u: pins[u] for u in comp_set if u in pins}
@@ -410,8 +411,12 @@ def rooted_hom_count(pattern: Graph, pins: Mapping[int, int], target: Graph) -> 
         free_order = [u for u in order if u not in comp_pins]
 
         def count_from(idx: int) -> int:
+            nonlocal calls
             if idx == len(free_order):
                 return 1
+            calls += 1
+            if not calls & 1023:
+                check_deadline()
             u = free_order[idx]
             assigned_nbrs = [w for w in pattern.adj[u] if w in assignment]
             if assigned_nbrs:
@@ -422,8 +427,6 @@ def rooted_hom_count(pattern: Graph, pins: Mapping[int, int], target: Graph) -> 
                 candidates = range(target.n)
             subtotal = 0
             for img in candidates:
-                if not idx:
-                    check_deadline()
                 assignment[u] = img
                 subtotal += count_from(idx + 1)
                 del assignment[u]

@@ -385,21 +385,12 @@ def check_monotonicity(
     )
 
 
-def validate_hom_closedness(
-    spec: GfwlSpec,
-    n_max: int,
-    *,
-    max_maps_per_pair: int = 50_000,
-) -> ValidationReport:
+def validate_hom_closedness(spec: GfwlSpec, n_max: int) -> ValidationReport:
     """Check both selectors of ``spec`` for homomorphism-closedness over
     the pool of connected classes up to ``n_max``."""
     pool = list(connected_classes(n_max))
-    r_report = check_hom_closed(
-        spec.r_selector, spec.k, None, pool, max_maps_per_pair=max_maps_per_pair
-    )
-    f_report = check_hom_closed(
-        spec.f_selector, spec.k, spec.t, pool, max_maps_per_pair=max_maps_per_pair
-    )
+    r_report = check_hom_closed(spec.r_selector, spec.k, None, pool)
+    f_report = check_hom_closed(spec.f_selector, spec.k, spec.t, pool)
     def describe(selector: str, ce: dict) -> dict:
         out = {
             "selector": selector,

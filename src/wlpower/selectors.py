@@ -229,7 +229,6 @@ def check_hom_closed(
     pool: Sequence[Graph],
     *,
     max_maps_per_pair: int = 50000,
-    sampler: Callable[[Graph, Graph], Iterable[tuple[int, ...]]] = homomorphisms,
 ) -> HomClosedReport:
     """Check closure under homomorphisms on a pool of small graphs.
 
@@ -264,7 +263,7 @@ def check_hom_closed(
             else:
                 target_f: dict[tuple, set] = {}
             budget = max_maps_per_pair
-            for hom in sampler(g, h_graph):
+            for hom in homomorphisms(g, h_graph):
                 if budget == 0:
                     truncated = True
                     break

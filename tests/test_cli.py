@@ -296,6 +296,16 @@ def test_power_incomplete_exits_3(capsys):
     assert envelope["payload"]["undecided"]
 
 
+def test_main_builds_no_parser(capsys, monkeypatch, c6_str):
+    # The parser is built once, at import; a call only parses.
+    def no_parser():
+        raise AssertionError("main built a parser")
+
+    monkeypatch.setattr(cli, "build_parser", no_parser)
+    code, envelope, _ = run_cli(capsys, ["cops", "--spec", "fwl_k", "--g", c6_str])
+    assert code == 0 and envelope["payload"]["winner"] in ("cops", "robber")
+
+
 def test_argparse_rejections(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["no-such-command"])
@@ -344,7 +354,7 @@ def test_validate_monotonicity_suite(capsys, tmp_path):
     assert code == 0 and envelope["payload"]["passed"] is True
 
     code, _, err = run_cli(capsys, ["validate", "--suite", "monotonicity"])
-    assert code == 2 and "requires" in err
+    assert code == 2 and err == "error: suite monotonicity requires --spec-small/--spec-large\n"
 
 
 def test_validate_missing_spec_flag(capsys):

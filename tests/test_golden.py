@@ -9,6 +9,7 @@ for a change that means to alter that output.
 import hashlib
 import itertools
 import json
+import sys
 
 import pytest
 
@@ -205,3 +206,30 @@ def test_cache_miss_loads_each_input_once(tmp_path, monkeypatch, no_cache_env):
     assert cli.main(argv + ["--cache-dir", str(tmp_path / "cache"), "--out", str(out)]) == 0
     assert json.loads(out.read_text())["telemetry"]["cache"] == "miss"
     assert calls == {"load_spec": 1, "load_graph": 2}
+
+
+# SHA-256 of ``--help`` for the top level and for each subcommand, at
+# 80 columns, computed before the parser became a module constant.
+# argparse's layout is not this project's output and shifts between
+# Python versions, so the pins hold on the version they were taken with.
+HELP_SHA256 = {
+    None: "cf8ab3af22a03c11a7b208864c509db8f7526ae2c286720dce17d01a2aba49c1",
+    "distinguish": "84fff58a727abcb80d97511e3f9d5dd5fc1dd2b07fdcc5f2a9634737c354815a",
+    "cops": "0ef6ba2317dc1c58b6dcd3fb639d694bebf73eb8b283f208b7a060d93240a5ea",
+    "ef": "84eddd084b2f16700e2405756a68692c9864a1a7b2462dfd9716a6f7951b35f7",
+    "hom": "fee177ee0c45f63d1df4e399c94fbab41af119b1cbbd397f825f97c0027e1d92",
+    "power": "9dd769d7fa6675344c2b3518ade4b77c1752ff8ebfba34c9e5def795e8eecc40",
+    "validate": "b2a2355b9a830a11ea96e696d402e1cc6bd0441d575a4d71c5c8c7ddb75be1eb",
+}
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="help pinned on Python 3.11")
+@pytest.mark.parametrize("command", [None, *cli.COMMANDS])
+def test_help_text_digests(command, capsys, monkeypatch):
+    assert set(HELP_SHA256) == {None, *cli.COMMANDS}
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--help"] if command else ["--help"])
+    assert exc.value.code == 0
+    text = capsys.readouterr().out
+    assert hashlib.sha256(text.encode()).hexdigest() == HELP_SHA256[command]

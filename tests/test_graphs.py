@@ -9,6 +9,7 @@ treewidth.
 import itertools
 import json
 import random
+import time
 
 import networkx as nx
 import numpy as np
@@ -17,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wlpower as wl
-from wlpower.errors import DomainError, GraphFormatError
+from wlpower.errors import BudgetError, DomainError, GraphFormatError, deadline
 
 # ---------------------------------------------------------------------------
 # Helpers and strategies
@@ -287,6 +288,19 @@ def test_rooted_sums_telescope():
         assert total == sum(
             wl.rooted_hom_count(pattern, {0: w}, target) for w in range(target.n)
         )
+
+
+def test_hom_count_deadline_is_checked_inside_the_count():
+    # P9 into K7 is 7 * 6**8 maps (about 5 s uncapped), spread over only
+    # seven images of the first pattern node: a check per first-node
+    # image would let a 1 ms limit run about a second over.
+    pattern, target = wl.parse_graph6("HhCGGC@"), wl.parse_graph6("F~~~w")
+    assert (wl.path_graph(9), wl.complete_graph(7)) == (pattern, target)
+    start = time.perf_counter()
+    with pytest.raises(BudgetError, match="time limit"):
+        with deadline(1, start):
+            wl.hom_count(pattern, target)
+    assert time.perf_counter() - start < 0.3
 
 
 @settings(max_examples=30, deadline=None)
