@@ -119,6 +119,8 @@ def cache_lookup(cache_dir: str, key: str) -> dict | None:
         record = json.loads(path.read_text())
         if record["version"] != __version__:
             return None
+        if not isinstance(record["payload"], dict):
+            raise TypeError("payload is not a JSON object")
         return record["payload"]
     except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
         print(f"warning: ignoring corrupt cache entry {path}: {exc}", file=sys.stderr)
@@ -179,8 +181,11 @@ def _hom(args, specs, graphs):
 def _power(args, specs, graphs):
     report = enumerate_power(*specs, args.max_nodes, max_states=args.max_states)
     if args.csv:
-        with open(args.csv, "w", newline="") as handle:
-            write_power_csv(report, handle)
+        try:
+            with open(args.csv, "w", newline="") as handle:
+                write_power_csv(report, handle)
+        except OSError as exc:
+            raise ConfigurationError(f"cannot write CSV: {exc}") from exc
     return report.payload_dict(), {"per_graph": report.per_graph_stats}
 
 
@@ -345,7 +350,10 @@ def run(args: argparse.Namespace) -> int:
                 body, extra = command.compute(args, specs, graphs)
             payload = {"command": args.command, **body}
             if key is not None:
-                cache_store(cache_dir, key, payload)
+                try:
+                    cache_store(cache_dir, key, payload)
+                except OSError as exc:  # the verdict stands; only reuse is lost
+                    print(f"warning: cache write failed: {exc}", file=sys.stderr)
     except (GraphFormatError, ConfigurationError, DomainError, ClosureError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -358,7 +366,11 @@ def run(args: argparse.Namespace) -> int:
         "tool_version": __version__,
         **extra,
     }
-    _emit(args, {"payload": payload, "telemetry": telemetry})
+    try:
+        _emit(args, {"payload": payload, "telemetry": telemetry})
+    except OSError as exc:
+        print(f"error: cannot write report: {exc}", file=sys.stderr)
+        return 2
     return command.exit_code(payload)
 
 

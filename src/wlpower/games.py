@@ -33,14 +33,16 @@ call.  Verdicts carry optional strategy certificates, and replay checks
 a stored strategy against that same successor function under an
 exhaustive adversary.  Replay is therefore no second copy of the rules;
 the independent oracles stay the treewidth DP (Cops win iff treewidth
-<= k) and agreement of the bijection game with refinement.
+<= k) and agreement of the bijection game with refinement.  Both solvers
+number states through one ``_StateIndex``, which owns the state budget,
+the predecessor lists and the deadline-checked walk in sid order.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import BudgetError, CertificateError, check_deadline
 from .graphs import Graph, atp, component_masks, mask_nodes, node_mask
@@ -322,6 +324,47 @@ def _key_str(key) -> str:
 
 
 # ---------------------------------------------------------------------------
+# State index, shared by both solvers
+
+
+class _StateIndex:
+    """Reachable game states numbered in discovery order: ``keys[sid]``,
+    ``index[key]``, and per state a ``preds`` list that its solver fills
+    with what leads to it (states in the bijection game, for-all edges in
+    the pursuit game).  Adding state number ``max_states`` raises
+    :class:`BudgetError`."""
+
+    def __init__(self, game: str, max_states: int):
+        self.game = game
+        self.max_states = max_states
+        self.keys: list = []
+        self.index: dict = {}
+        self.preds: list[list[int]] = []
+
+    def add(self, key: tuple) -> int:
+        sid = self.index.get(key)
+        if sid is None:
+            sid = len(self.keys)
+            if sid >= self.max_states:
+                raise BudgetError(
+                    f"{self.game} game state budget exceeded",
+                    stats={"states": sid},
+                )
+            self.index[key] = sid
+            self.keys.append(key)
+            self.preds.append([])
+        return sid
+
+    def walk(self) -> Iterator[tuple[int, tuple]]:
+        """``(sid, key)`` in sid order, states added during the walk
+        included; the run deadline is checked every 256 states."""
+        for sid, key in enumerate(self.keys):  # reaches appended keys
+            if not sid & 255:
+                check_deadline()
+            yield sid, key
+
+
+# ---------------------------------------------------------------------------
 # Bijection game solver
 
 
@@ -349,10 +392,10 @@ def spoiler_wins(
     generated = time.perf_counter()
     solver.fixpoint()
     fixed = time.perf_counter()
-    root_alive = solver.alive[solver.root]
+    root_alive = solver.alive[0]
     verdict = GameVerdict(
         winner="duplicator" if root_alive else "spoiler",
-        states_explored=len(solver.keys),
+        states_explored=len(solver.states.keys),
         stats={
             "generate_ms": round((generated - start) * 1000, 3),
             "fixpoint_ms": round((fixed - generated) * 1000, 3),
@@ -364,114 +407,93 @@ def spoiler_wins(
 
 
 class _EfSolver:
+    """Per state in sid order (the root is state 0): ``choices`` holds a
+    putting state's g-side and h-side choice lists (None for a removing
+    state), and ``succs`` its moves: ``(g index, h index, successor)``
+    per type-consistent put, or per index selection the successor, -1 on
+    a type mismatch.  ``states.preds[sid]`` lists each state with a move
+    to ``sid`` once."""
+
     def __init__(self, spec: GfwlSpec, g: Graph, h: Graph, max_states: int):
         self.spec = spec
         self.game = _BijectionMoves(spec, g, h)
-        self.max_states = max_states
-        self.keys: list = []
-        self.index: dict = {}
-        self.alive: list = []
-        self.choice_g: list = []  # putting: the D list
-        self.choice_h: list = []  # putting: the E list
-        self.pairs: list = []  # putting: [(ai, bi, succ_id)] type-consistent
-        self.rm_succs: list = []  # removing: succ id per index combo, -1 = type mismatch
-        self.preds: dict = {}
-
-    def _state(self, key: tuple) -> int:
-        sid = self.index.get(key)
-        if sid is None:
-            sid = len(self.keys)
-            if sid >= self.max_states:
-                raise BudgetError(
-                    "bijection game state budget exceeded",
-                    stats={"states": sid},
-                )
-            self.index[key] = sid
-            self.keys.append(key)
-            self.alive.append(True)
-            self.choice_g.append(None)
-            self.choice_h.append(None)
-            self.pairs.append(None)
-            self.rm_succs.append(None)
-        return sid
+        self.states = _StateIndex("bijection", max_states)
+        self.choices: list = []
+        self.succs: list = []
+        self.alive: list[bool] = []
 
     def generate(self) -> None:
-        """Explore states in sid order; ``keys`` grows during the loop,
-        and list iteration reaches the appended states."""
-        self.root = self._state((("I", 1), (), ()))
-        for sid, key in enumerate(self.keys):
-            if not sid & 255:
-                check_deadline()
+        states, game = self.states, self.game
+        add, preds, put = states.add, states.preds, game.put
+        add((("I", 1), (), ()))
+        for sid, key in states.walk():
             if key[0][0] == "R":
-                succs = [-1 if s is None else self._state(s) for _, s in self.game.removals(key)]
-                for succ in succs:
-                    if succ != -1:
-                        self.preds.setdefault(succ, set()).add(sid)
-                self.rm_succs[sid] = succs
-                continue
-            d, e = self.game.choices(key)
-            self.choice_g[sid] = d
-            self.choice_h[sid] = e
-            if len(d) != len(e):
-                self.alive[sid] = False  # no bijection exists at all
-                self.pairs[sid] = []
-                continue
-            pairs = []
-            put = self.game.put
-            for ai, a in enumerate(d):
-                for bi, b in enumerate(e):
-                    succ_key = put(key, a, b)
-                    if succ_key is not None:
-                        succ = self._state(succ_key)
-                        pairs.append((ai, bi, succ))
-                        self.preds.setdefault(succ, set()).add(sid)
-            self.pairs[sid] = pairs
+                choice = None
+                succs = [-1 if s is None else add(s) for _, s in game.removals(key)]
+                targets = [s for s in succs if s != -1]
+            else:
+                choice = d, e = game.choices(key)
+                succs = []
+                if len(d) == len(e):  # else no bijection exists: explore no further
+                    for ai, a in enumerate(d):
+                        for bi, b in enumerate(e):
+                            succ_key = put(key, a, b)
+                            if succ_key is not None:
+                                succs.append((ai, bi, add(succ_key)))
+                targets = [s for _, _, s in succs]
+            self.choices.append(choice)
+            self.succs.append(succs)
+            for succ in targets:
+                if not preds[succ] or preds[succ][-1] != sid:
+                    preds[succ].append(sid)
 
     def _matching(self, sid: int) -> list:
         """Maximum matching of a putting state's choices over the pairs
         whose successor survives: h-side index per g-side index, -1
         where unmatched."""
-        adjacency: list[list[int]] = [[] for _ in self.choice_g[sid]]
-        for ai, bi, succ in self.pairs[sid]:
+        d, e = self.choices[sid]
+        adjacency: list[list[int]] = [[] for _ in d]
+        for ai, bi, succ in self.succs[sid]:
             if self.alive[succ]:
                 adjacency[ai].append(bi)
-        return _max_matching(len(self.choice_g[sid]), len(self.choice_h[sid]), adjacency)
+        return _max_matching(len(d), len(e), adjacency)
 
     def _survives(self, sid: int) -> bool:
-        if self.keys[sid][0][0] == "R":
-            return all(s != -1 and self.alive[s] for s in self.rm_succs[sid])
-        if len(self.choice_g[sid]) != len(self.choice_h[sid]):
-            return False
-        return -1 not in self._matching(sid)
+        if self.choices[sid] is None:
+            return all(s != -1 and self.alive[s] for s in self.succs[sid])
+        d, e = self.choices[sid]
+        return len(d) == len(e) and -1 not in self._matching(sid)
 
     def fixpoint(self) -> None:
-        dead_list = [sid for sid in range(len(self.keys)) if self.alive[sid] and not self._survives(sid)]
-        for sid in dead_list:
-            self.alive[sid] = False
-        while dead_list:
-            dead = dead_list.pop()
-            for pred in self.preds.get(dead, ()):
-                if self.alive[pred] and not self._survives(pred):
-                    self.alive[pred] = False
-                    dead_list.append(pred)
+        count = len(self.states.keys)
+        alive = self.alive = [True] * count
+        dead = [sid for sid in range(count) if not self._survives(sid)]
+        for sid in dead:
+            alive[sid] = False
+        preds = self.states.preds
+        while dead:
+            for pred in preds[dead.pop()]:
+                if alive[pred] and not self._survives(pred):
+                    alive[pred] = False
+                    dead.append(pred)
 
     def certificate(self, root_alive: bool) -> dict:
+        keys = self.states.keys
         if root_alive:
             matchings = {}
-            for sid, key in enumerate(self.keys):
-                if not self.alive[sid] or key[0][0] == "R":
+            for sid, key in enumerate(keys):
+                if not self.alive[sid] or self.choices[sid] is None:
                     continue
-                d = self.choice_g[sid]
-                e = self.choice_h[sid]
+                d, e = self.choices[sid]
                 matchings[key] = [(d[ai], e[bi]) for ai, bi in enumerate(self._matching(sid))]
             return {"winner": "duplicator", "matchings": matchings}
-        dead_keys = [self.keys[sid] for sid in range(len(self.keys)) if not self.alive[sid]]
+        dead_keys = [key for sid, key in enumerate(keys) if not self.alive[sid]]
         remove_choices = {}
         combos = _index_vectors(self.spec.k, self.spec.t)
-        for sid, key in enumerate(self.keys):
-            if self.alive[sid] or key[0][0] != "R":
+        for sid, key in enumerate(keys):
+            if self.alive[sid] or self.choices[sid] is not None:
                 continue
-            for combo, succ in zip(combos, self.rm_succs[sid]):
+            for combo, succ in zip(combos, self.succs[sid]):
                 if succ == -1 or not self.alive[succ]:
                     remove_choices[key] = combo
                     break
@@ -513,7 +535,7 @@ def cops_robber_wins(
     edges = len(solver.edge_owner)
     verdict = GameVerdict(
         winner="cops" if cops else "robber",
-        states_explored=len(solver.keys),
+        states_explored=len(solver.states.keys),
         stats={
             "generate_ms": round((generated - start) * 1000, 3),
             "attract_ms": round((attracted - generated) * 1000, 3),
@@ -527,114 +549,88 @@ def cops_robber_wins(
 
 
 class _CrSolver:
-    """Reachable states in generation order, and per for-all edge (one
-    Cops move) its owner state, choice and count of Robber replies not
-    yet known to be Cops wins.  ``rev[sid]`` lists the edges that have
-    state ``sid`` as a reply, in (owner, edge, reply) order."""
+    """Per for-all edge (one Cops move), in (owner, move) order: its
+    owner state, choice and count of Robber replies not yet known to be
+    Cops wins.  ``states.preds[sid]`` lists the edges that have state
+    ``sid`` as a reply, in (owner, edge, reply) order."""
 
     def __init__(self, spec: GfwlSpec, f: Graph, max_states: int):
         self.spec = spec
         self.game = _PursuitMoves(spec, f)
-        self.max_states = max_states
-        self.keys: list = []
-        self.index: dict = {}
-        self.rev: list[list[int]] = []
-        self.win: list[bool] = []
-        self.win_edge: list = []
+        self.states = _StateIndex("pursuit", max_states)
         self.edge_owner: list[int] = []
         self.edge_choice: list = []
         self.edge_pending: list[int] = []
-        self.won: list[int] = []  # attractor queue, seeded by generate()
         self.initial: list[int] = []
-
-    def _state(self, key: tuple) -> int:
-        sid = self.index.get(key)
-        if sid is None:
-            sid = len(self.keys)
-            if sid >= self.max_states:
-                raise BudgetError(
-                    "pursuit game state budget exceeded",
-                    stats={"states": sid},
-                )
-            self.index[key] = sid
-            self.keys.append(key)
-            self.rev.append([])
-            self.win.append(False)
-            self.win_edge.append(None)
-        return sid
+        self.win: list[bool] = []
+        self.win_edge: list = []
 
     def generate(self) -> None:
-        """Explore states in sid order, recording every edge and reverse
-        edge once, and queue the states where some Cops move leaves
-        Robber no reply (the first such move is the winning one)."""
-        self.initial = [self._state(key) for key in self.game.initial()]
-        keys, index, rev, win = self.keys, self.index, self.rev, self.win
+        states = self.states
+        self.initial = [states.add(key) for key in self.game.initial()]
+        index, rev, add = states.index, states.preds, states.add
         owner, choices, pending = self.edge_owner, self.edge_choice, self.edge_pending
-        moves, state = self.game.moves, self._state
-        sid = eid = 0
-        while sid < len(keys):
-            if not sid & 255:
-                check_deadline()
-            for choice, succs in moves(keys[sid]):
+        moves = self.game.moves
+        eid = 0
+        for sid, key in states.walk():
+            for choice, succs in moves(key):
                 owner.append(sid)
                 choices.append(choice)
                 pending.append(len(succs))
-                if not succs and not win[sid]:
-                    win[sid] = True
-                    self.win_edge[sid] = choice
-                    self.won.append(sid)
                 for succ in succs:
                     tid = index.get(succ)
-                    rev[state(succ) if tid is None else tid].append(eid)
+                    rev[add(succ) if tid is None else tid].append(eid)
                 eid += 1
-            sid += 1
         n = self.game.g.n
         bound = (n + 1) ** (self.spec.k + self.spec.t) * 2 ** n * (
             self.spec.n_stages + self.spec.m_stages + 1
         )
-        if len(keys) > bound:
+        if len(states.keys) > bound:
             raise RuntimeError("reachable state count exceeded its bound")
 
     def attract(self) -> None:
-        rev, win, win_edge, queue = self.rev, self.win, self.win_edge, self.won
+        """Propagate Cops wins backward over a queue of the edges whose
+        Robber replies are all Cops wins, seeded in edge order; a
+        state's first edge off the queue is its winning move."""
         owner, choices, pending = self.edge_owner, self.edge_choice, self.edge_pending
-        head = 0
-        while head < len(queue):
-            for eid in rev[queue[head]]:
-                pending[eid] -= 1
-                if pending[eid] == 0:
-                    sid = owner[eid]
-                    if not win[sid]:
-                        win[sid] = True
-                        win_edge[sid] = choices[eid]
-                        queue.append(sid)
-            head += 1
+        rev, count = self.states.preds, len(self.states.keys)
+        win = self.win = [False] * count
+        win_edge = self.win_edge = [None] * count
+        queue = [eid for eid, left in enumerate(pending) if not left]
+        for eid in queue:  # list iteration reaches the appended edges
+            sid = owner[eid]
+            if win[sid]:
+                continue
+            win[sid] = True
+            win_edge[sid] = choices[eid]
+            for pred in rev[sid]:
+                pending[pred] -= 1
+                if not pending[pred]:
+                    queue.append(pred)
 
     def certificate(self, cops: bool) -> dict:
-        decode = self.game.decode
+        keys, index, decode = self.states.keys, self.states.index, self.game.decode
         if cops:
             moves = {
-                decode(self.keys[sid]): self.win_edge[sid]
-                for sid in range(len(self.keys))
+                decode(keys[sid]): self.win_edge[sid]
+                for sid in range(len(keys))
                 if self.win[sid] and self.win_edge[sid] is not None
             }
             return {"winner": "cops", "moves": moves}
         losing_initial = next(sid for sid in self.initial if not self.win[sid])
         responses = {}
-        for sid, key in enumerate(self.keys):
+        for sid, key in enumerate(keys):
             if self.win[sid] or key[0][0] not in ("I", "U"):
                 continue
             decoded = decode(key)
             for choice, succs in self.game.moves(key):
-                survivor = next(
-                    (succ for succ in succs if not self.win[self.index[succ]]), None
-                )
+                survivor = next((succ for succ in succs if not self.win[index[succ]]), None)
                 if survivor is None:
                     raise RuntimeError("losing state must offer a surviving reply")
                 responses[(decoded, choice)] = decode(survivor)[2]
         return {
             "winner": "robber",
-            "initial_component": decode(self.keys[losing_initial])[2],
+            "initial_component": decode(keys[losing_initial])[2],
             "responses": responses,
         }
 

@@ -506,7 +506,11 @@ def _cells_homogeneous(g: Graph, cells: list[list[int]]) -> bool:
     return True
 
 
-def canonical_form(g: Graph, *, max_nodes: int = 16, max_leaves: int = 200000) -> bytes:
+_CANON_MAX_NODES = 16
+_CANON_MAX_LEAVES = 200_000
+
+
+def canonical_form(g: Graph) -> bytes:
     """Canonical byte string of the isomorphism class of ``g``.
 
     The result is the graph6 line of a canonically relabeled copy, so
@@ -514,11 +518,13 @@ def canonical_form(g: Graph, *, max_nodes: int = 16, max_leaves: int = 200000) -
     Labeling search: color refinement, then individualization of the
     first non-singleton cell, taking the minimum over leaf labelings.
     Cell-homogeneous colorings short-circuit the search, which keeps
-    complete and empty graphs cheap.
+    complete and empty graphs cheap.  Graphs over ``_CANON_MAX_NODES``
+    nodes, or searches over ``_CANON_MAX_LEAVES`` leaves, raise
+    :class:`BudgetError`.
     """
-    if g.n > max_nodes:
+    if g.n > _CANON_MAX_NODES:
         raise BudgetError(
-            f"canonical form budget is {max_nodes} nodes, got {g.n}",
+            f"canonical form budget is {_CANON_MAX_NODES} nodes, got {g.n}",
             stats={"nodes": g.n},
         )
     best: list[bytes] = []
@@ -535,9 +541,9 @@ def canonical_form(g: Graph, *, max_nodes: int = 16, max_leaves: int = 200000) -
         cells = _cells(colors)
         if all(len(c) == 1 for c in cells) or _cells_homogeneous(g, cells):
             leaves[0] += 1
-            if leaves[0] > max_leaves:
+            if leaves[0] > _CANON_MAX_LEAVES:
                 raise BudgetError(
-                    f"canonical form leaf budget {max_leaves} exceeded",
+                    f"canonical form leaf budget {_CANON_MAX_LEAVES} exceeded",
                     stats={"leaves": leaves[0]},
                 )
             candidate = leaf_bytes([v for cell in cells for v in cell])
@@ -613,18 +619,22 @@ def enumerate_connected_graphs(
 # Exact treewidth
 
 
-def treewidth(g: Graph, *, max_nodes: int = 12) -> int:
+_TREEWIDTH_MAX_NODES = 12
+
+
+def treewidth(g: Graph) -> int:
     """Exact treewidth by dynamic programming over vertex subsets.
 
     ``opt[S]`` is the best width eliminating exactly the vertices of
     ``S`` first:  ``opt[S] = min over v in S of max(opt[S - v],
     q(S - v, v))`` where ``q(S, v)`` counts vertices outside ``S + v``
-    reachable from ``v`` through ``S``.  The empty graph gets -1.
+    reachable from ``v`` through ``S``.  The empty graph gets -1; graphs
+    over ``_TREEWIDTH_MAX_NODES`` nodes raise :class:`BudgetError`.
     """
     n = g.n
-    if n > max_nodes:
+    if n > _TREEWIDTH_MAX_NODES:
         raise BudgetError(
-            f"treewidth budget is {max_nodes} nodes, got {n}",
+            f"treewidth budget is {_TREEWIDTH_MAX_NODES} nodes, got {n}",
             stats={"nodes": n},
         )
     if n == 0:

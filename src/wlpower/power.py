@@ -172,23 +172,22 @@ def compare_to_treewidth(
     max_states: int = DEFAULT_MAX_STATES,
 ) -> ValidationReport:
     """Check Cops-win under the full k-tuple spec ⇔ treewidth ≤ k, for
-    every connected class up to ``n_max`` nodes."""
+    every connected class up to ``n_max`` nodes.  The verdicts come from
+    one :func:`enumerate_power` sweep, which must be complete."""
     if k not in (1, 2, 3):
         raise ConfigurationError("k must be 1, 2, or 3 for the treewidth suite")
     if n_max > 7:
         raise ConfigurationError("treewidth suite is budgeted for n_max <= 7")
-    spec = fwl_spec(k)
+    power = enumerate_power(fwl_spec(k), n_max, max_states=max_states)
+    if not power.complete:
+        raise BudgetError("power enumeration incomplete", stats={"undecided": len(power.undecided)})
+    classes = connected_classes(n_max)
     mismatches = []
-    cases = 0
-    for g in connected_classes(n_max):
-        cases += 1
-        cops = cops_robber_wins(spec, g, max_states=max_states, want_certificate=False)
+    for g, (key, stats) in zip(classes, power.per_graph_stats.items()):
         width = treewidth(g)
-        if (cops.winner == "cops") != (width <= k):
-            mismatches.append(
-                {"graph6": emit_graph6(g), "winner": cops.winner, "treewidth": width}
-            )
-    return ValidationReport(suite="treewidth", cases_run=cases, mismatches=mismatches)
+        if (stats["verdict"] == "cops") != (width <= k):
+            mismatches.append({"graph6": key, "winner": stats["verdict"], "treewidth": width})
+    return ValidationReport(suite="treewidth", cases_run=len(classes), mismatches=mismatches)
 
 
 def _permuted_copy(g: Graph, rng: random.Random) -> Graph:

@@ -238,28 +238,28 @@ def check_hom_closed(
     per-pair map budget marks the report as truncated instead of failing.
     ``sel`` may also be a callable (``graph -> set`` in R mode,
     ``(graph, v) -> set`` in F mode) for negative controls.
-    The run deadline is checked once per pool pair.
+    The run deadline is checked once per pool pair and every 1024 maps.
     """
     if t is None:
         get_r = sel if callable(sel) else (lambda graph: r_set(sel, k, graph))
+        r_sets = [get_r(graph) for graph in pool]
     else:
         get_f = sel if callable(sel) else (lambda graph, v: f_set(sel, t, graph, v))
     pairs = 0
     maps = 0
     truncated = False
     counterexamples = []
-    for g in pool:
+    for gi, g in enumerate(pool):
         if t is not None:
             source_f = {
                 v: get_f(g, v)
                 for v in itertools.product(range(g.n), repeat=k)
             }
-        for h_graph in pool:
+        for hi, h_graph in enumerate(pool):
             check_deadline()
             pairs += 1
             if t is None:
-                source_r = get_r(g)
-                target_r = get_r(h_graph)
+                source_r, target_r = r_sets[gi], r_sets[hi]
             else:
                 target_f: dict[tuple, set] = {}
             budget = max_maps_per_pair
@@ -268,6 +268,8 @@ def check_hom_closed(
                     truncated = True
                     break
                 budget -= 1
+                if not maps & 1023:
+                    check_deadline()
                 maps += 1
                 if t is None:
                     if not _map_tuples(source_r, hom) <= target_r:

@@ -438,11 +438,32 @@ def test_cache_corrupt_entry_recomputes(capsys, tmp_path):
     code, envelope, _ = run_cli(capsys, argv)
     assert code == 0 and envelope["payload"]["count"] == 0
     entry = cache_files(cache)[0]
-    entry.write_text("{ corrupt")
+    # Unparsable JSON, and a well-formed record whose payload is no object.
+    for text in ("{ corrupt", json.dumps({"version": cli.__version__, "payload": [1, 2]})):
+        entry.write_text(text)
+        code, envelope, err = run_cli(capsys, argv)
+        assert code == 0 and envelope["payload"]["count"] == 0
+        assert envelope["telemetry"]["cache"] == "miss"
+        assert "corrupt" in err
+
+
+def test_cache_write_failure_warns(capsys, tmp_path):
+    blocker = tmp_path / "F"
+    blocker.write_text("")  # a file where the cache directory should go
+    argv = ["cops", "--spec", "fwl_k", "--g", "C~", "--cache-dir", str(blocker)]
     code, envelope, err = run_cli(capsys, argv)
-    assert code == 0 and envelope["payload"]["count"] == 0
+    assert code == 0 and envelope["payload"]["winner"] == "robber"
     assert envelope["telemetry"]["cache"] == "miss"
-    assert "corrupt" in err
+    assert err.startswith("warning:") and "error:" not in err
+
+
+@pytest.mark.parametrize("flag", ["--out", "--csv"])
+def test_unwritable_report_path_exits_2(capsys, tmp_path, flag):
+    target = tmp_path / "missing" / "report"
+    argv = ["power", "--spec", "fwl_k", "--max-nodes", "3", flag, str(target)]
+    code, envelope, err = run_cli(capsys, argv)
+    assert code == 2 and err.startswith("error:") and envelope is None
+    assert not target.parent.exists()
 
 
 def test_cache_version_gate(tmp_path, monkeypatch):

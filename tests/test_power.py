@@ -94,6 +94,12 @@ def test_compare_to_treewidth_limits():
         wl.compare_to_treewidth(2, 8)
 
 
+def test_compare_to_treewidth_incomplete_sweep_raises():
+    with pytest.raises(BudgetError, match="power enumeration incomplete") as info:
+        wl.compare_to_treewidth(2, 5, max_states=10)
+    assert info.value.stats["undecided"] > 0
+
+
 def test_validate_theorem2_small():
     for name in ("local_1fwl", "2fwl"):
         report = wl.validate_theorem2(wl.BUILTIN_SPECS[name], 3)

@@ -3,11 +3,12 @@ equivariance, and closure under homomorphisms."""
 
 import itertools
 import random
+import time
 
 import pytest
 
 import wlpower as wl
-from wlpower.errors import ConfigurationError, DomainError
+from wlpower.errors import BudgetError, ConfigurationError, DomainError, deadline
 from wlpower.selectors import f_set, r_set
 
 
@@ -192,6 +193,29 @@ def test_hom_closed_negative_control():
     assert not report.passed
     ce = report.counterexamples[0]
     assert set(ce) >= {"g", "h", "hom"}
+
+
+def test_hom_closed_r_sets_computed_once_per_graph():
+    calls = []
+
+    def universe(g):
+        calls.append(g)
+        return wl.r_set(wl.RSelector("all_k_tuples"), 2, g)
+
+    pool = small_pool()
+    assert wl.check_hom_closed(universe, 2, None, pool).passed
+    assert len(calls) == len(pool)
+
+
+def test_hom_closed_deadline_is_checked_inside_a_pair():
+    # P7 -> K7 alone runs to the 50,000-map cap, checking 49 tuples per
+    # map: seconds of work inside one pool pair.
+    pool = [wl.path_graph(7), wl.complete_graph(7)]
+    start = time.perf_counter()
+    with pytest.raises(BudgetError, match="time limit"):
+        with deadline(50, start):
+            wl.check_hom_closed(wl.fwl_spec(2).f_selector, 2, 1, pool)
+    assert time.perf_counter() - start < 0.5
 
 
 def test_hom_closed_truncation():
