@@ -459,23 +459,26 @@ class _EfSolver:
         return _max_matching(len(d), len(e), adjacency)
 
     def _survives(self, sid: int) -> bool:
+        """Judge a removing state, or a putting state with equal-size choice sets."""
         if self.choices[sid] is None:
             return all(s != -1 and self.alive[s] for s in self.succs[sid])
-        d, e = self.choices[sid]
-        return len(d) == len(e) and -1 not in self._matching(sid)
+        return -1 not in self._matching(sid)
 
     def fixpoint(self) -> None:
-        count = len(self.states.keys)
-        alive = self.alive = [True] * count
-        dead = [sid for sid in range(count) if not self._survives(sid)]
-        for sid in dead:
-            alive[sid] = False
+        """Putting states with unequal choice sets die at once; a backward
+        pass judges the rest, then rejudges those a later death may kill."""
+        alive = self.alive = [c is None or len(c[0]) == len(c[1]) for c in self.choices]
         preds = self.states.preds
-        while dead:
-            for pred in preds[dead.pop()]:
-                if alive[pred] and not self._survives(pred):
-                    alive[pred] = False
-                    dead.append(pred)
+        stale = []
+        for sid in reversed(range(len(alive))):
+            if alive[sid] and not self._survives(sid):
+                alive[sid] = False
+                stale.extend(p for p in preds[sid] if p > sid)
+        while stale:
+            sid = stale.pop()
+            if alive[sid] and not self._survives(sid):
+                alive[sid] = False
+                stale.extend(preds[sid])
 
     def certificate(self, root_alive: bool) -> dict:
         keys = self.states.keys

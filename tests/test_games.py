@@ -12,7 +12,7 @@ import pytest
 
 import wlpower as wl
 from wlpower.errors import BudgetError, CertificateError
-from wlpower.games import _PursuitMoves, has_safe_bijection
+from wlpower.games import _EfSolver, _PursuitMoves, has_safe_bijection
 
 
 def nx_trees(n: int) -> list[wl.Graph]:
@@ -127,6 +127,33 @@ def test_bijection_agrees_with_refinement(classes4):
             verdict = wl.spoiler_wins(spec, g, h, want_certificate=False)
             expected = "spoiler" if wl.distinguish(spec, g, h) else "duplicator"
             assert verdict.winner == expected
+
+
+def test_bijection_fixpoint_matches_naive_iteration(classes4):
+    # The solver's backward pass with rechecks must delete exactly the
+    # states that plain round-robin deletion until nothing changes does.
+    def naive_alive(solver):
+        solver.alive = [True] * len(solver.states.keys)
+        changed = True
+        while changed:
+            changed = False
+            for sid, choice in enumerate(solver.choices):
+                unequal = choice is not None and len(choice[0]) != len(choice[1])
+                if solver.alive[sid] and (unequal or not solver._survives(sid)):
+                    solver.alive[sid] = False
+                    changed = True
+        return solver.alive
+
+    pairs = list(itertools.combinations_with_replacement(classes4, 2))
+    two_c3 = wl.disjoint_union(wl.complete_graph(3), wl.complete_graph(3))
+    pairs += [(wl.cycle_graph(5), wl.path_graph(5)), (wl.cycle_graph(6), two_c3)]
+    for spec in wl.BUILTIN_SPECS.values():
+        for g, h in pairs:
+            solver = _EfSolver(spec, g, h, 100_000)
+            solver.generate()
+            solver.fixpoint()
+            fast = solver.alive
+            assert naive_alive(solver) == fast
 
 
 def test_verdict_deterministic(c6, two_c3):
