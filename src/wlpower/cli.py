@@ -341,7 +341,9 @@ def run(args: argparse.Namespace) -> int:
             params = {name: getattr(args, name) for name in command.cache_params}
             key = cache_key(args.command, specs[0] if specs else None, graphs, params)
         cache_status = "off" if cache_dir is None else "miss"
-        payload = cache_lookup(cache_dir, key) if key is not None else None
+        # CSV rows come from per-graph telemetry, which the cache does not hold
+        reusable = key is not None and not getattr(args, "csv", None)
+        payload = cache_lookup(cache_dir, key) if reusable else None
         extra: dict = {}
         if payload is not None:
             cache_status = "hit"

@@ -358,33 +358,16 @@ def distance_table(g: Graph) -> DistanceTable:
 # Homomorphism counting
 
 
-def _component_order(g: Graph, comp: set, seeds: Sequence[int]) -> list[int]:
-    """BFS order of ``comp`` starting from ``seeds`` (or the smallest node),
-    so all but the first node have an already-ordered neighbor when the
-    component is connected."""
-    order = []
-    seen = set()
-    queue = deque()
-    for s in sorted(seeds) or [min(comp)]:
-        seen.add(s)
-        queue.append(s)
-    while queue:
-        u = queue.popleft()
-        order.append(u)
-        for w in sorted(g.adj[u]):
-            if w in comp and w not in seen:
-                seen.add(w)
-                queue.append(w)
-    return order
-
-
 def rooted_hom_count(pattern: Graph, pins: Mapping[int, int], target: Graph) -> int:
     """Count homomorphisms ``pattern -> target`` extending ``pins``.
 
-    With empty pins this equals :func:`hom_count`.  Counting backtracks
-    over pattern nodes in a per-component BFS order, intersecting the
-    target adjacency of already-assigned neighbors.  The run deadline is
-    checked every 1024 calls that assign a node.
+    With empty pins this equals :func:`hom_count`.  Each component is
+    searched in an order that places its pins first (or else its lowest
+    node), then always the lowest unplaced node next to a placed one.  A
+    node's candidates are its allowed images (its pin, or every target
+    node) ANDed with the target adjacency masks of its placed neighbors;
+    the last node's are counted, not visited.  The run deadline is
+    checked every 1024 calls that place a node.
     """
     for u, img in pins.items():
         if not 0 <= u < pattern.n:
@@ -392,44 +375,44 @@ def rooted_hom_count(pattern: Graph, pins: Mapping[int, int], target: Graph) -> 
         if not 0 <= img < target.n:
             raise DomainError(f"pin value {img} is not a target node")
 
+    adj, target_adj = pattern.adj_masks, target.adj_masks
+    pinned = node_mask(pins)
+    every_node = (1 << target.n) - 1
+    image = [0] * pattern.n
     total = 1
     calls = 0
-    for comp in components_avoiding(pattern, ()):
-        comp_set = set(comp)
-        comp_pins = {u: pins[u] for u in comp_set if u in pins}
-        order = _component_order(pattern, comp_set, sorted(comp_pins))
-        assignment = {}
-        ok = True
-        for u, img in comp_pins.items():
-            assignment[u] = img
-        for u, img in comp_pins.items():
-            for w in pattern.adj[u]:
-                if w in assignment and not target.has_edge(img, assignment[w]):
-                    ok = False
-        if not ok:
-            return 0
-        free_order = [u for u in order if u not in comp_pins]
+    for comp in component_masks(pattern, 0):
+        # (node, its neighbors placed before it, its allowed images), in
+        # search order
+        steps = []
+        placed = reach = 0
+        pending = comp & pinned or comp & -comp
+        while pending:
+            low = pending & -pending
+            u = low.bit_length() - 1
+            steps.append((u, mask_nodes(adj[u] & placed), 1 << pins[u] if low & pinned else every_node))
+            placed |= low
+            reach |= adj[u]
+            rest = comp & ~placed
+            pending = rest & pinned or rest & reach
+        last = len(steps) - 1
 
         def count_from(idx: int) -> int:
             nonlocal calls
-            if idx == len(free_order):
-                return 1
             calls += 1
             if not calls & 1023:
                 check_deadline()
-            u = free_order[idx]
-            assigned_nbrs = [w for w in pattern.adj[u] if w in assignment]
-            if assigned_nbrs:
-                candidates = set(target.adj[assignment[assigned_nbrs[0]]])
-                for w in assigned_nbrs[1:]:
-                    candidates &= target.adj[assignment[w]]
-            else:
-                candidates = range(target.n)
+            u, placed_nbrs, candidates = steps[idx]
+            for w in placed_nbrs:
+                candidates &= target_adj[image[w]]
+            if idx == last:
+                return candidates.bit_count()
             subtotal = 0
-            for img in candidates:
-                assignment[u] = img
+            while candidates:
+                low = candidates & -candidates
+                image[u] = low.bit_length() - 1
                 subtotal += count_from(idx + 1)
-                del assignment[u]
+                candidates ^= low
             return subtotal
 
         total *= count_from(0)
@@ -446,20 +429,21 @@ def hom_count(pattern: Graph, target: Graph) -> int:
 
 def homomorphisms(pattern: Graph, target: Graph) -> Iterator[tuple[int, ...]]:
     """Yield every homomorphism as an image tuple, in lexicographic order."""
+    target_adj = target.adj_masks
+    every_node = (1 << target.n) - 1
+    earlier_nbrs = [mask_nodes(m & ((1 << u) - 1)) for u, m in enumerate(pattern.adj_masks)]
     img = [0] * pattern.n
 
     def extend(u: int) -> Iterator[tuple[int, ...]]:
         if u == pattern.n:
             yield tuple(img)
             return
-        for cand in range(target.n):
-            if all(
-                target.has_edge(cand, img[w])
-                for w in pattern.adj[u]
-                if w < u
-            ):
-                img[u] = cand
-                yield from extend(u + 1)
+        candidates = every_node
+        for w in earlier_nbrs[u]:
+            candidates &= target_adj[img[w]]
+        for cand in mask_nodes(candidates):
+            img[u] = cand
+            yield from extend(u + 1)
 
     yield from extend(0)
 
@@ -571,12 +555,10 @@ def canonical_form(g: Graph) -> bytes:
 # Enumeration of isomorphism classes
 
 
-def enumerate_connected_graphs(
-    n_max: int,
-    *,
-    connected_only: bool = True,
-    budget_nodes: int = 8,
-) -> Iterator[Graph]:
+_ENUM_MAX_NODES = 8
+
+
+def enumerate_connected_graphs(n_max: int, *, connected_only: bool = True) -> Iterator[Graph]:
     """Yield one canonical representative per isomorphism class with
     1..n_max nodes, ordered by node count then canonical form.
 
@@ -586,13 +568,14 @@ def enumerate_connected_graphs(
     one node to every class on ``n - 1`` nodes with every (nonempty, in
     the connected case) neighborhood subset, deduplicating by canonical
     form.  Every connected graph has a non-cut vertex, so the connected
-    augmentation is exhaustive.
+    augmentation is exhaustive.  ``n_max`` over ``_ENUM_MAX_NODES``
+    raises :class:`BudgetError`.
     """
     if n_max < 0:
         raise DomainError("n_max must be nonnegative")
-    if n_max > budget_nodes:
+    if n_max > _ENUM_MAX_NODES:
         raise BudgetError(
-            f"enumeration budget is {budget_nodes} nodes, got n_max={n_max}",
+            f"enumeration budget is {_ENUM_MAX_NODES} nodes, got n_max={n_max}",
             stats={"n_max": n_max},
         )
     previous: list[Graph] = []

@@ -222,47 +222,51 @@ class HomClosedReport:
         return not self.counterexamples
 
 
+_MAX_MAPS_PER_PAIR = 50000
+
+
 def check_hom_closed(
     sel: RSelector | FSelector,
     k: int,
     t: int | None,
     pool: Sequence[Graph],
-    *,
-    max_maps_per_pair: int = 50000,
 ) -> HomClosedReport:
     """Check closure under homomorphisms on a pool of small graphs.
 
-    For an :class:`RSelector` (``t is None``): every homomorphism ``h``
-    must satisfy ``h(R(G)) subset of R(H)``.  For an :class:`FSelector`:
-    ``h(F(G, v)) subset of F(H, h(v)))`` for every k-tuple ``v``.  The
-    per-pair map budget marks the report as truncated instead of failing.
-    ``sel`` may also be a callable (``graph -> set`` in R mode,
-    ``(graph, v) -> set`` in F mode) for negative controls.
+    For an :class:`FSelector`: ``h(F(G, v)) subset of F(H, h(v)))`` for
+    every homomorphism ``h`` and k-tuple ``v``.  For an
+    :class:`RSelector` (``t is None``): ``h(R(G)) subset of R(H)``,
+    checked as F mode with the single key ``()``, since ``R(G)`` is
+    ``F(G, ())``.  Each graph's sets are computed once, on first use.
+    More than ``_MAX_MAPS_PER_PAIR`` maps in one pair marks the report as
+    truncated instead of failing.  ``sel`` may also be a callable
+    (``graph -> set`` in R mode, ``(graph, v) -> set`` in F mode) for
+    negative controls.  A counterexample names its ``"tuple"`` in F mode.
     The run deadline is checked once per pool pair and every 1024 maps.
     """
     if t is None:
         get_r = sel if callable(sel) else (lambda graph: r_set(sel, k, graph))
-        r_sets = [get_r(graph) for graph in pool]
+        get = lambda graph, v: get_r(graph)
     else:
-        get_f = sel if callable(sel) else (lambda graph, v: f_set(sel, t, graph, v))
+        get = sel if callable(sel) else (lambda graph, v: f_set(sel, t, graph, v))
+    tables: list[dict[tuple, set]] = [{} for _ in pool]
+
+    def selected(i: int, v: tuple) -> set:
+        if v not in tables[i]:
+            tables[i][v] = get(pool[i], v)
+        return tables[i][v]
+
     pairs = 0
     maps = 0
     truncated = False
     counterexamples = []
     for gi, g in enumerate(pool):
-        if t is not None:
-            source_f = {
-                v: get_f(g, v)
-                for v in itertools.product(range(g.n), repeat=k)
-            }
+        keys = [()] if t is None else itertools.product(range(g.n), repeat=k)
+        sources = [(v, selected(gi, v)) for v in keys]
         for hi, h_graph in enumerate(pool):
             check_deadline()
             pairs += 1
-            if t is None:
-                source_r, target_r = r_sets[gi], r_sets[hi]
-            else:
-                target_f: dict[tuple, set] = {}
-            budget = max_maps_per_pair
+            budget = _MAX_MAPS_PER_PAIR
             for hom in homomorphisms(g, h_graph):
                 if budget == 0:
                     truncated = True
@@ -271,24 +275,14 @@ def check_hom_closed(
                 if not maps & 1023:
                     check_deadline()
                 maps += 1
-                if t is None:
-                    if not _map_tuples(source_r, hom) <= target_r:
-                        counterexamples.append({"g": g, "h": h_graph, "hom": hom})
+                for v, source in sources:
+                    if not _map_tuples(source, hom) <= selected(hi, tuple(hom[x] for x in v)):
                         break
                 else:
-                    bad = False
-                    for v, f_of_v in source_f.items():
-                        target_v = tuple(hom[x] for x in v)
-                        if target_v not in target_f:
-                            target_f[target_v] = get_f(h_graph, target_v)
-                        if not _map_tuples(f_of_v, hom) <= target_f[target_v]:
-                            counterexamples.append(
-                                {"g": g, "h": h_graph, "hom": hom, "tuple": v}
-                            )
-                            bad = True
-                            break
-                    if bad:
-                        break
+                    continue
+                example = {"g": g, "h": h_graph, "hom": hom}
+                counterexamples.append(example if t is None else {**example, "tuple": v})
+                break
     return HomClosedReport(
         pairs_checked=pairs,
         maps_checked=maps,

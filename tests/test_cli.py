@@ -418,6 +418,21 @@ def test_cache_hit_and_permutation_insensitivity(capsys, tmp_path):
     assert len(cache_files(cache)) == 1
 
 
+def test_cache_hit_still_writes_csv(capsys, tmp_path):
+    # The CSV rows come from per-graph telemetry, which the cache does not
+    # hold, so a run that asks for --csv computes instead of reading it.
+    argv = ["power", "--spec", "fwl_k", "--max-nodes", "3", "--cache-dir", str(tmp_path / "cache")]
+    code, first, _ = run_cli(capsys, argv)
+    assert code == 0 and first["telemetry"]["cache"] == "miss"
+    csv_path = tmp_path / "p.csv"
+    code, second, _ = run_cli(capsys, argv + ["--csv", str(csv_path)])
+    assert code == 0 and second["payload"] == first["payload"]
+    lines = csv_path.read_text().strip().splitlines()
+    assert lines[0].startswith("graph6,") and len(lines) == 1 + len(wl.connected_classes(3))
+    code, third, _ = run_cli(capsys, argv)
+    assert code == 0 and third["telemetry"]["cache"] == "hit"
+
+
 def test_cache_key_sensitive_to_budget_and_spec(capsys, tmp_path):
     cache = tmp_path / "cache"
     k4 = wl.emit_graph6(wl.complete_graph(4))

@@ -77,6 +77,36 @@ def test_bijection_certificate_digest(classes4):
     assert digest == SPOILER_FWL2_N4_SHA256
 
 
+# SHA-256 over ``(pattern graph6, target graph6, result)`` of the
+# homomorphism layer on every class, connected or not, computed on the
+# set-based search before it moved to adjacency masks: a differential
+# test of the mask path against the path it replaced.  ``maps`` pins the
+# lexicographic order the hom-closedness suite depends on.
+HOM_SHA256 = {
+    "hom_count": "28dfcc22ab1aefde92e15ca361a90add8d05ae9e9e441b3e3f44b3e45ab63bea",
+    "rooted": "b30f99d7413a4451c0730a6c1baf0603ba49b0b0aacdc134880e73556bcdc19f",
+    "maps": "99208eabb4bc9aa54e18385b1954b16e970828ebe3cf1c80b40d473e14769522",
+}
+HOM_CASES = {
+    # name: (pattern n_max, target n_max, result of one pair)
+    "hom_count": (5, 6, wl.hom_count),
+    "rooted": (4, 5, lambda p, t: [wl.rooted_hom_count(p, {0: v}, t) for v in range(t.n)]),
+    "maps": (4, 5, lambda p, t: list(wl.homomorphisms(p, t))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HOM_SHA256))
+def test_hom_layer_digests(name):
+    n_patterns, n_targets, result = HOM_CASES[name]
+    patterns = list(wl.enumerate_connected_graphs(n_patterns, connected_only=False))
+    targets = list(wl.enumerate_connected_graphs(n_targets, connected_only=False))
+    digest = hashlib.sha256()
+    for p in patterns:
+        for t in targets:
+            digest.update(json.dumps([wl.emit_graph6(p), wl.emit_graph6(t), result(p, t)]).encode())
+    assert digest.hexdigest() == HOM_SHA256[name]
+
+
 # SHA-256 of ``to_json_dict()`` of the refinement-side validation
 # suites, computed before they moved from pairwise refinement to one
 # joint run per class set.

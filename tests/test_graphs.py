@@ -303,6 +303,29 @@ def test_hom_count_deadline_is_checked_inside_the_count():
     assert time.perf_counter() - start < 0.3
 
 
+@st.composite
+def pinned_hom_instances(draw):
+    pattern = draw(graphs(max_n=5))
+    target = draw(graphs(max_n=5))
+    pins = {}
+    if pattern.n and target.n:
+        keys = draw(st.lists(st.integers(0, pattern.n - 1), unique=True, max_size=2))
+        pins = {u: draw(st.integers(0, target.n - 1)) for u in keys}
+    return pattern, pins, target
+
+
+@settings(max_examples=200, deadline=None)
+@given(pinned_hom_instances())
+def test_rooted_hom_count_matches_filtered_maps(instance):
+    # Patterns may be disconnected, so pins can fall in any component.
+    pattern, pins, target = instance
+    agreeing = [
+        img for img in wl.homomorphisms(pattern, target)
+        if all(img[u] == v for u, v in pins.items())
+    ]
+    assert wl.rooted_hom_count(pattern, pins, target) == len(agreeing)
+
+
 @settings(max_examples=30, deadline=None)
 @given(graph_with_permutation(max_n=5))
 def test_hom_count_is_isomorphism_invariant(gp):
@@ -406,7 +429,7 @@ def test_enumeration_budget():
 
 @pytest.mark.slow
 def test_enumeration_n7():
-    sevens = [g for g in wl.enumerate_connected_graphs(7, budget_nodes=7) if g.n == 7]
+    sevens = [g for g in wl.enumerate_connected_graphs(7) if g.n == 7]
     assert len(sevens) == 853
     keys = {wl.canonical_form(g) for g in sevens}
     assert len(keys) == 853

@@ -207,6 +207,18 @@ def test_hom_closed_r_sets_computed_once_per_graph():
     assert len(calls) == len(pool)
 
 
+def test_hom_closed_f_sets_computed_once_per_graph_and_tuple():
+    calls = []
+
+    def neighbors(g, v):
+        calls.append((g, v))
+        return wl.f_set(wl.FSelector("local_neighbor_union"), 1, g, v)
+
+    pool = small_pool()
+    assert wl.check_hom_closed(neighbors, 2, 1, pool).passed
+    assert len(calls) == len(set(calls)) == sum(g.n ** 2 for g in pool)
+
+
 def test_hom_closed_deadline_is_checked_inside_a_pair():
     # P7 -> K7 alone runs to the 50,000-map cap, checking 49 tuples per
     # map: seconds of work inside one pool pair.
@@ -218,9 +230,8 @@ def test_hom_closed_deadline_is_checked_inside_a_pair():
     assert time.perf_counter() - start < 0.5
 
 
-def test_hom_closed_truncation():
+def test_hom_closed_truncation(monkeypatch):
+    monkeypatch.setattr(wl.selectors, "_MAX_MAPS_PER_PAIR", 3)
     pool = [wl.empty_graph(4)]
-    report = wl.check_hom_closed(
-        wl.RSelector("all_k_tuples"), 2, None, pool, max_maps_per_pair=3
-    )
+    report = wl.check_hom_closed(wl.RSelector("all_k_tuples"), 2, None, pool)
     assert report.truncated
