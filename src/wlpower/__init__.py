@@ -16,7 +16,6 @@ from .graphs import (
     INFINITY,
     DistanceTable,
     Graph,
-    IsoType,
     atp,
     canonical_form,
     complete_graph,

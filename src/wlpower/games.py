@@ -121,14 +121,15 @@ def _stage_groups(tuples: set[tuple[int, ...]], seq: tuple[int, ...]) -> list[di
 
 class _MoveTables:
     """Per-graph choice sets: for each putting stage, the suffix sets of
-    the staged tuple universe grouped by occupied prefix."""
+    the staged tuple universe grouped by occupied prefix; and a memo of
+    the :func:`~wlpower.graphs.atp` code of each occupied tuple."""
 
     def __init__(self, spec: GfwlSpec, g: Graph):
         self.spec = spec
         self.g = g
         self.r_groups = _stage_groups(r_set(spec.r_selector, spec.k, g), spec.i_seq)
         self._f_groups: dict = {}
-        self._atp_ids: dict = {}
+        self._types: dict = {}
 
     def _f_stages(self, main: tuple) -> list[dict]:
         cached = self._f_groups.get(main)
@@ -144,15 +145,12 @@ class _MoveTables:
         main, aux = pos[: self.spec.k], pos[self.spec.k:]
         return self._f_stages(main)[phase[1] - 1].get(aux, [])
 
-    def atp_id(self, tup: tuple, shared_intern: dict) -> int:
-        """Isomorphism-type identifier comparable across graphs sharing
-        ``shared_intern``."""
-        ident = self._atp_ids.get(tup)
-        if ident is None:
-            iso = atp(self.g, tup)
-            ident = shared_intern.setdefault(iso, len(shared_intern))
-            self._atp_ids[tup] = ident
-        return ident
+    def type_code(self, tup: tuple) -> int:
+        """``atp(g, tup)``, memoized per tuple."""
+        code = self._types.get(tup)
+        if code is None:
+            code = self._types[tup] = atp(self.g, tup)
+        return code
 
 
 # ---------------------------------------------------------------------------
@@ -161,14 +159,16 @@ class _MoveTables:
 
 class _BijectionMoves:
     """The bijection game on ``(g, h)``.  A state key is ``(phase,
-    g-side tuple, h-side tuple)``; one atp intern shared by both sides
-    decides whether two occupied tuples have the same type."""
+    g-side tuple, h-side tuple)``; two occupied tuples have the same
+    type when their :func:`~wlpower.graphs.atp` codes are equal.  Only a
+    put can end in a type mismatch: it checks the whole position, and
+    every index selection of two tuples of one type has one type, so a
+    removal never does."""
 
     def __init__(self, spec: GfwlSpec, g: Graph, h: Graph):
         self.spec = spec
         self.tables_g = _MoveTables(spec, g)
         self.tables_h = _MoveTables(spec, h)
-        self._intern: dict = {}
 
     def choices(self, key: tuple) -> tuple[list, list]:
         """The g-side and h-side choice sets of a putting state."""
@@ -180,26 +180,20 @@ class _BijectionMoves:
         type mismatch."""
         phase, pos_g, pos_h = key
         new_g, new_h = pos_g + a, pos_h + b
-        if self.tables_g.atp_id(new_g, self._intern) != self.tables_h.atp_id(new_h, self._intern):
+        if self.tables_g.type_code(new_g) != self.tables_h.type_code(new_h):
             return None
         return (_next_phase(self.spec, phase), new_g, new_h)
 
-    def removal(self, key: tuple, combo: tuple) -> tuple | None:
+    def removal(self, key: tuple, combo: tuple) -> tuple:
         """The state after the pebbles at index selection ``combo`` are
-        kept, or None on a type mismatch."""
+        kept."""
         _, pos_g, pos_h = key
-        sel_g = tuple([pos_g[i] for i in combo])
-        sel_h = tuple([pos_h[i] for i in combo])
-        if self.tables_g.atp_id(sel_g, self._intern) != self.tables_h.atp_id(sel_h, self._intern):
-            return None
-        return (("U", 1), sel_g, sel_h)
+        return (("U", 1), tuple([pos_g[i] for i in combo]), tuple([pos_h[i] for i in combo]))
 
     def removals(self, key: tuple) -> list[tuple]:
-        """``[(index selection, successor or None)]`` of a removing state."""
-        return [
-            (combo, self.removal(key, combo))
-            for combo in _index_vectors(self.spec.k, self.spec.t)
-        ]
+        """The successors of a removing state, one per index selection
+        in lexicographic order."""
+        return [self.removal(key, combo) for combo in _index_vectors(self.spec.k, self.spec.t)]
 
 
 class _PursuitMoves:
@@ -410,9 +404,8 @@ class _EfSolver:
     """Per state in sid order (the root is state 0): ``choices`` holds a
     putting state's g-side and h-side choice lists (None for a removing
     state), and ``succs`` its moves: ``(g index, h index, successor)``
-    per type-consistent put, or per index selection the successor, -1 on
-    a type mismatch.  ``states.preds[sid]`` lists each state with a move
-    to ``sid`` once."""
+    per type-consistent put, or the successor per index selection.
+    ``states.preds[sid]`` lists each state with a move to ``sid`` once."""
 
     def __init__(self, spec: GfwlSpec, g: Graph, h: Graph, max_states: int):
         self.spec = spec
@@ -429,8 +422,7 @@ class _EfSolver:
         for sid, key in states.walk():
             if key[0][0] == "R":
                 choice = None
-                succs = [-1 if s is None else add(s) for _, s in game.removals(key)]
-                targets = [s for s in succs if s != -1]
+                succs = targets = [add(s) for s in game.removals(key)]
             else:
                 choice = d, e = game.choices(key)
                 succs = []
@@ -461,7 +453,7 @@ class _EfSolver:
     def _survives(self, sid: int) -> bool:
         """Judge a removing state, or a putting state with equal-size choice sets."""
         if self.choices[sid] is None:
-            return all(s != -1 and self.alive[s] for s in self.succs[sid])
+            return all(self.alive[s] for s in self.succs[sid])
         return -1 not in self._matching(sid)
 
     def fixpoint(self) -> None:
@@ -497,7 +489,7 @@ class _EfSolver:
             if self.alive[sid] or self.choices[sid] is not None:
                 continue
             for combo, succ in zip(combos, self.succs[sid]):
-                if succ == -1 or not self.alive[succ]:
+                if not self.alive[succ]:
                     remove_choices[key] = combo
                     break
         return {
@@ -760,7 +752,7 @@ def _replay_duplicator(cert: dict, spec: GfwlSpec, g: Graph, h: Graph) -> bool:
                 return False  # not a bijection between the two choice sets
             succs = [game.put(key, a, b) for a, b in pairs]
         else:
-            succs = [succ for _, succ in game.removals(key)]
+            succs = game.removals(key)
         if None in succs:
             return False
         for succ in succs:

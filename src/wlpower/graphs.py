@@ -243,33 +243,30 @@ def graph_to_json(g: Graph) -> dict:
 # Isomorphism types of node tuples
 
 
-@dataclass(frozen=True)
-class IsoType:
-    """Isomorphism type of a node tuple.
+def atp(g: Graph, v: Sequence[int]) -> int:
+    """Isomorphism type of tuple ``v`` inside ``g`` as one integer code.
 
-    Two tuples (possibly in different graphs) share an IsoType exactly
-    when they have the same length, the same entry-equality pattern, and
-    the same induced adjacency between positions.
+    The code's bits are a leading 1, then each entry's first position in
+    ``v`` in fields of ``len(v).bit_length()`` bits, then one adjacency
+    bit per position pair ``i < j`` in lexicographic order.  The bit
+    length fixes ``len(v)``, so two tuples, in one graph or in two, get
+    equal codes exactly when they have the same length, the same
+    entry-equality pattern and the same induced adjacency.
     """
-
-    length: int
-    equality_pattern: tuple[int, ...]
-    adjacency_pattern: frozenset
-
-
-def atp(g: Graph, v: Sequence[int]) -> IsoType:
-    """Isomorphism type of tuple ``v`` inside ``g``."""
     v = tuple(v)
     for x in v:
         if not 0 <= x < g.n:
             raise DomainError(f"tuple entry {x} outside 0..{g.n - 1}")
-    equality = tuple(v.index(x) for x in v)
-    adjacency = frozenset(
-        (i, j)
-        for i, j in itertools.combinations(range(len(v)), 2)
-        if g.has_edge(v[i], v[j])
-    )
-    return IsoType(len(v), equality, adjacency)
+    width = len(v).bit_length()
+    code = 1
+    for x in v:
+        code = code << width | v.index(x)
+    adj = g.adj_masks
+    for i, x in enumerate(v):
+        row = adj[x]
+        for y in v[i + 1:]:
+            code = code << 1 | row >> y & 1
+    return code
 
 
 # ---------------------------------------------------------------------------

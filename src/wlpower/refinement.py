@@ -3,10 +3,10 @@
 An instance is configured by :class:`GfwlSpec`: arities ``k`` and ``t``,
 two strictly increasing index sequences that stage the aggregations, and
 the two tuple-set selectors.  Colors start as isomorphism types of the
-selected k-tuples, then repeat an update step (replacement messages from
-the selected t-tuples, collapsed by nested multiset aggregations) until
-the induced partition stops changing, and finally pool to one
-graph-level color.
+selected k-tuples (the integer codes of :func:`~wlpower.graphs.atp`),
+then repeat an update step (replacement messages from the selected
+t-tuples, collapsed by nested multiset aggregations) until the induced
+partition stops changing, and finally pool to one graph-level color.
 
 All hashing goes through one shared append-only :class:`ColorDictionary`
 mapping canonical content keys to fresh integers, so color identifiers
@@ -48,9 +48,11 @@ def replacements(v: Sequence[int], u: Sequence[int]) -> list[tuple[int, ...]]:
 class ColorDictionary:
     """Shared injective hash: canonical content keys to fresh integers.
 
-    Keys embed their role and aggregation depth (``("atp", ...)``,
-    ``("msg", ...)``, ``("aggr", stage, length, ...)``), so one
-    dictionary safely serves every hashing site of a refinement run.
+    Keys embed their role and aggregation depth (``("atp", code)`` with
+    the integer code of :func:`~wlpower.graphs.atp`, ``("msg", ...)``,
+    ``("aggr", stage, length, ...)``), so one dictionary safely serves
+    every hashing site of a refinement run.  Ids follow the order in
+    which keys are first seen.
     """
 
     def __init__(self):
@@ -87,8 +89,10 @@ class GfwlSpec:
     def __post_init__(self):
         object.__setattr__(self, "i_seq", tuple(self.i_seq))
         object.__setattr__(self, "j_seq", tuple(self.j_seq))
-        if self.k < 1 or self.t < 1:
-            raise ConfigurationError(f"k and t must be positive, got k={self.k}, t={self.t}")
+        if not (isinstance(self.k, int) and isinstance(self.t, int)) or self.k < 1 or self.t < 1:
+            raise ConfigurationError(
+                f"k and t must be positive integers, got k={self.k!r}, t={self.t!r}"
+            )
         _check_index_seq("i_seq", self.i_seq, self.k)
         _check_index_seq("j_seq", self.j_seq, self.t)
         self.r_selector.validate_arity(self.k)
@@ -121,24 +125,23 @@ class GfwlSpec:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "GfwlSpec":
+        """The spec of a JSON object; a missing or mistyped field raises
+        :class:`ConfigurationError`."""
+        names = ("k", "t", "i_seq", "j_seq", "r", "f")
         try:
-            return cls(
-                k=obj["k"],
-                t=obj["t"],
-                i_seq=tuple(obj["i_seq"]),
-                j_seq=tuple(obj["j_seq"]),
-                r_selector=RSelector.from_json_dict(obj["r"]),
-                f_selector=FSelector.from_json_dict(obj["f"]),
-            )
+            k, t, i_seq, j_seq, r, f = (obj[name] for name in names)
         except KeyError as exc:
             raise ConfigurationError(f"spec file missing field {exc}") from exc
+        if not all(isinstance(seq, (list, tuple)) for seq in (i_seq, j_seq)):
+            raise ConfigurationError(f"i_seq and j_seq must be arrays, got {i_seq!r}, {j_seq!r}")
+        if not all(isinstance(sel, dict) for sel in (r, f)):
+            raise ConfigurationError(f"r and f must be objects, got {r!r}, {f!r}")
+        return cls(k, t, i_seq, j_seq, RSelector.from_json_dict(r), FSelector.from_json_dict(f))
 
 
 def _check_index_seq(name: str, seq: tuple[int, ...], end: int) -> None:
-    if len(seq) < 2 or seq[0] != 0 or seq[-1] != end:
-        raise ConfigurationError(
-            f"{name} must run from 0 to {end}, got {seq}"
-        )
+    if len(seq) < 2 or not all(isinstance(x, int) for x in seq) or seq[0] != 0 or seq[-1] != end:
+        raise ConfigurationError(f"{name} must be integers running from 0 to {end}, got {seq}")
     if any(a >= b for a, b in zip(seq, seq[1:])):
         raise ConfigurationError(f"{name} must be strictly increasing, got {seq}")
 
@@ -253,20 +256,17 @@ def _replacement_walk(spec: GfwlSpec, g: Graph, rset: list):
 
 
 class _Context:
-    """Per-(spec, graph) precomputation shared by all update steps:
-    sorted tuple universe, per-tuple aggregation sets, replacement
-    tuples (validated against the universe), and interned concatenated
-    isomorphism types."""
+    """Per-(spec, graph) precomputation shared by all update steps: the
+    sorted tuple universe and, per colored tuple ``v``, one row per
+    aggregation tuple ``u`` in sorted order holding ``u``, the
+    dictionary id of the isomorphism type of ``v + u``, and the
+    replacements of ``v`` by ``u`` (validated against the universe)."""
 
     def __init__(self, spec: GfwlSpec, g: Graph, dictionary: ColorDictionary):
-        self.spec = spec
         self.g = g
         self.dictionary = dictionary
         self.rset = sorted(r_set(spec.r_selector, spec.k, g))
-        self.fsets: dict = {v: [] for v in self.rset}
-        self.rep_tuples: dict = {}
-        self.atp_ids: dict = {}
-        fsets, rep_tuples, atp_ids = self.fsets, self.rep_tuples, self.atp_ids
+        self.rows: dict = {v: [] for v in self.rset}
         for v, u, reps, outside in _replacement_walk(spec, g, self.rset):
             if outside:
                 c = outside[0]
@@ -274,9 +274,7 @@ class _Context:
                     f"replacement {reps[c]} of v={v} by u={u} (choice index {c})"
                     " lies outside the colored tuple universe"
                 )
-            fsets[v].append(u)
-            rep_tuples[(v, u)] = reps
-            atp_ids[(v, u)] = dictionary.id_for(("atp", atp(g, v + u)))
+            self.rows[v].append((u, dictionary.id_for(("atp", atp(g, v + u))), reps))
         self.j_desc = tuple(reversed(spec.j_seq[:-1]))
         self.i_desc = tuple(reversed(spec.i_seq[:-1]))
 
@@ -285,14 +283,14 @@ class _Context:
         return {v: dic.id_for(("atp", atp(self.g, v))) for v in self.rset}
 
     def step(self, colors: dict) -> dict:
-        dic = self.dictionary
+        id_for, j_desc = self.dictionary.id_for, self.j_desc
         new = {}
-        for v in self.rset:
-            msgs = {}
-            for u in self.fsets[v]:
-                cols = tuple(colors[w] for w in self.rep_tuples[(v, u)])
-                msgs[u] = dic.id_for(("msg", self.atp_ids[(v, u)], cols))
-            new[v] = _collapse(msgs, self.j_desc, "upd", dic)
+        for v, rows in self.rows.items():
+            msgs = {
+                u: id_for(("msg", type_id, tuple([colors[w] for w in reps])))
+                for u, type_id, reps in rows
+            }
+            new[v] = _collapse(msgs, j_desc, "upd", self.dictionary)
         return new
 
     def pool(self, colors: dict) -> int:

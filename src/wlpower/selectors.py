@@ -24,8 +24,8 @@ _F_KINDS = ("all_t_tuples", "all_nodes", "local_neighbor_union", "delta_ball_int
 
 def _check_delta(kind: str, delta: int | None, needs_delta: bool) -> None:
     if needs_delta:
-        if delta is None or delta < 1:
-            raise ConfigurationError(f"{kind} needs a positive delta, got {delta}")
+        if not isinstance(delta, int) or delta < 1:
+            raise ConfigurationError(f"{kind} needs a positive delta, got {delta!r}")
     elif delta is not None:
         raise ConfigurationError(f"{kind} takes no delta")
 

@@ -169,6 +169,23 @@ def test_exit_code_input_errors(capsys, c6_str):
     assert code == 2 and "strictly positive" in err
 
 
+MISTYPED_SPEC_FIELDS = [
+    pytest.param({"k": "2"}, id="k-string"),
+    pytest.param({"r": "all_k_tuples"}, id="r-string"),
+    pytest.param({"i_seq": 2}, id="i_seq-integer"),
+    pytest.param({"i_seq": [0, "1", 2]}, id="i_seq-string-entry"),
+    pytest.param({"r": {"kind": "distance_restricted", "delta": "1"}}, id="delta-string"),
+]
+
+
+@pytest.mark.parametrize("field", MISTYPED_SPEC_FIELDS)
+def test_mistyped_spec_field_exits_2(capsys, tmp_path, field):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({**wl.fwl_spec(2).to_json_dict(), **field}))
+    code, envelope, err = run_cli(capsys, ["cops", "--spec", str(path), "--g", "C~"])
+    assert code == 2 and envelope is None and err.startswith("error:")
+
+
 def test_exit_code_budget(capsys, c6_str):
     code, _, err = run_cli(
         capsys, ["cops", "--spec", "fwl_k", "--g", c6_str, "--max-states", "10"]

@@ -156,6 +156,27 @@ def test_bijection_fixpoint_matches_naive_iteration(classes4):
             assert naive_alive(solver) == fast
 
 
+def test_removals_keep_one_type_on_both_sides(classes4):
+    # A removing state is reached only by a put that type-checked the
+    # whole position, so every index selection keeps pebbles of one type
+    # on both sides; this is why a removal needs no type check.
+    specs = [*wl.BUILTIN_SPECS.values(), wl.fwl_plus_spec(2, 2)]
+    checked = 0
+    for spec in specs:
+        combos = list(itertools.combinations(range(spec.k + spec.t), spec.k))
+        for g, h in itertools.combinations_with_replacement(classes4, 2):
+            solver = _EfSolver(spec, g, h, 100_000)
+            solver.generate()
+            removing = [key for key in solver.states.keys if key[0][0] == "R"]
+            checked += len(removing)
+            for _, pos_g, pos_h in removing:
+                for combo in combos:
+                    sel_g = [pos_g[i] for i in combo]
+                    sel_h = [pos_h[i] for i in combo]
+                    assert wl.atp(g, sel_g) == wl.atp(h, sel_h), (spec, g, h, pos_g, pos_h, combo)
+    assert checked > 10_000
+
+
 def test_verdict_deterministic(c6, two_c3):
     a = wl.spoiler_wins(wl.fwl_spec(2), c6, two_c3)
     b = wl.spoiler_wins(wl.fwl_spec(2), c6, two_c3)

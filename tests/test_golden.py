@@ -124,6 +124,31 @@ THEOREM2_SHA256 = {
 }
 
 
+# SHA-256 over the graph-level color ids of one joint refinement run,
+# computed while the initial colors were keyed by ``IsoType`` objects,
+# before ``atp`` became an integer code.  The ids come from the shared
+# dictionary in first-seen order, so the pin catches any change to which
+# keys the run hashes or in what order.  ``fwl_plus_2_2`` runs the
+# multi-stage ``j_seq`` path on the n <= 4 classes.
+JOINT_COLORS_SHA256 = {
+    "local_1fwl": "dc69fafb8f83b787ac7e1702357fe25593791273c55bc4acdd81b55acc3d42fc",
+    "2fwl": "1ae764b5b0635f01273de26c78228a8b31069dd3d3f764e8da0e96d6c3c17d89",
+    "local_2fwl": "a04e125627bf5b53c3ec4e70bd9823df8aa196b250a91e672200fd38f83bae27",
+    "drfwl2_1": "a3666a0089dc2a733da72dd7f2f4ee6262f0ec5b8096b352ceefb370dca5e550",
+    "fwl_plus_2_2": "3a4b218f1ae194faccd61b5ce8cddbb71e71e3e4bc481410d1a867d319feac05",
+}
+
+
+@pytest.mark.parametrize("name", sorted(JOINT_COLORS_SHA256))
+def test_joint_color_id_digests(name, classes4, classes6):
+    if name == "fwl_plus_2_2":
+        spec, classes = wl.fwl_plus_spec(2, 2), classes4
+    else:
+        spec, classes = wl.BUILTIN_SPECS[name], classes6
+    colors = wl.joint_graph_colors(spec, *classes)
+    assert hashlib.sha256(json.dumps(colors).encode()).hexdigest() == JOINT_COLORS_SHA256[name]
+
+
 def report_digest(report) -> str:
     return hashlib.sha256(json.dumps(report.to_json_dict(), sort_keys=True).encode()).hexdigest()
 

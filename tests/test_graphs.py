@@ -203,6 +203,29 @@ def test_atp_permutation_invariant(gp, arity):
         assert wl.atp(g, v) == wl.atp(h, tuple(perm[x] for x in v))
 
 
+def test_atp_code_equality_matches_naive_type():
+    # Over every tuple of length 1..4 on every class with n <= 5,
+    # connected or not, codes and the naive (length, equality pattern,
+    # adjacent position pairs) triples must be in bijection, so two codes
+    # are equal exactly when the types are, within a graph and across.
+    def naive(g, v):
+        pairs = itertools.combinations(range(len(v)), 2)
+        return len(v), tuple(v.index(x) for x in v), frozenset(
+            (i, j) for i, j in pairs if g.has_edge(v[i], v[j])
+        )
+
+    code_of, type_of = {}, {}
+    for g in wl.enumerate_connected_graphs(5, connected_only=False):
+        for length in range(1, 5):
+            for v in itertools.product(range(g.n), repeat=length):
+                code, ref = wl.atp(g, v), naive(g, v)
+                assert code_of.setdefault(ref, code) == code
+                assert type_of.setdefault(code, ref) == ref
+    # Every type occurs: per equality pattern, any labelled graph on its
+    # blocks, so 1 + 3 + 15 + 127 types of length 1, 2, 3, 4.
+    assert len(code_of) == len(type_of) == 146
+
+
 # ---------------------------------------------------------------------------
 # Components and distances
 

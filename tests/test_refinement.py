@@ -399,3 +399,18 @@ def test_validate_spec_structure_issues():
         wl.path_graph(3),
     )
     assert report.structure_issues  # i_seq must end at k
+
+
+@pytest.mark.parametrize(
+    "field",
+    [
+        {"k": "2"},
+        {"r": "all_k_tuples"},
+        {"i_seq": 2},
+        {"r": {"kind": "distance_restricted", "delta": "1"}},
+    ],
+    ids=["k-string", "r-string", "i_seq-integer", "delta-string"],
+)
+def test_validate_spec_reports_mistyped_fields(field):
+    report = wl.validate_spec({**wl.fwl_spec(2).to_json_dict(), **field}, wl.path_graph(3))
+    assert report.structure_issues and not report.closure_violations
