@@ -4,15 +4,16 @@ This module owns the immutable :class:`Graph` type plus everything that
 treats graphs as plain combinatorial objects: graph6 and JSON parsing,
 isomorphism types of node tuples, connected components, shortest-path
 distances, homomorphism counting, canonical forms, enumeration of
-isomorphism classes, and an exact treewidth solver.  All functions are
-pure; none mutates its arguments.
+isomorphism classes, and an exact treewidth solver.  All of them work on
+adjacency masks, and one graph6 bit encoder serves emission, the
+canonical search and enumeration.  All functions are pure; none mutates
+its arguments.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -30,30 +31,32 @@ _GRAPH6_MAX_NODES = 62
 class Graph:
     """A simple undirected graph on nodes ``0 .. n-1``.
 
-    Edges are unordered pairs with no self-loops and no duplicates.
-    Instances are immutable and hashable; equality is label-sensitive
-    (use :func:`canonical_form` for isomorphism-class identity).
+    Edges are unordered pairs with no self-loops and no duplicates, kept
+    as ``edge_set`` (pairs ``u < v``).  The adjacency is stored once, as
+    ``adj_masks``: entry ``u`` is the node mask of the neighbors of ``u``
+    (bit ``w`` set iff ``u`` and ``w`` are adjacent).  Instances are
+    immutable and hashable; equality is label-sensitive (use
+    :func:`canonical_form` for isomorphism-class identity).
     """
 
-    __slots__ = ("n", "edge_set", "adj", "_adj_masks")
+    __slots__ = ("n", "edge_set", "adj_masks")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
             raise DomainError(f"node count must be nonnegative, got {n}")
         normalized = set()
+        masks = [0] * n
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise DomainError(f"edge ({u},{v}) has an endpoint outside 0..{n - 1}")
             if u == v:
                 raise DomainError(f"self-loop at node {u} is not allowed")
             normalized.add((u, v) if u < v else (v, u))
-        adj = [set() for _ in range(n)]
-        for u, v in normalized:
-            adj[u].add(v)
-            adj[v].add(u)
+            masks[u] |= 1 << v
+            masks[v] |= 1 << u
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "edge_set", frozenset(normalized))
-        object.__setattr__(self, "adj", tuple(frozenset(s) for s in adj))
+        object.__setattr__(self, "adj_masks", tuple(masks))
 
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
@@ -66,21 +69,10 @@ class Graph:
         return (u, v) in self.edge_set or (v, u) in self.edge_set
 
     def neighbors(self, u: int) -> frozenset:
-        return self.adj[u]
-
-    @property
-    def adj_masks(self) -> tuple[int, ...]:
-        """Neighbors of each node as a node mask (bit ``w`` of entry ``u``
-        is set iff ``u`` and ``w`` are adjacent), built on first use."""
-        try:
-            return self._adj_masks
-        except AttributeError:
-            masks = tuple(node_mask(nbrs) for nbrs in self.adj)
-            object.__setattr__(self, "_adj_masks", masks)
-            return masks
+        return frozenset(mask_nodes(self.adj_masks[u]))
 
     def degree(self, u: int) -> int:
-        return len(self.adj[u])
+        return self.adj_masks[u].bit_count()
 
     def permuted(self, perm: Sequence[int]) -> "Graph":
         """Relabel nodes: node ``u`` becomes ``perm[u]``."""
@@ -169,27 +161,42 @@ def parse_graph6(text: str | bytes) -> Graph:
             f"graph6 body for n={n} needs {body_len} bytes, got {len(line) - 1}",
             offset=len(line) if len(line) - 1 < body_len else body_len + 1,
         )
-    bits = []
+    bits = 0
     for idx, ch in enumerate(line[1:], start=1):
         b = ord(ch)
         if not 63 <= b <= 126:
             raise GraphFormatError(f"graph6 byte {b} out of range 63..126", offset=idx)
-        val = b - 63
-        bits.extend((val >> shift) & 1 for shift in range(5, -1, -1))
-    for pad_idx in range(bit_count, len(bits)):
-        if bits[pad_idx]:
-            raise GraphFormatError(
-                "nonzero padding bits in final graph6 byte",
-                offset=pad_idx // 6 + 1,
-            )
-    edges = []
-    pos = 0
-    for j in range(1, n):
+        bits = bits << 6 | b - 63
+    if bits & (1 << 6 * body_len - bit_count) - 1:
+        raise GraphFormatError("nonzero padding bits in final graph6 byte", offset=body_len)
+    # the pair at graph6 position idx is bit ``top - idx``
+    top = 6 * body_len - 1
+    pairs = ((i, j) for j in range(1, n) for i in range(j))
+    return Graph(n, (p for idx, p in enumerate(pairs) if bits >> top - idx & 1))
+
+
+def _graph6_bits(adj: Sequence[int], order: Sequence[int]) -> int:
+    """The graph6 body bits, as one int, of the graph whose node ``i`` is
+    node ``order[i]`` of the graph with adjacency masks ``adj``: one bit
+    per pair ``i < j``, column ``j`` by column, the first pair most
+    significant.  All graphs on ``n`` nodes give equally long bit strings,
+    so for a fixed ``n`` int order is graph6 byte order."""
+    bits = 0
+    for j in range(1, len(order)):
+        row = adj[order[j]]
         for i in range(j):
-            if bits[pos]:
-                edges.append((i, j))
-            pos += 1
-    return Graph(n, edges)
+            bits = bits << 1 | row >> order[i] & 1
+    return bits
+
+
+def _graph6_text(n: int, bits: int) -> str:
+    """The short-form graph6 line of an ``n``-node graph with body
+    ``bits`` (see :func:`_graph6_bits`), zero-padded to whole bytes."""
+    count = n * (n - 1) // 2
+    size = (count + 5) // 6
+    bits <<= 6 * size - count
+    body = (chr((bits >> shift & 63) + 63) for shift in range(6 * size - 6, -1, -6))
+    return chr(n + 63) + "".join(body)
 
 
 def emit_graph6(g: Graph) -> str:
@@ -197,19 +204,7 @@ def emit_graph6(g: Graph) -> str:
     :func:`parse_graph6`)."""
     if g.n > _GRAPH6_MAX_NODES:
         raise DomainError(f"graph6 short form supports at most 62 nodes, got {g.n}")
-    bits = []
-    for j in range(1, g.n):
-        for i in range(j):
-            bits.append(1 if g.has_edge(i, j) else 0)
-    while len(bits) % 6:
-        bits.append(0)
-    out = [chr(g.n + 63)]
-    for pos in range(0, len(bits), 6):
-        val = 0
-        for b in bits[pos:pos + 6]:
-            val = (val << 1) | b
-        out.append(chr(val + 63))
-    return "".join(out)
+    return _graph6_text(g.n, _graph6_bits(g.adj_masks, range(g.n)))
 
 
 def parse_graph_json(text: str) -> Graph:
@@ -222,12 +217,13 @@ def parse_graph_json(text: str) -> Graph:
         raise GraphFormatError('JSON graph must be an object with an "n" field')
     n = obj["n"]
     edges = obj.get("edges", [])
-    if not isinstance(n, int) or not isinstance(edges, list):
+    # ``type(x) is int`` also rejects JSON ``true`` and ``false``
+    if type(n) is not int or not isinstance(edges, list):
         raise GraphFormatError('JSON graph fields: "n" int, "edges" list of pairs')
     pairs = []
     for item in edges:
-        if not (isinstance(item, list) and len(item) == 2):
-            raise GraphFormatError(f"edge entry {item!r} is not a pair")
+        if not (isinstance(item, list) and len(item) == 2 and all(type(x) is int for x in item)):
+            raise GraphFormatError(f"edge entry {item!r} is not a pair of integers")
         pairs.append((item[0], item[1]))
     try:
         return Graph(n, pairs)
@@ -336,17 +332,22 @@ class DistanceTable:
 
 @lru_cache(maxsize=4096)
 def distance_table(g: Graph) -> DistanceTable:
+    """Distances by a breadth-first search from every node, one layer
+    (a node mask) at a time."""
+    adj = g.adj_masks
     rows = []
     for src in range(g.n):
         row = [INFINITY] * g.n
-        row[src] = 0
-        queue = deque([src])
-        while queue:
-            u = queue.popleft()
-            for w in g.adj[u]:
-                if row[w] == INFINITY:
-                    row[w] = row[u] + 1
-                    queue.append(w)
+        seen = layer = 1 << src
+        dist = 0
+        while layer:
+            reach = 0
+            for v in mask_nodes(layer):
+                row[v] = dist
+                reach |= adj[v]
+            layer = reach & ~seen
+            seen |= layer
+            dist += 1
         rows.append(tuple(row))
     return DistanceTable(tuple(rows))
 
@@ -449,17 +450,14 @@ def homomorphisms(pattern: Graph, target: Graph) -> Iterator[tuple[int, ...]]:
 # Canonical forms
 
 
-def _refine_colors(g: Graph, colors: list[int]) -> list[int]:
+def _refine_colors(nbrs: list[list[int]], colors: list[int]) -> list[int]:
     """Stable color refinement: repeatedly split classes by multisets of
     neighbor colors, with class ids assigned in sorted key order."""
     while True:
-        keys = [
-            (colors[v], tuple(sorted(colors[w] for w in g.adj[v])))
-            for v in range(g.n)
-        ]
+        keys = [(c, tuple(sorted(colors[w] for w in ws))) for c, ws in zip(colors, nbrs)]
         mapping = {key: i for i, key in enumerate(sorted(set(keys)))}
-        new = [mapping[keys[v]] for v in range(g.n)]
-        if len(set(new)) == len(set(colors)):
+        new = [mapping[key] for key in keys]
+        if len(mapping) == len(set(colors)):
             return new
         colors = new
 
@@ -471,24 +469,63 @@ def _cells(colors: list[int]) -> list[list[int]]:
     return [cells[c] for c in sorted(cells)]
 
 
-def _cells_homogeneous(g: Graph, cells: list[list[int]]) -> bool:
+def _cells_homogeneous(adj: Sequence[int], cells: list[list[int]]) -> bool:
     """True when adjacency is constant within every cell and between every
-    pair of cells, so any in-cell node order yields identical bytes."""
-    for a_idx, cell_a in enumerate(cells):
-        inner = sum(1 for u, v in itertools.combinations(cell_a, 2) if g.has_edge(u, v))
-        if inner not in (0, len(cell_a) * (len(cell_a) - 1) // 2):
-            return False
-        for cell_b in cells[a_idx + 1:]:
-            cross = sum(
-                1 for u in cell_a for v in cell_b if g.has_edge(u, v)
-            )
-            if cross not in (0, len(cell_a) * len(cell_b)):
-                return False
+    pair of cells, so any in-cell node order yields identical bytes.  As
+    adjacency is symmetric, it suffices that each node's row meets each
+    cell (the node itself aside) in nothing or in all of it."""
+    masks = [node_mask(cell) for cell in cells]
+    for cell in cells:
+        for u in cell:
+            row = adj[u]
+            for mask in masks:
+                meet = row & mask
+                if meet and meet != mask & ~(1 << u):
+                    return False
     return True
 
 
 _CANON_MAX_NODES = 16
 _CANON_MAX_LEAVES = 200_000
+
+
+def _canonical_bits(adj: Sequence[int]) -> int:
+    """The graph6 body bits (see :func:`_graph6_bits`) of the canonical
+    relabeling of the graph with adjacency masks ``adj``; the search is
+    described at :func:`canonical_form`."""
+    n = len(adj)
+    nbrs = [mask_nodes(row) for row in adj]
+    best = 1 << n * (n - 1) // 2  # above every body of n nodes
+    leaves = 0
+
+    def search(colors: list[int]) -> None:
+        nonlocal best, leaves
+        colors = _refine_colors(nbrs, colors)
+        cells = _cells(colors)
+        if len(cells) == n or _cells_homogeneous(adj, cells):
+            leaves += 1
+            if leaves > _CANON_MAX_LEAVES:
+                raise BudgetError(
+                    f"canonical form leaf budget {_CANON_MAX_LEAVES} exceeded",
+                    stats={"leaves": leaves},
+                )
+            best = min(best, _graph6_bits(adj, [v for cell in cells for v in cell]))
+            return
+        target = next(cell for cell in cells if len(cell) > 1)
+        target_color = colors[target[0]]
+        for v in target:
+            # Individualize v: fresh color ordered just before the rest
+            # of its cell, preserving the order of all other cells.
+            branched = []
+            for u in range(n):
+                c = 2 * colors[u]
+                if colors[u] == target_color and u != v:
+                    c += 1
+                branched.append(c)
+            search(branched)
+
+    search([0] * n)
+    return best
 
 
 def canonical_form(g: Graph) -> bytes:
@@ -497,55 +534,18 @@ def canonical_form(g: Graph) -> bytes:
     The result is the graph6 line of a canonically relabeled copy, so
     ``parse_graph6(canonical_form(g))`` is a canonical representative.
     Labeling search: color refinement, then individualization of the
-    first non-singleton cell, taking the minimum over leaf labelings.
-    Cell-homogeneous colorings short-circuit the search, which keeps
-    complete and empty graphs cheap.  Graphs over ``_CANON_MAX_NODES``
-    nodes, or searches over ``_CANON_MAX_LEAVES`` leaves, raise
-    :class:`BudgetError`.
+    first non-singleton cell, taking the minimum over leaf labelings of
+    their graph6 body bits.  Cell-homogeneous colorings short-circuit the
+    search, which keeps complete and empty graphs cheap.  Graphs over
+    ``_CANON_MAX_NODES`` nodes, or searches over ``_CANON_MAX_LEAVES``
+    leaves, raise :class:`BudgetError`.
     """
     if g.n > _CANON_MAX_NODES:
         raise BudgetError(
             f"canonical form budget is {_CANON_MAX_NODES} nodes, got {g.n}",
             stats={"nodes": g.n},
         )
-    best: list[bytes] = []
-    leaves = [0]
-
-    def leaf_bytes(order: Sequence[int]) -> bytes:
-        position = [0] * g.n
-        for pos, v in enumerate(order):
-            position[v] = pos
-        return emit_graph6(g.permuted(position)).encode("ascii")
-
-    def search(colors: list[int]) -> None:
-        colors = _refine_colors(g, colors)
-        cells = _cells(colors)
-        if all(len(c) == 1 for c in cells) or _cells_homogeneous(g, cells):
-            leaves[0] += 1
-            if leaves[0] > _CANON_MAX_LEAVES:
-                raise BudgetError(
-                    f"canonical form leaf budget {_CANON_MAX_LEAVES} exceeded",
-                    stats={"leaves": leaves[0]},
-                )
-            candidate = leaf_bytes([v for cell in cells for v in cell])
-            if not best or candidate < best[0]:
-                best[:] = [candidate]
-            return
-        target = next(cell for cell in cells if len(cell) > 1)
-        target_color = colors[target[0]]
-        for v in target:
-            # Individualize v: fresh color ordered just before the rest
-            # of its cell, preserving the order of all other cells.
-            branched = []
-            for u in range(g.n):
-                c = 2 * colors[u]
-                if colors[u] == target_color and u != v:
-                    c += 1
-                branched.append(c)
-            search(branched)
-
-    search([0] * g.n)
-    return best[0]
+    return _graph6_text(g.n, _canonical_bits(g.adj_masks)).encode("ascii")
 
 
 # ---------------------------------------------------------------------------
@@ -561,12 +561,13 @@ def enumerate_connected_graphs(n_max: int, *, connected_only: bool = True) -> It
 
     By default only connected classes are produced (query-graph
     enumeration); ``connected_only=False`` switches to all classes,
-    which oracle tests use.  Classes on ``n`` nodes are built by adding
-    one node to every class on ``n - 1`` nodes with every (nonempty, in
-    the connected case) neighborhood subset, deduplicating by canonical
-    form.  Every connected graph has a non-cut vertex, so the connected
-    augmentation is exhaustive.  ``n_max`` over ``_ENUM_MAX_NODES``
-    raises :class:`BudgetError`.
+    which oracle tests use.  Classes on ``n`` nodes are built from the
+    0-node graph up by adding one node to every class on ``n - 1`` nodes
+    with every (nonempty, in the connected case past one node)
+    neighborhood subset, deduplicating candidate adjacency masks by
+    their canonical graph6 bits.  Every connected graph has a non-cut
+    vertex, so the connected augmentation is exhaustive.  ``n_max`` over
+    ``_ENUM_MAX_NODES`` raises :class:`BudgetError`.
     """
     if n_max < 0:
         raise DomainError("n_max must be nonnegative")
@@ -575,23 +576,17 @@ def enumerate_connected_graphs(n_max: int, *, connected_only: bool = True) -> It
             f"enumeration budget is {_ENUM_MAX_NODES} nodes, got n_max={n_max}",
             stats={"n_max": n_max},
         )
-    previous: list[Graph] = []
+    previous = [Graph(0)]
     for n in range(1, n_max + 1):
-        if n == 1:
-            reps = {canonical_form(Graph(1)): Graph(1)}
-        else:
-            reps = {}
-            low = 1 if connected_only else 0
-            for base in previous:
-                for bits in range(low, 1 << base.n):
-                    extra = [
-                        (base.n, w) for w in range(base.n) if bits >> w & 1
-                    ]
-                    candidate = Graph(n, list(base.edge_set) + extra)
-                    key = canonical_form(candidate)
-                    if key not in reps:
-                        reps[key] = parse_graph6(key.decode("ascii"))
-        previous = [reps[key] for key in sorted(reps)]
+        new = n - 1
+        low = 1 if connected_only and new else 0
+        classes = set()
+        for base in previous:
+            for bits in range(low, 1 << new):
+                masks = [row | (bits >> w & 1) << new for w, row in enumerate(base.adj_masks)]
+                masks.append(bits)
+                classes.add(_canonical_bits(masks))
+        previous = [parse_graph6(_graph6_text(n, bits)) for bits in sorted(classes)]
         yield from previous
 
 

@@ -89,7 +89,9 @@ class GfwlSpec:
     def __post_init__(self):
         object.__setattr__(self, "i_seq", tuple(self.i_seq))
         object.__setattr__(self, "j_seq", tuple(self.j_seq))
-        if not (isinstance(self.k, int) and isinstance(self.t, int)) or self.k < 1 or self.t < 1:
+        # ``type(x) is int`` also rejects JSON ``true``, which would hash
+        # to a cache key of its own
+        if not (type(self.k) is int and type(self.t) is int) or self.k < 1 or self.t < 1:
             raise ConfigurationError(
                 f"k and t must be positive integers, got k={self.k!r}, t={self.t!r}"
             )
@@ -140,7 +142,7 @@ class GfwlSpec:
 
 
 def _check_index_seq(name: str, seq: tuple[int, ...], end: int) -> None:
-    if len(seq) < 2 or not all(isinstance(x, int) for x in seq) or seq[0] != 0 or seq[-1] != end:
+    if len(seq) < 2 or not all(type(x) is int for x in seq) or seq[0] != 0 or seq[-1] != end:
         raise ConfigurationError(f"{name} must be integers running from 0 to {end}, got {seq}")
     if any(a >= b for a, b in zip(seq, seq[1:])):
         raise ConfigurationError(f"{name} must be strictly increasing, got {seq}")

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from .errors import ConfigurationError, DomainError, check_deadline
-from .graphs import Graph, distance_table, homomorphisms
+from .graphs import Graph, distance_table, homomorphisms, mask_nodes
 
 _R_KINDS = ("all_k_tuples", "distance_restricted")
 _F_KINDS = ("all_t_tuples", "all_nodes", "local_neighbor_union", "delta_ball_intersection")
@@ -24,7 +24,7 @@ _F_KINDS = ("all_t_tuples", "all_nodes", "local_neighbor_union", "delta_ball_int
 
 def _check_delta(kind: str, delta: int | None, needs_delta: bool) -> None:
     if needs_delta:
-        if not isinstance(delta, int) or delta < 1:
+        if type(delta) is not int or delta < 1:
             raise ConfigurationError(f"{kind} needs a positive delta, got {delta!r}")
     elif delta is not None:
         raise ConfigurationError(f"{kind} takes no delta")
@@ -123,10 +123,10 @@ def f_set(sel: FSelector, t: int, g: Graph, v: Sequence[int]) -> set[tuple[int, 
     if sel.kind == "all_nodes":
         return {(w,) for w in range(g.n)}
     if sel.kind == "local_neighbor_union":
-        union: set[int] = set()
+        union = 0
         for x in v:
-            union |= g.adj[x]
-        return {(w,) for w in union}
+            union |= g.adj_masks[x]
+        return {(w,) for w in mask_nodes(union)}
     # delta_ball_intersection, k == 2, t == 1
     dt = distance_table(g)
     a, b = v
@@ -163,23 +163,19 @@ def check_r_invariance(
     trials: int = 100,
     seed: int = 0,
 ) -> InvarianceReport:
-    """Verify ``perm(R(G)) == R(perm(G))`` for random node permutations.
+    """Verify ``perm(R(G)) == R(perm(G))`` for random node permutations,
+    checked as :func:`check_f_equivariance` over the single key ``()``
+    (the 0-tuples), since ``R(G)`` is ``F(G, ())``.  A violation names no
+    ``"tuple"``.
 
     ``sel`` may be a callable ``graph -> set of k-tuples`` so broken
     selectors can be exercised as negative controls.
     """
     get = sel if callable(sel) else (lambda graph: r_set(sel, k, graph))
-    rng = random.Random(seed)
-    base = get(g)
-    violations = []
-    for trial in range(trials):
-        perm = list(range(g.n))
-        rng.shuffle(perm)
-        expected = _map_tuples(base, perm)
-        actual = get(g.permuted(perm))
-        if expected != actual:
-            violations.append({"trial": trial, "perm": tuple(perm)})
-    return InvarianceReport(trials=trials, violations=violations)
+    report = check_f_equivariance(lambda graph, v: get(graph), 0, 0, g, trials, seed)
+    for violation in report.violations:
+        del violation["tuple"]
+    return report
 
 
 def check_f_equivariance(

@@ -186,6 +186,43 @@ def test_mistyped_spec_field_exits_2(capsys, tmp_path, field):
     assert code == 2 and envelope is None and err.startswith("error:")
 
 
+# JSON ``true`` where a spec wants an integer: each spec would equal its
+# twin with ``1`` in that place but hash to a different cache key.
+BOOLEAN_SPEC_FIELDS = [
+    pytest.param(wl.fwl_spec(1), {"k": True}, id="k-true"),
+    pytest.param(wl.fwl_spec(1), {"i_seq": [0, True]}, id="i_seq-true-entry"),
+    pytest.param(wl.fwl_spec(1), {"t": True}, id="t-true"),
+    pytest.param(wl.fwl_spec(2), {"j_seq": [0, True]}, id="j_seq-true-entry"),
+    pytest.param(wl.drfwl2_spec(1), {"r": {"kind": "distance_restricted", "delta": True}}, id="r-delta-true"),
+    pytest.param(wl.drfwl2_spec(1), {"f": {"kind": "delta_ball_intersection", "delta": True}}, id="f-delta-true"),
+]
+
+
+@pytest.mark.parametrize("spec, field", BOOLEAN_SPEC_FIELDS)
+def test_boolean_spec_field_exits_2(capsys, tmp_path, spec, field):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({**spec.to_json_dict(), **field}))
+    code, envelope, err = run_cli(capsys, ["cops", "--spec", str(path), "--g", "C~"])
+    assert code == 2 and envelope is None and err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [
+        pytest.param({"n": 3, "edges": [[0, "1"]]}, id="string-endpoint"),
+        pytest.param({"n": 3, "edges": [[0, 1.0]]}, id="float-endpoint"),
+        pytest.param({"n": 3, "edges": [[0, True]]}, id="boolean-endpoint"),
+        pytest.param({"n": True}, id="boolean-n"),
+        pytest.param({"n": 3.0}, id="float-n"),
+    ],
+)
+def test_non_integer_graph_json_exits_2(capsys, tmp_path, graph):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(graph))
+    code, envelope, err = run_cli(capsys, ["cops", "--spec", "fwl_k", "--g", str(path)])
+    assert code == 2 and envelope is None and err.startswith("error:")
+
+
 def test_exit_code_budget(capsys, c6_str):
     code, _, err = run_cli(
         capsys, ["cops", "--spec", "fwl_k", "--g", c6_str, "--max-states", "10"]

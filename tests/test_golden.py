@@ -149,6 +149,41 @@ def test_joint_color_id_digests(name, classes4, classes6):
     assert hashlib.sha256(json.dumps(colors).encode()).hexdigest() == JOINT_COLORS_SHA256[name]
 
 
+# SHA-256 over ``canonical_form(g) + b"\n"`` for every labelled graph g,
+# node counts ascending, each count's edge subsets in counting order over
+# the node pairs in graph6 order.  Computed while the search built a
+# relabeled graph and its graph6 line at every leaf: a differential test
+# of the int-valued leaves against the path they replaced.
+CANONICAL_SHA256 = {
+    5: "88c72dd8b2493163dd189bb0c798a2ca1b21aa45e46719f9cd279e6398ff193d",  # n = 0..5
+    6: "1216f433e66baec01d1045f89b4698eb6622446053687524e97af3074018e89c",  # n = 6 only
+}
+
+
+def labelled_graphs(n: int):
+    pairs = [(i, j) for j in range(1, n) for i in range(j)]
+    for bits in range(1 << len(pairs)):
+        yield wl.Graph(n, [p for idx, p in enumerate(pairs) if bits >> idx & 1])
+
+
+def canonical_digest(node_counts) -> str:
+    digest = hashlib.sha256()
+    for n in node_counts:
+        for g in labelled_graphs(n):
+            digest.update(wl.canonical_form(g) + b"\n")
+    return digest.hexdigest()
+
+
+def test_canonical_form_digest_n5():
+    assert canonical_digest(range(6)) == CANONICAL_SHA256[5]
+
+
+@pytest.mark.slow
+def test_canonical_form_digest_n6():
+    # all 32,768 labelled graphs on 6 nodes
+    assert canonical_digest([6]) == CANONICAL_SHA256[6]
+
+
 def report_digest(report) -> str:
     return hashlib.sha256(json.dumps(report.to_json_dict(), sort_keys=True).encode()).hexdigest()
 

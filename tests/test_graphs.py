@@ -122,9 +122,12 @@ def test_emit_graph6_roundtrip_known():
 
 
 def test_graph6_matches_networkx():
+    # every body length mod 6 occurs among n = 0..20; 62 is the largest
+    # short-form node count
     rng = random.Random(7)
-    for _ in range(40):
-        g = random_graph(rng, rng.randint(0, 10))
+    cases = [random_graph(rng, n) for n in [*range(21), 62] for _ in range(2)]
+    cases += [wl.complete_graph(n) for n in [*range(21), 62]]
+    for g in cases:
         line = wl.emit_graph6(g)
         via_nx = nx.from_graph6_bytes(line.encode())
         assert set(via_nx.nodes) == set(range(g.n))
@@ -247,6 +250,17 @@ def test_distance_table():
     two = wl.disjoint_union(wl.complete_graph(2), wl.complete_graph(2))
     assert wl.distance_table(two).dist(0, 3) == wl.INFINITY
     assert wl.distance_table(two).dist(0, 3) >= 2**30
+
+
+def test_distance_table_matches_networkx(classes6):
+    rng = random.Random(5)
+    unions = [wl.disjoint_union(*rng.sample(classes6, rng.randint(2, 3))) for _ in range(40)]
+    for g in [wl.empty_graph(0), wl.empty_graph(3), *classes6, *unions]:
+        lengths = dict(nx.shortest_path_length(to_nx(g)))
+        dt = wl.distance_table(g)
+        for u in range(g.n):
+            for v in range(g.n):
+                assert dt.dist(u, v) == lengths[u].get(v, wl.INFINITY), (g, u, v)
 
 
 # ---------------------------------------------------------------------------
@@ -472,7 +486,7 @@ def elimination_treewidth(g: wl.Graph) -> int:
         return -1
     best = g.n - 1
     for order in itertools.permutations(range(g.n)):
-        adj = {v: set(g.adj[v]) for v in range(g.n)}
+        adj = {v: set(g.neighbors(v)) for v in range(g.n)}
         width = 0
         for v in order:
             nb = adj.pop(v)

@@ -41,7 +41,7 @@ def one_wl_distinguishes(g: wl.Graph, h: wl.Graph) -> bool:
     colors = {v: 0 for v in range(union.n)}
     while True:
         keys = {
-            v: (colors[v], tuple(sorted(colors[w] for w in union.adj[v])))
+            v: (colors[v], tuple(sorted(colors[w] for w in union.neighbors(v))))
             for v in range(union.n)
         }
         palette: dict = {}
@@ -413,4 +413,22 @@ def test_validate_spec_structure_issues():
 )
 def test_validate_spec_reports_mistyped_fields(field):
     report = wl.validate_spec({**wl.fwl_spec(2).to_json_dict(), **field}, wl.path_graph(3))
+    assert report.structure_issues and not report.closure_violations
+
+
+@pytest.mark.parametrize(
+    "spec, field",
+    [
+        (wl.fwl_spec(1), {"k": True}),
+        (wl.fwl_spec(1), {"i_seq": [0, True]}),
+        (wl.fwl_spec(1), {"t": True}),
+        (wl.fwl_spec(2), {"j_seq": [0, True]}),
+        (wl.drfwl2_spec(1), {"r": {"kind": "distance_restricted", "delta": True}}),
+        (wl.drfwl2_spec(1), {"f": {"kind": "delta_ball_intersection", "delta": True}}),
+    ],
+    ids=["k-true", "i_seq-true-entry", "t-true", "j_seq-true-entry", "r-delta-true", "f-delta-true"],
+)
+def test_validate_spec_rejects_booleans(spec, field):
+    # JSON ``true`` is no integer, though Python's ``bool`` is an ``int``
+    report = wl.validate_spec({**spec.to_json_dict(), **field}, wl.path_graph(3))
     assert report.structure_issues and not report.closure_violations
