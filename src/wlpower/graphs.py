@@ -563,8 +563,8 @@ def enumerate_connected_graphs(n_max: int, *, connected_only: bool = True) -> It
     enumeration); ``connected_only=False`` switches to all classes,
     which oracle tests use.  Classes on ``n`` nodes are built from the
     0-node graph up by adding one node to every class on ``n - 1`` nodes
-    with every (nonempty, in the connected case past one node)
-    neighborhood subset, deduplicating candidate adjacency masks by
+    with every neighborhood subset (nonempty in the connected case, from
+    the second node on), deduplicating candidate adjacency masks by
     their canonical graph6 bits.  Every connected graph has a non-cut
     vertex, so the connected augmentation is exhaustive.  ``n_max`` over
     ``_ENUM_MAX_NODES`` raises :class:`BudgetError`.
