@@ -12,7 +12,13 @@ removing/unguarding move that keeps k of the k+t pebbles.
   favors the second player, so the solver computes a greatest fixed
   point: states are deleted until every survivor has a perfect matching
   of safe choice pairs (putting) and only surviving index selections
-  (removing).
+  (removing).  A put pairs two choices only when the positions they
+  lead to have one type, so the choices are bucketed by that type.  A
+  putting state whose buckets differ in size between the two sides has
+  no type-respecting bijection (Hall's condition fails; P. Hall, "On
+  representatives of subsets", 1935): it is dead at birth and gets no
+  successors.  The game is Hella's bijective pebble game ("Logical
+  hierarchies in PTIME", Information and Computation 1996).
 
 * The pursuit game runs on one graph.  The first player (Cops) places
   pebbles from the same choice sets; the second player (Robber)
@@ -163,7 +169,9 @@ class _BijectionMoves:
     type when their :func:`~wlpower.graphs.atp` codes are equal.  Only a
     put can end in a type mismatch: it checks the whole position, and
     every index selection of two tuples of one type has one type, so a
-    removal never does."""
+    removal never does.  :meth:`puts` buckets a putting state's choices
+    by the type of the position they lead to, so it pairs only choices
+    of one type; :meth:`put` checks any pair, for certificate replay."""
 
     def __init__(self, spec: GfwlSpec, g: Graph, h: Graph):
         self.spec = spec
@@ -174,6 +182,34 @@ class _BijectionMoves:
         """The g-side and h-side choice sets of a putting state."""
         phase, pos_g, pos_h = key
         return self.tables_g.put_choices(phase, pos_g), self.tables_h.put_choices(phase, pos_h)
+
+    def puts(self, key: tuple) -> tuple[list, list, list | None]:
+        """A putting state's g-side and h-side choice lists and its
+        type-respecting puts: ``(g index, h index, successor)`` in index
+        order, pairing each g-side choice only with the h-side choices
+        whose position has the same type.  The puts are None when the two
+        sides' per-type counts differ: then no bijection respects types
+        (Hall's condition fails), so the state is lost for the second
+        player whatever its successors."""
+        phase, pos_g, pos_h = key
+        d, e = self.choices(key)
+        if len(d) != len(e):  # Hall fails on the totals alone: skip the type codes
+            return d, e, None
+        new_g = [pos_g + a for a in d]
+        new_h = [pos_h + b for b in e]
+        codes_g = list(map(self.tables_g.type_code, new_g))
+        codes_h = list(map(self.tables_h.type_code, new_h))
+        if sorted(codes_g) != sorted(codes_h):
+            return d, e, None
+        buckets: dict[int, list[int]] = {}
+        for bi, code in enumerate(codes_h):
+            buckets.setdefault(code, []).append(bi)
+        nxt = _next_phase(self.spec, phase)
+        return d, e, [
+            (ai, bi, (nxt, tup, new_h[bi]))
+            for ai, (tup, code) in enumerate(zip(new_g, codes_g))
+            for bi in buckets[code]
+        ]
 
     def put(self, key: tuple, a: tuple, b: tuple) -> tuple | None:
         """The state after ``a`` is put in g and ``b`` in h, or None on a
@@ -373,12 +409,17 @@ def spoiler_wins(
     """Decide the bijection game on ``(g, h)``.
 
     Greatest fixed point over reachable type-consistent states: a
-    putting state survives while its two choice sets have equal size and
-    the safe pairs (both successors type-consistent and surviving) admit
-    a perfect matching; a removing state survives while every index
-    selection leads to a surviving state.  The first player wins iff the
-    empty-board root is deleted.  The run deadline is checked every 256
-    generated states.
+    putting state survives while the safe pairs (same type, surviving
+    successor) admit a perfect matching; a removing state survives while
+    every index selection leads to a surviving state.  Puts are
+    generated per type bucket, and a putting state whose two sides have
+    different per-type counts is dead at birth and gets no successors,
+    since no bijection between them respects types (Hall's condition).
+    The first player wins iff the empty-board root is deleted.  The run
+    deadline is checked every 256 generated states.  ``stats`` holds
+    the phase milliseconds, ``matching_calls`` (bipartite matchings run
+    by the fixpoint) and ``cut_states`` (putting states cut by Hall's
+    condition).
     """
     solver = _EfSolver(spec, g, h, max_states)
     start = time.perf_counter()
@@ -393,6 +434,8 @@ def spoiler_wins(
         stats={
             "generate_ms": round((generated - start) * 1000, 3),
             "fixpoint_ms": round((fixed - generated) * 1000, 3),
+            "matching_calls": solver.matching_calls,
+            "cut_states": solver.succs.count(None),
         },
     )
     if want_certificate:
@@ -404,8 +447,10 @@ class _EfSolver:
     """Per state in sid order (the root is state 0): ``choices`` holds a
     putting state's g-side and h-side choice lists (None for a removing
     state), and ``succs`` its moves: ``(g index, h index, successor)``
-    per type-consistent put, or the successor per index selection.
-    ``states.preds[sid]`` lists each state with a move to ``sid`` once."""
+    per type-respecting put, or the successor per index selection.  A
+    putting state cut by Hall's condition has None for ``succs``: it is
+    dead at birth.  ``states.preds[sid]`` lists each state with a move
+    to ``sid`` once."""
 
     def __init__(self, spec: GfwlSpec, g: Graph, h: Graph, max_states: int):
         self.spec = spec
@@ -414,25 +459,24 @@ class _EfSolver:
         self.choices: list = []
         self.succs: list = []
         self.alive: list[bool] = []
+        self.matching_calls = 0
 
     def generate(self) -> None:
         states, game = self.states, self.game
-        add, preds, put = states.add, states.preds, game.put
+        add, preds = states.add, states.preds
         add((("I", 1), (), ()))
         for sid, key in states.walk():
             if key[0][0] == "R":
                 choice = None
                 succs = targets = [add(s) for s in game.removals(key)]
             else:
-                choice = d, e = game.choices(key)
-                succs = []
-                if len(d) == len(e):  # else no bijection exists: explore no further
-                    for ai, a in enumerate(d):
-                        for bi, b in enumerate(e):
-                            succ_key = put(key, a, b)
-                            if succ_key is not None:
-                                succs.append((ai, bi, add(succ_key)))
-                targets = [s for _, _, s in succs]
+                d, e, puts = game.puts(key)
+                choice = d, e
+                if puts is None:  # dead at birth: explore no further
+                    succs, targets = None, []
+                else:
+                    succs = [(ai, bi, add(s)) for ai, bi, s in puts]
+                    targets = [s for _, _, s in succs]
             self.choices.append(choice)
             self.succs.append(succs)
             for succ in targets:
@@ -443,6 +487,7 @@ class _EfSolver:
         """Maximum matching of a putting state's choices over the pairs
         whose successor survives: h-side index per g-side index, -1
         where unmatched."""
+        self.matching_calls += 1
         d, e = self.choices[sid]
         adjacency: list[list[int]] = [[] for _ in d]
         for ai, bi, succ in self.succs[sid]:
@@ -451,15 +496,15 @@ class _EfSolver:
         return _max_matching(len(d), len(e), adjacency)
 
     def _survives(self, sid: int) -> bool:
-        """Judge a removing state, or a putting state with equal-size choice sets."""
+        """Judge a removing state, or a putting state not cut at birth."""
         if self.choices[sid] is None:
             return all(self.alive[s] for s in self.succs[sid])
         return -1 not in self._matching(sid)
 
     def fixpoint(self) -> None:
-        """Putting states with unequal choice sets die at once; a backward
-        pass judges the rest, then rejudges those a later death may kill."""
-        alive = self.alive = [c is None or len(c[0]) == len(c[1]) for c in self.choices]
+        """States cut at birth start dead; a backward pass judges the
+        rest, then rejudges those a later death may kill."""
+        alive = self.alive = [s is not None for s in self.succs]
         preds = self.states.preds
         stale = []
         for sid in reversed(range(len(alive))):
@@ -774,22 +819,21 @@ def _replay_spoiler(cert: dict, spec: GfwlSpec, g: Graph, h: Graph) -> bool:
     game = _BijectionMoves(spec, g, h)
     proven: set = set()
 
-    def refuted(key: tuple, succ: tuple | None, path: frozenset) -> bool:
-        """A type mismatch, or a dead successor from which Spoiler wins."""
-        return succ is None or (
-            succ in dead_set and succ not in path and wins_from(succ, path | {key})
-        )
+    def refuted(key: tuple, succ: tuple, path: frozenset) -> bool:
+        """A dead successor from which Spoiler wins."""
+        return succ in dead_set and succ not in path and wins_from(succ, path | {key})
 
     def wins_from(key: tuple, path: frozenset) -> bool:
         """Spoiler forces a win from ``key`` against every adversary move."""
         if key in proven:
             return True
         if key[0][0] in ("I", "U"):
-            d, e = game.choices(key)
-            # Every bijection contains a refutable pair iff the
-            # non-refutable pairs admit no perfect matching.
-            if len(d) == len(e) and has_safe_bijection(
-                d, e, [(a, b) for a in d for b in e if not refuted(key, game.put(key, a, b), path)]
+            d, e, puts = game.puts(key)
+            # Every bijection contains a refutable pair (a type mismatch
+            # or a refuted put) iff the non-refutable puts admit no
+            # perfect matching.
+            if puts is not None and has_safe_bijection(
+                d, e, [(d[ai], e[bi]) for ai, bi, succ in puts if not refuted(key, succ, path)]
             ):
                 return False
             proven.add(key)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -26,6 +27,17 @@ from .errors import BudgetError, DomainError, GraphFormatError, check_deadline
 INFINITY = 2 ** 30
 
 _GRAPH6_MAX_NODES = 62
+
+
+def _as_int(value, what: str) -> int:
+    """``value`` as a plain int (numpy integers included); ``bool`` and
+    non-integers raise :class:`DomainError`."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise DomainError(f"{what} must be an integer, got {value!r}")
 
 
 class Graph:
@@ -42,11 +54,14 @@ class Graph:
     __slots__ = ("n", "edge_set", "adj_masks")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
+        n = _as_int(n, "node count")
         if n < 0:
             raise DomainError(f"node count must be nonnegative, got {n}")
         normalized = set()
         masks = [0] * n
         for u, v in edges:
+            if type(u) is not int or type(v) is not int:
+                u, v = _as_int(u, "edge endpoint"), _as_int(v, "edge endpoint")
             if not (0 <= u < n and 0 <= v < n):
                 raise DomainError(f"edge ({u},{v}) has an endpoint outside 0..{n - 1}")
             if u == v:

@@ -252,11 +252,14 @@ def test_validate_suite_time_limit_exits_3(capsys, argv):
 # Inputs that run far past 1 ms, so a deadline checked inside the work
 # fires before it finishes.  "FWL3" stands for a spec file holding
 # fwl_spec(3); E~~w is K6 (1,513 pursuit states), E~~o is K6 minus an
-# edge (the bijection game runs ~5 s), F~~~w and G~~~~{ are K7 and K8.
+# edge, F~~~w and G~~~~{ are K7 and K8.  The bijection game runs on an
+# isomorphic pair, whose root Hall's condition cannot cut (E~~o against
+# itself: 47,937 states, ~0.6 s); K6 against E~~o is cut at the root and
+# solved in one state.
 TIME_LIMIT_CASES = {
     "distinguish": ["--spec", "FWL3", "--g", "E~~w", "--h", "E~~o"],
     "cops": ["--spec", "FWL3", "--g", "E~~w"],
-    "ef": ["--spec", "FWL3", "--g", "E~~w", "--h", "E~~o"],
+    "ef": ["--spec", "FWL3", "--g", "E~~o", "--h", "E~~o"],
     "hom": ["--pattern", "F~~~w", "--target", "G~~~~{"],
     "power": ["--spec", "fwl_k", "--max-nodes", "5"],
 }
@@ -315,11 +318,15 @@ def test_ef_solver_counters_in_telemetry(capsys, c6_str, two_c3_str):
     )
     assert code == 0
     telemetry, payload = envelope["telemetry"], envelope["payload"]
-    counters = ("generate_ms", "fixpoint_ms")
+    counters = ("generate_ms", "fixpoint_ms", "matching_calls", "cut_states")
     assert all(name in telemetry for name in counters)
     assert not any(name in payload for name in counters)
     assert telemetry["states_explored"] > 0
     assert telemetry["generate_ms"] >= 0 and telemetry["fixpoint_ms"] >= 0
+    # fwl_k is fwl_spec(2), under which Spoiler wins on C6 vs 2C3: some
+    # putting states fail Hall's condition, and the fixpoint matches others
+    assert 0 < telemetry["cut_states"] < telemetry["states_explored"]
+    assert 0 < telemetry["matching_calls"] < telemetry["states_explored"]
     verdict = wl.spoiler_wins(wl.fwl_spec(2), wl.cycle_graph(6), wl.parse_graph6(two_c3_str))
     assert set(verdict.stats) == set(counters)
     assert set(verdict.to_json_dict(include_certificate=True)) == {

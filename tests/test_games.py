@@ -9,6 +9,8 @@ import random
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import wlpower as wl
 from wlpower.errors import BudgetError, CertificateError
@@ -129,6 +131,35 @@ def test_bijection_agrees_with_refinement(classes4):
             assert verdict.winner == expected
 
 
+@st.composite
+def graph_pairs(draw, max_n: int = 5):
+    """Two graphs on at most ``max_n`` nodes, connected or not; the second
+    is a relabeled copy of the first about half the time."""
+
+    def graph():
+        n = draw(st.integers(min_value=1, max_value=max_n))
+        pairs = list(itertools.combinations(range(n), 2))
+        return wl.Graph(n, draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else [])
+
+    g = graph()
+    if draw(st.booleans()):
+        return g, g.permuted(list(draw(st.permutations(range(g.n)))))
+    return g, graph()
+
+
+@settings(max_examples=60, deadline=None)
+@given(graph_pairs())
+def test_bijection_matches_refinement_and_replays(pair):
+    # Refinement is an oracle independent of the Hall cut: the game's
+    # winner must follow it, and the certificate must replay.
+    g, h = pair
+    for name, spec in wl.BUILTIN_SPECS.items():
+        verdict = wl.spoiler_wins(spec, g, h)
+        expected = "spoiler" if wl.distinguish(spec, g, h) else "duplicator"
+        assert verdict.winner == expected, name
+        assert wl.replay_certificate(verdict, spec, (g, h)), name
+
+
 def test_bijection_fixpoint_matches_naive_iteration(classes4):
     # The solver's backward pass with rechecks must delete exactly the
     # states that plain round-robin deletion until nothing changes does.
@@ -137,9 +168,9 @@ def test_bijection_fixpoint_matches_naive_iteration(classes4):
         changed = True
         while changed:
             changed = False
-            for sid, choice in enumerate(solver.choices):
-                unequal = choice is not None and len(choice[0]) != len(choice[1])
-                if solver.alive[sid] and (unequal or not solver._survives(sid)):
+            for sid, succs in enumerate(solver.succs):
+                cut = succs is None  # dead at birth: Hall's condition fails
+                if solver.alive[sid] and (cut or not solver._survives(sid)):
                     solver.alive[sid] = False
                     changed = True
         return solver.alive

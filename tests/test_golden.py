@@ -23,7 +23,10 @@ POWER_SHA256 = {
     "drfwl2_1": "fc46fb5c677cd1f80adbaaa805d324d89d98ba3cb9b9c9c2cb6b836bf9289483",
 }
 COPS_FWL2_N5_SHA256 = "463ce0f7e61ee63b6530316bb4e307d413179513cc42054ca26af8f8b390c7a0"
-SPOILER_FWL2_N4_SHA256 = "9bf1867723656b348ecdba83b6cdc64937ebefc68fc19875cfce9e4cc7129378"
+# Recomputed when the bijection solver began to cut putting states that
+# fail Hall's condition: cut states get no successors, so Spoiler
+# certificates list fewer dead states (the winners pin below is unchanged).
+SPOILER_FWL2_N4_SHA256 = "dd12d99c9d52877c179ebd65c2bfce3623b73ee7018855c155f93a140cf22c8b"
 
 
 def verdicts_digest(verdicts) -> str:
@@ -75,6 +78,39 @@ def test_bijection_certificate_digest(classes4):
     pairs = itertools.combinations(classes4, 2)
     digest = verdicts_digest(wl.spoiler_wins(spec, g, h) for g, h in pairs)
     assert digest == SPOILER_FWL2_N4_SHA256
+
+
+def test_bijection_certificates_replay(classes4):
+    spec = wl.fwl_spec(2)
+    for g, h in itertools.combinations(classes4, 2):
+        assert wl.replay_certificate(wl.spoiler_wins(spec, g, h), spec, (g, h))
+
+
+# SHA-256 over ``(graph6 g, graph6 h, winner)`` of the bijection game on
+# every unordered pair, with repetition, of the connected classes with
+# n <= 4 (and n <= 5 where the solve is quick), computed before the solver
+# bucketed puts by type and cut states that fail Hall's condition: a
+# differential test of the cut against the path it replaced.
+SPOILER_WINNERS_SHA256 = {
+    4: "9912a66175ef9f2e944de60368a9d4393f9dc0adcb2c1b9a56ad96245c532442",
+    5: "75f67c7bb10318c469d94ace053eb2c77d6dd992a3f40aa8b99c222f3f0ac3df",
+}
+SPOILER_WINNER_CASES = [
+    *((name, 4) for name in ["fwl_2", *wl.BUILTIN_SPECS]),
+    ("local_1fwl", 5),
+    ("drfwl2_1", 5),
+]
+
+
+@pytest.mark.parametrize("name, n_max", SPOILER_WINNER_CASES)
+def test_bijection_winner_digest(name, n_max, classes4, classes5):
+    spec = wl.fwl_spec(2) if name == "fwl_2" else wl.BUILTIN_SPECS[name]
+    classes = classes4 if n_max == 4 else classes5
+    digest = hashlib.sha256()
+    for g, h in itertools.combinations_with_replacement(classes, 2):
+        winner = wl.spoiler_wins(spec, g, h, want_certificate=False).winner
+        digest.update(json.dumps([wl.emit_graph6(g), wl.emit_graph6(h), winner]).encode())
+    assert digest.hexdigest() == SPOILER_WINNERS_SHA256[n_max]
 
 
 # SHA-256 over ``(pattern graph6, target graph6, result)`` of the

@@ -75,6 +75,33 @@ def test_graph_rejects_bad_edges():
         wl.Graph(-1)
 
 
+@pytest.mark.parametrize(
+    "n, edges",
+    [
+        (2.5, []),
+        ("3", []),
+        (True, []),
+        (3, [(0, 1.0)]),
+        (3, [("0", 1)]),
+        (3, [(True, 2)]),
+        (3, [(0, None)]),
+    ],
+)
+def test_graph_rejects_non_integers(n, edges):
+    with pytest.raises(DomainError):
+        wl.Graph(n, edges)
+
+
+def test_graph_takes_numpy_integers():
+    g = wl.Graph(np.int64(3), [(np.int64(0), np.int64(1)), (1, 2)])
+    assert g == wl.path_graph(3)
+    assert type(g.n) is int and all(type(m) is int for m in g.adj_masks)
+    assert all(type(x) is int for edge in g.edge_set for x in edge)
+    assert wl.treewidth(g) == 1
+    assert wl.canonical_form(g) == wl.canonical_form(wl.path_graph(3))
+    assert wl.components_avoiding(g, [1]) == [frozenset({0}), frozenset({2})]
+
+
 def test_graph_is_immutable():
     g = wl.Graph(2, [(0, 1)])
     with pytest.raises(AttributeError):
