@@ -35,7 +35,9 @@ removing/unguarding move that keeps k of the k+t pebbles.
 
 Each game has one successor function (``_BijectionMoves``,
 ``_PursuitMoves``) that both the solver and :func:`replay_certificate`
-call.  Verdicts carry optional strategy certificates, and replay checks
+call; in the bijection game the solver, Spoiler replay and Duplicator
+replay all take a putting state's successors from the same type-bucketed
+puts.  Verdicts carry optional strategy certificates, and replay checks
 a stored strategy against that same successor function under an
 exhaustive adversary.  Replay is therefore no second copy of the rules;
 the independent oracles stay the treewidth DP (Cops win iff treewidth
@@ -171,17 +173,13 @@ class _BijectionMoves:
     every index selection of two tuples of one type has one type, so a
     removal never does.  :meth:`puts` buckets a putting state's choices
     by the type of the position they lead to, so it pairs only choices
-    of one type; :meth:`put` checks any pair, for certificate replay."""
+    of one type; the solver and both replays take every put from it, and
+    a pair it does not list is a type mismatch."""
 
     def __init__(self, spec: GfwlSpec, g: Graph, h: Graph):
         self.spec = spec
         self.tables_g = _MoveTables(spec, g)
         self.tables_h = _MoveTables(spec, h)
-
-    def choices(self, key: tuple) -> tuple[list, list]:
-        """The g-side and h-side choice sets of a putting state."""
-        phase, pos_g, pos_h = key
-        return self.tables_g.put_choices(phase, pos_g), self.tables_h.put_choices(phase, pos_h)
 
     def puts(self, key: tuple) -> tuple[list, list, list | None]:
         """A putting state's g-side and h-side choice lists and its
@@ -192,7 +190,8 @@ class _BijectionMoves:
         (Hall's condition fails), so the state is lost for the second
         player whatever its successors."""
         phase, pos_g, pos_h = key
-        d, e = self.choices(key)
+        d = self.tables_g.put_choices(phase, pos_g)
+        e = self.tables_h.put_choices(phase, pos_h)
         if len(d) != len(e):  # Hall fails on the totals alone: skip the type codes
             return d, e, None
         new_g = [pos_g + a for a in d]
@@ -210,15 +209,6 @@ class _BijectionMoves:
             for ai, (tup, code) in enumerate(zip(new_g, codes_g))
             for bi in buckets[code]
         ]
-
-    def put(self, key: tuple, a: tuple, b: tuple) -> tuple | None:
-        """The state after ``a`` is put in g and ``b`` in h, or None on a
-        type mismatch."""
-        phase, pos_g, pos_h = key
-        new_g, new_h = pos_g + a, pos_h + b
-        if self.tables_g.type_code(new_g) != self.tables_h.type_code(new_h):
-            return None
-        return (_next_phase(self.spec, phase), new_g, new_h)
 
     def removal(self, key: tuple, combo: tuple) -> tuple:
         """The state after the pebbles at index selection ``combo`` are
@@ -782,7 +772,7 @@ def _replay_duplicator(cert: dict, spec: GfwlSpec, g: Graph, h: Graph) -> bool:
     while frontier:
         key = frontier.pop()
         if key[0][0] in ("I", "U"):
-            d, e = game.choices(key)
+            d, e, puts = game.puts(key)
             stored = matchings.get(key)
             if stored is None:
                 return False
@@ -795,7 +785,10 @@ def _replay_duplicator(cert: dict, spec: GfwlSpec, g: Graph, h: Graph) -> bool:
                 raise CertificateError(f"matching {stored!r} is not a list of tuple pairs") from exc
             if not bijective:
                 return False  # not a bijection between the two choice sets
-            succs = [game.put(key, a, b) for a, b in pairs]
+            # A pair that puts does not list has two types; when puts is
+            # None, every bijection holds such a pair.
+            typed = {(d[ai], e[bi]): succ for ai, bi, succ in puts or ()}
+            succs = [typed.get(pair) for pair in pairs]
         else:
             succs = game.removals(key)
         if None in succs:

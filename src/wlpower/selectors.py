@@ -13,42 +13,32 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, ClassVar, Iterable, Sequence
 
 from .errors import ConfigurationError, DomainError, check_deadline
 from .graphs import Graph, distance_table, homomorphisms, mask_nodes
 
-_R_KINDS = ("all_k_tuples", "distance_restricted")
-_F_KINDS = ("all_t_tuples", "all_nodes", "local_neighbor_union", "delta_ball_intersection")
-
-
-def _check_delta(kind: str, delta: int | None, needs_delta: bool) -> None:
-    if needs_delta:
-        if type(delta) is not int or delta < 1:
-            raise ConfigurationError(f"{kind} needs a positive delta, got {delta!r}")
-    elif delta is not None:
-        raise ConfigurationError(f"{kind} takes no delta")
-
 
 @dataclass(frozen=True)
-class RSelector:
-    """Which k-tuples of a graph get colored.
-
-    kinds: ``all_k_tuples`` (every k-tuple) and ``distance_restricted``
-    (pairs within distance delta; legal only with k=2).
-    """
+class _Selector:
+    """A selector kind from ``_KINDS``; ``delta``, a positive int, is given
+    exactly for ``_DELTA_KIND``.  Instances of different subclasses never
+    compare equal."""
 
     kind: str
     delta: int | None = None
+    _LABEL: ClassVar[str]
+    _KINDS: ClassVar[tuple[str, ...]]
+    _DELTA_KIND: ClassVar[str]
 
     def __post_init__(self):
-        if self.kind not in _R_KINDS:
-            raise ConfigurationError(f"unknown R selector kind {self.kind!r}")
-        _check_delta(self.kind, self.delta, self.kind == "distance_restricted")
-
-    def validate_arity(self, k: int) -> None:
-        if self.kind == "distance_restricted" and k != 2:
-            raise ConfigurationError("distance_restricted requires k=2")
+        if self.kind not in self._KINDS:
+            raise ConfigurationError(f"unknown {self._LABEL} selector kind {self.kind!r}")
+        if self.kind == self._DELTA_KIND:
+            if type(self.delta) is not int or self.delta < 1:
+                raise ConfigurationError(f"{self.kind} needs a positive delta, got {self.delta!r}")
+        elif self.delta is not None:
+            raise ConfigurationError(f"{self.kind} takes no delta")
 
     def to_json_dict(self) -> dict:
         out = {"kind": self.kind}
@@ -57,12 +47,27 @@ class RSelector:
         return out
 
     @classmethod
-    def from_json_dict(cls, obj: dict) -> "RSelector":
+    def from_json_dict(cls, obj: dict):
         return cls(kind=obj.get("kind", ""), delta=obj.get("delta"))
 
 
-@dataclass(frozen=True)
-class FSelector:
+class RSelector(_Selector):
+    """Which k-tuples of a graph get colored.
+
+    kinds: ``all_k_tuples`` (every k-tuple) and ``distance_restricted``
+    (pairs within distance delta; legal only with k=2).
+    """
+
+    _LABEL = "R"
+    _KINDS = ("all_k_tuples", "distance_restricted")
+    _DELTA_KIND = "distance_restricted"
+
+    def validate_arity(self, k: int) -> None:
+        if self.kind == "distance_restricted" and k != 2:
+            raise ConfigurationError("distance_restricted requires k=2")
+
+
+class FSelector(_Selector):
     """Which t-tuples are aggregated for a colored tuple ``v``.
 
     kinds: ``all_t_tuples``; ``all_nodes`` (t=1); ``local_neighbor_union``
@@ -71,29 +76,15 @@ class FSelector:
     both endpoints).
     """
 
-    kind: str
-    delta: int | None = None
-
-    def __post_init__(self):
-        if self.kind not in _F_KINDS:
-            raise ConfigurationError(f"unknown F selector kind {self.kind!r}")
-        _check_delta(self.kind, self.delta, self.kind == "delta_ball_intersection")
+    _LABEL = "F"
+    _KINDS = ("all_t_tuples", "all_nodes", "local_neighbor_union", "delta_ball_intersection")
+    _DELTA_KIND = "delta_ball_intersection"
 
     def validate_arity(self, k: int, t: int) -> None:
         if self.kind in ("all_nodes", "local_neighbor_union", "delta_ball_intersection") and t != 1:
             raise ConfigurationError(f"{self.kind} requires t=1")
         if self.kind == "delta_ball_intersection" and k != 2:
             raise ConfigurationError("delta_ball_intersection requires k=2")
-
-    def to_json_dict(self) -> dict:
-        out = {"kind": self.kind}
-        if self.delta is not None:
-            out["delta"] = self.delta
-        return out
-
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "FSelector":
-        return cls(kind=obj.get("kind", ""), delta=obj.get("delta"))
 
 
 def r_set(sel: RSelector, k: int, g: Graph) -> set[tuple[int, ...]]:

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import wlpower as wl
 from wlpower.errors import BudgetError, CertificateError
-from wlpower.games import _EfSolver, _PursuitMoves, has_safe_bijection
+from wlpower.games import _BijectionMoves, _EfSolver, _PursuitMoves, _next_phase, has_safe_bijection
 
 
 def nx_trees(n: int) -> list[wl.Graph]:
@@ -295,6 +295,46 @@ def test_replay_duplicator(c6, two_c3):
     tampered = copy.deepcopy(verdict)
     del tampered.certificate["matchings"][root]
     assert not wl.replay_certificate(tampered, spec, (c6, two_c3))
+
+
+def test_replay_duplicator_rejects_type_mismatch():
+    # A matching that stays a bijection but pairs a diagonal tuple with an
+    # edge tuple's partner fails replay on the type check alone.
+    spec = wl.fwl_spec(2)
+    g = wl.cycle_graph(6)
+    h = g.permuted([3, 0, 4, 1, 5, 2])
+    verdict = wl.spoiler_wins(spec, g, h)
+    assert verdict.winner == "duplicator"
+    assert wl.replay_certificate(verdict, spec, (g, h))
+
+    tampered = copy.deepcopy(verdict)
+    pairs = tampered.certificate["matchings"][(("I", 1), (), ())]
+    diag = next(i for i, (a, _) in enumerate(pairs) if a[0] == a[1])
+    edge = next(i for i, (a, _) in enumerate(pairs) if g.has_edge(*a))
+    (a, b), (c, d) = pairs[diag], pairs[edge]
+    pairs[diag], pairs[edge] = (a, d), (c, b)
+    assert not wl.replay_certificate(tampered, spec, (g, h))
+
+    # Mismatched positions have no stored matching, so replay could also
+    # stop there; with a matching at every state the pairs reach, only
+    # the type check is left to reject them.
+    matchings = tampered.certificate["matchings"]
+    game = _BijectionMoves(spec, g, h)
+    seen, frontier = set(), [(("I", 1), (), ())]
+    while frontier:
+        key = frontier.pop()
+        if key in seen:
+            continue
+        seen.add(key)
+        phase, pos_g, pos_h = key
+        if phase[0] == "R":
+            frontier.extend(game.removals(key))
+            continue
+        d, e, _ = game.puts(key)
+        nxt = _next_phase(spec, phase)
+        for a, b in matchings.setdefault(key, list(zip(sorted(d), sorted(e)))):
+            frontier.append((nxt, pos_g + a, pos_h + b))
+    assert not wl.replay_certificate(tampered, spec, (g, h))
 
 
 def test_replay_spoiler(c6, two_c3):
