@@ -298,8 +298,8 @@ def test_replay_duplicator(c6, two_c3):
 
 
 def test_replay_duplicator_rejects_type_mismatch():
-    # A matching that stays a bijection but pairs a diagonal tuple with an
-    # edge tuple's partner fails replay on the type check alone.
+    # Swapping the partners of a diagonal tuple and an edge tuple keeps
+    # the matching a bijection but pairs choices of different types.
     spec = wl.fwl_spec(2)
     g = wl.cycle_graph(6)
     h = g.permuted([3, 0, 4, 1, 5, 2])
