@@ -70,7 +70,6 @@ from .refinement import (
 from .games import (
     GameVerdict,
     cops_robber_wins,
-    has_safe_bijection,
     replay_certificate,
     spoiler_wins,
 )

@@ -37,7 +37,9 @@ Each game has one successor function (``_BijectionMoves``,
 ``_PursuitMoves``) that both the solver and :func:`replay_certificate`
 call; in the bijection game the solver, Spoiler replay and Duplicator
 replay all take a putting state's successors from the same type-bucketed
-puts.  Verdicts carry optional strategy certificates, and replay checks
+puts, and one matching routine on choice indices (``_max_matching``)
+serves the solver's fixpoint, its certificates and Spoiler replay.
+Verdicts carry optional strategy certificates, and replay checks
 a stored strategy against that same successor function under an
 exhaustive adversary.  Replay is therefore no second copy of the rules;
 the independent oracles stay the treewidth DP (Cops win iff treewidth
@@ -50,7 +52,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from .errors import BudgetError, CertificateError, check_deadline
 from .graphs import Graph, atp, component_masks, mask_nodes, node_mask
@@ -64,11 +66,16 @@ DEFAULT_MAX_STATES = 1_000_000
 # Bipartite matching
 
 
-def _max_matching(n_left: int, n_right: int, adjacency: Sequence[Sequence[int]]) -> list:
-    """Left-to-right maximum matching (augmenting paths).  Returns the
-    right-side partner per left index, -1 where unmatched."""
-    match_left = [-1] * n_left
-    match_right = [-1] * n_right
+def _max_matching(n: int, pairs: Iterable[tuple[int, int]]) -> list:
+    """Maximum matching (augmenting paths) between two sides of ``n``
+    choices each, over the ``(left index, right index)`` pairs, tried in
+    their given order.  Returns the right-side partner per left index,
+    -1 where unmatched."""
+    adjacency: list[list[int]] = [[] for _ in range(n)]
+    for a, b in pairs:
+        adjacency[a].append(b)
+    match_left = [-1] * n
+    match_right = [-1] * n
 
     def augment(a: int, seen: list[bool]) -> bool:
         for b in adjacency[a]:
@@ -80,26 +87,9 @@ def _max_matching(n_left: int, n_right: int, adjacency: Sequence[Sequence[int]])
                     return True
         return False
 
-    for a in range(n_left):
-        augment(a, [False] * n_right)
+    for a in range(n):
+        augment(a, [False] * n)
     return match_left
-
-
-def has_safe_bijection(domain: Iterable, codomain: Iterable, safe: Iterable[tuple]) -> bool:
-    """True iff the two sets have equal size and the safe pairs contain a
-    perfect matching (i.e. some bijection uses only safe pairs)."""
-    dom = sorted(set(domain))
-    cod = sorted(set(codomain))
-    if len(dom) != len(cod):
-        return False
-    cod_index = {c: i for i, c in enumerate(cod)}
-    adjacency: list[list[int]] = [[] for _ in dom]
-    dom_index = {d: i for i, d in enumerate(dom)}
-    for d, c in safe:
-        if d in dom_index and c in cod_index:
-            adjacency[dom_index[d]].append(cod_index[c])
-    matched = _max_matching(len(dom), len(cod), adjacency)
-    return all(b != -1 for b in matched)
 
 
 # ---------------------------------------------------------------------------
@@ -478,12 +468,9 @@ class _EfSolver:
         whose successor survives: h-side index per g-side index, -1
         where unmatched."""
         self.matching_calls += 1
-        d, e = self.choices[sid]
-        adjacency: list[list[int]] = [[] for _ in d]
-        for ai, bi, succ in self.succs[sid]:
-            if self.alive[succ]:
-                adjacency[ai].append(bi)
-        return _max_matching(len(d), len(e), adjacency)
+        alive = self.alive
+        pairs = [(ai, bi) for ai, bi, succ in self.succs[sid] if alive[succ]]
+        return _max_matching(len(self.choices[sid][0]), pairs)
 
     def _survives(self, sid: int) -> bool:
         """Judge a removing state, or a putting state not cut at birth."""
@@ -821,14 +808,15 @@ def _replay_spoiler(cert: dict, spec: GfwlSpec, g: Graph, h: Graph) -> bool:
         if key in proven:
             return True
         if key[0][0] in ("I", "U"):
-            d, e, puts = game.puts(key)
+            d, _, puts = game.puts(key)
             # Every bijection contains a refutable pair (a type mismatch
             # or a refuted put) iff the non-refutable puts admit no
-            # perfect matching.
-            if puts is not None and has_safe_bijection(
-                d, e, [(d[ai], e[bi]) for ai, bi, succ in puts if not refuted(key, succ, path)]
-            ):
-                return False
+            # perfect matching.  Puts exist only when both sides have
+            # ``len(d)`` choices.
+            if puts is not None:
+                safe = [(ai, bi) for ai, bi, succ in puts if not refuted(key, succ, path)]
+                if -1 not in _max_matching(len(d), safe):
+                    return False
             proven.add(key)
             return True
         choice = remove_choices.get(key)

@@ -43,21 +43,21 @@ def _as_int(value, what: str) -> int:
 class Graph:
     """A simple undirected graph on nodes ``0 .. n-1``.
 
-    Edges are unordered pairs with no self-loops and no duplicates, kept
-    as ``edge_set`` (pairs ``u < v``).  The adjacency is stored once, as
-    ``adj_masks``: entry ``u`` is the node mask of the neighbors of ``u``
-    (bit ``w`` set iff ``u`` and ``w`` are adjacent).  Instances are
-    immutable and hashable; equality is label-sensitive (use
-    :func:`canonical_form` for isomorphism-class identity).
+    Edges are unordered pairs with no self-loops and no duplicates.  The
+    adjacency is stored once, as ``adj_masks``: entry ``u`` is the node
+    mask of the neighbors of ``u`` (bit ``w`` set iff ``u`` and ``w`` are
+    adjacent).  ``edge_set`` (pairs ``u < v``) is computed from the masks
+    on access.  Instances are immutable and hashable; equality is
+    label-sensitive (use :func:`canonical_form` for isomorphism-class
+    identity).
     """
 
-    __slots__ = ("n", "edge_set", "adj_masks")
+    __slots__ = ("n", "adj_masks")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         n = _as_int(n, "node count")
         if n < 0:
             raise DomainError(f"node count must be nonnegative, got {n}")
-        normalized = set()
         masks = [0] * n
         for u, v in edges:
             if type(u) is not int or type(v) is not int:
@@ -66,22 +66,26 @@ class Graph:
                 raise DomainError(f"edge ({u},{v}) has an endpoint outside 0..{n - 1}")
             if u == v:
                 raise DomainError(f"self-loop at node {u} is not allowed")
-            normalized.add((u, v) if u < v else (v, u))
             masks[u] |= 1 << v
             masks[v] |= 1 << u
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "edge_set", frozenset(normalized))
         object.__setattr__(self, "adj_masks", tuple(masks))
 
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
 
     @property
+    def edge_set(self) -> frozenset:
+        return frozenset(
+            (u, v) for u, row in enumerate(self.adj_masks) for v in mask_nodes(row) if u < v
+        )
+
+    @property
     def edge_count(self) -> int:
-        return len(self.edge_set)
+        return sum(row.bit_count() for row in self.adj_masks) // 2
 
     def has_edge(self, u: int, v: int) -> bool:
-        return (u, v) in self.edge_set or (v, u) in self.edge_set
+        return 0 <= u < self.n and 0 <= v < self.n and self.adj_masks[u] >> v & 1 == 1
 
     def neighbors(self, u: int) -> frozenset:
         return frozenset(mask_nodes(self.adj_masks[u]))
@@ -96,14 +100,11 @@ class Graph:
         return Graph(self.n, ((perm[u], perm[v]) for u, v in self.edge_set))
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Graph)
-            and self.n == other.n
-            and self.edge_set == other.edge_set
-        )
+        # ``len(adj_masks)`` is ``n``, so equal masks mean equal graphs
+        return isinstance(other, Graph) and self.adj_masks == other.adj_masks
 
     def __hash__(self):
-        return hash((self.n, self.edge_set))
+        return hash(self.adj_masks)
 
     def __repr__(self):
         return f"Graph(n={self.n}, edges={sorted(self.edge_set)})"

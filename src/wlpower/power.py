@@ -17,7 +17,6 @@ import random
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable
 
 from .errors import BudgetError, ConfigurationError, check_deadline
 from .games import DEFAULT_MAX_STATES, cops_robber_wins, spoiler_wins
@@ -184,6 +183,7 @@ def compare_to_treewidth(
     classes = connected_classes(n_max)
     mismatches = []
     for g, (key, stats) in zip(classes, power.per_graph_stats.items()):
+        check_deadline()
         width = treewidth(g)
         if (stats["verdict"] == "cops") != (width <= k):
             mismatches.append({"graph6": key, "winner": stats["verdict"], "treewidth": width})
@@ -279,6 +279,7 @@ def validate_soundness(
     cases = 0
     pattern_ids = range(len(patterns))
     for i in range(len(classes)):
+        check_deadline()
         for j in range(i + 1, len(classes)):
             cases += 1
             if colors[i] != colors[j]:

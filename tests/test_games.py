@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import wlpower as wl
 from wlpower.errors import BudgetError, CertificateError
-from wlpower.games import _BijectionMoves, _EfSolver, _PursuitMoves, _next_phase, has_safe_bijection
+from wlpower.games import _BijectionMoves, _EfSolver, _PursuitMoves, _max_matching, _next_phase
 
 
 def nx_trees(n: int) -> list[wl.Graph]:
@@ -29,14 +29,14 @@ def nx_trees(n: int) -> list[wl.Graph]:
 # Matching helper
 
 
-def test_has_safe_bijection():
-    assert has_safe_bijection([], [], [])
-    assert not has_safe_bijection([1], [], [])
-    assert not has_safe_bijection([1, 2], [3], [(1, 3), (2, 3)])
-    assert has_safe_bijection([1, 2], [3, 4], [(1, 3), (2, 3), (2, 4)])
-    assert has_safe_bijection([1, 2], [3, 4], [(1, 4), (2, 3)])
-    assert not has_safe_bijection([1, 2], [3, 4], [(1, 3), (2, 3)])
-    assert not has_safe_bijection([1, 2], [3, 4], [])
+def test_max_matching():
+    # (left index, right index) pairs; the result is the partner per left
+    # index, -1 where unmatched.
+    assert _max_matching(0, []) == []
+    assert _max_matching(2, [(0, 0), (1, 0), (1, 1)]) == [0, 1]
+    assert _max_matching(2, [(0, 1), (1, 0)]) == [1, 0]
+    assert -1 in _max_matching(2, [(0, 0), (1, 0)])
+    assert _max_matching(2, []) == [-1, -1]
 
 
 # ---------------------------------------------------------------------------

@@ -128,6 +128,43 @@ def test_permuted_relabels():
     assert h.edge_set == frozenset({(0, 2), (0, 1)})
 
 
+def test_graph_value_semantics_exhaustive():
+    # Every labelled graph on <= 5 nodes, its edges given in several
+    # orders and orientations: the edge set, equality, hashing, edge
+    # queries and relabeling depend on the edge set alone.
+    rng = random.Random(5)
+    for n in range(6):
+        pairs = list(itertools.combinations(range(n), 2))
+        for bits in range(1 << len(pairs)):
+            edges = [p for i, p in enumerate(pairs) if bits >> i & 1]
+            shuffled = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in edges]
+            rng.shuffle(shuffled)
+            forms = [edges, shuffled, [(v, u) for u, v in reversed(edges)], edges + shuffled]
+            g = wl.Graph(n, edges)
+            assert g.edge_set == frozenset(edges)
+            assert g.edge_count == len(edges)
+            for form in forms:
+                other = wl.Graph(n, form)
+                assert other == g and hash(other) == hash(g)
+                assert other.edge_set == g.edge_set
+            assert wl.Graph(n, g.edge_set) == g
+            assert wl.Graph(n + 1, edges) != g
+            for u in range(-2, n + 2):
+                for v in range(-2, n + 2):
+                    assert g.has_edge(u, v) is ((min(u, v), max(u, v)) in g.edge_set)
+            perm = list(range(n))
+            rng.shuffle(perm)
+            inverse = [perm.index(u) for u in range(n)]
+            moved = g.permuted(perm)
+            assert moved.edge_set == frozenset(tuple(sorted((perm[u], perm[v]))) for u, v in edges)
+            assert moved.permuted(inverse) == g
+            tail = wl.path_graph(rng.randrange(4))
+            union = wl.disjoint_union(g, tail)
+            assert union.n == n + tail.n
+            assert union.edge_set == g.edge_set | {(u + n, v + n) for u, v in tail.edge_set}
+            assert wl.disjoint_union(g) == g == wl.disjoint_union(wl.Graph(0), g)
+
+
 # ---------------------------------------------------------------------------
 # graph6 codec
 

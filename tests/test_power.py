@@ -166,6 +166,34 @@ def test_enumerate_power_timeout_aborts_the_sweep():
     assert wl.enumerate_power(wl.fwl_spec(2), 4).complete
 
 
+@pytest.mark.parametrize(
+    "name, suite",
+    [
+        ("treewidth", lambda: wl.compare_to_treewidth(1, 5)),
+        ("hom_count", lambda: wl.validate_soundness(wl.local_fwl_spec(1), 5, 4)),
+    ],
+    ids=["treewidth", "soundness"],
+)
+def test_suite_loops_check_the_deadline(monkeypatch, name, suite):
+    # The first call of the loop's worker outlasts a 200 ms deadline; the
+    # suite must stop at its next work item, not run to the end.  Small
+    # inputs never reach the checks inside the workers themselves.
+    suite()  # warm the class cache, so the set-up stays short
+    original = getattr(wl.power, name)
+    calls = []
+
+    def slow_first(*args):
+        if not calls:
+            time.sleep(0.3)
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(wl.power, name, slow_first)
+    with deadline(200, time.perf_counter()), pytest.raises(BudgetError, match="time limit"):
+        suite()
+    assert calls, "the deadline passed before the loop started"
+
+
 def test_validate_soundness_budget():
     with pytest.raises(BudgetError):
         wl.validate_soundness(wl.fwl_spec(2), 3, 4, max_states=30)
