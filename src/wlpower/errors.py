@@ -78,8 +78,14 @@ class ClosureError(RuntimeError):
 
     The refinement update assumes every replacement of a colored tuple is
     itself colored; violating selector combinations are rejected loudly
-    instead of being silently recolored.
+    instead of being silently recolored.  ``violations`` lists them all
+    (``v``, ``u``, ``choice``, ``replacement``); the message names the first.
     """
+
+    def __init__(self, violations: list):
+        super().__init__("replacement {replacement} of v={v} by u={u} (choice index {choice})"
+                         " lies outside the colored tuple universe".format(**violations[0]))
+        self.violations = violations
 
 
 class CertificateError(ValueError):

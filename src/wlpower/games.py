@@ -3,7 +3,10 @@
 Both games share the move schedule of the spec: an initialization round
 of N putting/guarding moves staged by ``i_seq``, then repeated update
 rounds of M putting/guarding moves staged by ``j_seq`` plus one
-removing/unguarding move that keeps k of the k+t pebbles.
+removing/unguarding move that keeps k of the k+t pebbles.  Both read
+their choice sets and type codes from refinement's tuple table, which
+checks replacement closure when it is built, so a spec whose refinement
+is undefined raises :class:`~wlpower.errors.ClosureError` here too.
 
 * The bijection game runs on a pair of graphs.  The second player picks
   a bijection between the two current choice sets, the first player
@@ -12,13 +15,11 @@ removing/unguarding move that keeps k of the k+t pebbles.
   favors the second player, so the solver computes a greatest fixed
   point: states are deleted until every survivor has a perfect matching
   of safe choice pairs (putting) and only surviving index selections
-  (removing).  A put pairs two choices only when the positions they
-  lead to have one type, so the choices are bucketed by that type.  A
-  putting state whose buckets differ in size between the two sides has
-  no type-respecting bijection (Hall's condition fails; P. Hall, "On
-  representatives of subsets", 1935): it is dead at birth and gets no
-  successors.  The game is Hella's bijective pebble game ("Logical
-  hierarchies in PTIME", Information and Computation 1996).
+  (removing).  A putting state whose choices differ in their per-type
+  counts between the two sides fails Hall's condition (P. Hall, "On
+  representatives of subsets", 1935) and is dead at birth.  The game is
+  Hella's bijective pebble game ("Logical hierarchies in PTIME",
+  Information and Computation 1996).
 
 * The pursuit game runs on one graph.  The first player (Cops) places
   pebbles from the same choice sets; the second player (Robber)
@@ -26,26 +27,14 @@ removing/unguarding move that keeps k of the k+t pebbles.
   after each placement and grows back to its enclosing component after
   each removal.  Cops must trap Robber in finite play, so the solver
   computes the attractor (least fixed point) of the Robber-stuck
-  positions, folding Robber replies into for-all edges.  Its state keys
-  hold Robber's component as an integer node mask, grown from the
-  graph's adjacency masks; certificates hold the same keys with the
-  component decoded to a frozenset of nodes.  One generation pass
-  records every edge, its pending reply count and the reverse edges, so
-  the attractor only propagates.
+  positions, folding Robber replies into for-all edges.
 
 Each game has one successor function (``_BijectionMoves``,
-``_PursuitMoves``) that both the solver and :func:`replay_certificate`
-call; in the bijection game the solver, Spoiler replay and Duplicator
-replay all take a putting state's successors from the same type-bucketed
-puts, and one matching routine on choice indices (``_max_matching``)
-serves the solver's fixpoint, its certificates and Spoiler replay.
-Verdicts carry optional strategy certificates, and replay checks
-a stored strategy against that same successor function under an
-exhaustive adversary.  Replay is therefore no second copy of the rules;
-the independent oracles stay the treewidth DP (Cops win iff treewidth
-<= k) and agreement of the bijection game with refinement.  Both solvers
-number states through one ``_StateIndex``, which owns the state budget,
-the predecessor lists and the deadline-checked walk in sid order.
+``_PursuitMoves``) that both its solver and :func:`replay_certificate`
+call, so replay is no second copy of the rules; the independent oracles
+stay the treewidth DP (Cops win iff treewidth <= k) and agreement of the
+bijection game with refinement.  Both solvers number states through one
+``_StateIndex``.
 """
 
 from __future__ import annotations
@@ -55,9 +44,12 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 from .errors import BudgetError, CertificateError, check_deadline
-from .graphs import Graph, atp, component_masks, mask_nodes, node_mask
-from .refinement import GfwlSpec, _index_vectors
-from .selectors import f_set, r_set
+from .graphs import Graph, component_masks, mask_nodes, node_mask
+from .refinement import GfwlSpec, _index_vectors, _TupleTable
+# ``r_set`` and ``f_set`` are not called here: the tuple table reads
+# them.  They stay module attributes because the benchmark's span tracer
+# (``perfbench/spans.py``) wraps ``wlpower.games.r_set`` and ``f_set``.
+from .selectors import f_set, r_set  # noqa: F401
 
 DEFAULT_MAX_STATES = 1_000_000
 
@@ -104,7 +96,7 @@ def _next_phase(spec: GfwlSpec, phase: tuple) -> tuple:
     return ("U", 1)
 
 
-def _stage_groups(tuples: set[tuple[int, ...]], seq: tuple[int, ...]) -> list[dict]:
+def _stage_groups(tuples: list[tuple[int, ...]], seq: tuple[int, ...]) -> list[dict]:
     """For each stage ``(seq[n-1], seq[n])``: the length-``seq[n]``
     prefixes of ``tuples``, in sorted order, as suffixes grouped by their
     length-``seq[n-1]`` prefix."""
@@ -117,38 +109,22 @@ def _stage_groups(tuples: set[tuple[int, ...]], seq: tuple[int, ...]) -> list[di
     return groups
 
 
-class _MoveTables:
-    """Per-graph choice sets: for each putting stage, the suffix sets of
-    the staged tuple universe grouped by occupied prefix; and a memo of
-    the :func:`~wlpower.graphs.atp` code of each occupied tuple."""
+class _MoveTables(_TupleTable):
+    """The tuple table with its sorted lists grouped, per putting stage,
+    into suffixes by occupied prefix: ``groups[()]`` for the universe
+    (``R(G)`` is ``F(G, ())``) and ``groups[v]`` for the aggregation
+    tuples of each colored tuple ``v``.  Closure holds once the table is
+    built, so every main part a game reaches is a key."""
 
     def __init__(self, spec: GfwlSpec, g: Graph):
-        self.spec = spec
-        self.g = g
-        self.r_groups = _stage_groups(r_set(spec.r_selector, spec.k, g), spec.i_seq)
-        self._f_groups: dict = {}
-        self._types: dict = {}
-
-    def _f_stages(self, main: tuple) -> list[dict]:
-        cached = self._f_groups.get(main)
-        if cached is None:
-            spec = self.spec
-            cached = _stage_groups(f_set(spec.f_selector, spec.t, self.g, main), spec.j_seq)
-            self._f_groups[main] = cached
-        return cached
+        super().__init__(spec, g)
+        self.k = spec.k
+        self.groups = {v: _stage_groups(us, spec.j_seq) for v, us in self.fsets.items()}
+        self.groups[()] = _stage_groups(self.rset, spec.i_seq)
 
     def put_choices(self, phase: tuple, pos: tuple) -> list:
-        if phase[0] == "I":
-            return self.r_groups[phase[1] - 1].get(pos, [])
-        main, aux = pos[: self.spec.k], pos[self.spec.k:]
-        return self._f_stages(main)[phase[1] - 1].get(aux, [])
-
-    def type_code(self, tup: tuple) -> int:
-        """``atp(g, tup)``, memoized per tuple."""
-        code = self._types.get(tup)
-        if code is None:
-            code = self._types[tup] = atp(self.g, tup)
-        return code
+        main = () if phase[0] == "I" else pos[: self.k]
+        return self.groups[main][phase[1] - 1].get(pos[len(main):], [])
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +203,6 @@ class _PursuitMoves:
 
     def __init__(self, spec: GfwlSpec, g: Graph):
         self.spec = spec
-        self.g = g
         self.tables = _MoveTables(spec, g)
         self._components: dict[int, list[int]] = {}
         self._replies: dict[tuple[int, int], list[int]] = {}
@@ -237,7 +212,7 @@ class _PursuitMoves:
     def _avoiding(self, blocked: int) -> list[int]:
         comps = self._components.get(blocked)
         if comps is None:
-            comps = self._components[blocked] = component_masks(self.g, blocked)
+            comps = self._components[blocked] = component_masks(self.tables.g, blocked)
         return comps
 
     def initial(self) -> list[tuple]:
@@ -319,18 +294,12 @@ class GameVerdict:
 
 def _jsonify(obj):
     if isinstance(obj, dict):
-        return {_key_str(k): _jsonify(v) for k, v in obj.items()}
+        return {k if isinstance(k, str) else repr(k): _jsonify(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonify(x) for x in obj]
     if isinstance(obj, frozenset):
         return sorted(obj)
     return obj
-
-
-def _key_str(key) -> str:
-    if isinstance(key, str):
-        return key
-    return repr(key)
 
 
 # ---------------------------------------------------------------------------
@@ -391,15 +360,12 @@ def spoiler_wins(
     Greatest fixed point over reachable type-consistent states: a
     putting state survives while the safe pairs (same type, surviving
     successor) admit a perfect matching; a removing state survives while
-    every index selection leads to a surviving state.  Puts are
-    generated per type bucket, and a putting state whose two sides have
-    different per-type counts is dead at birth and gets no successors,
-    since no bijection between them respects types (Hall's condition).
-    The first player wins iff the empty-board root is deleted.  The run
-    deadline is checked every 256 generated states.  ``stats`` holds
-    the phase milliseconds, ``matching_calls`` (bipartite matchings run
-    by the fixpoint) and ``cut_states`` (putting states cut by Hall's
-    condition).
+    every index selection leads to a surviving state.  The first player
+    wins iff the empty-board root is deleted.  The run deadline is
+    checked every 256 generated states.  ``stats`` holds the phase
+    milliseconds, ``matching_calls`` (bipartite matchings run by the
+    fixpoint) and ``cut_states`` (putting states cut, dead at birth, by
+    Hall's condition).
     """
     solver = _EfSolver(spec, g, h, max_states)
     start = time.perf_counter()
@@ -598,7 +564,7 @@ class _CrSolver:
                     tid = index.get(succ)
                     rev[add(succ) if tid is None else tid].append(eid)
                 eid += 1
-        n = self.game.g.n
+        n = self.game.tables.g.n
         bound = (n + 1) ** (self.spec.k + self.spec.t) * 2 ** n * (
             self.spec.n_stages + self.spec.m_stages + 1
         )

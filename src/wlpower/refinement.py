@@ -7,6 +7,8 @@ selected k-tuples (the integer codes of :func:`~wlpower.graphs.atp`),
 then repeat an update step (replacement messages from the selected
 t-tuples, collapsed by nested multiset aggregations) until the induced
 partition stops changing, and finally pool to one graph-level color.
+One tuple table per (spec, graph), which both games extend, checks when
+built that every replacement stays in the universe (``ClosureError``).
 
 All hashing goes through one shared append-only :class:`ColorDictionary`
 mapping canonical content keys to fresh integers, so color identifiers
@@ -22,6 +24,7 @@ import itertools
 import json
 from dataclasses import dataclass, field
 from functools import lru_cache
+from operator import itemgetter
 from typing import Sequence
 
 from .errors import ClosureError, ConfigurationError, DomainError, check_deadline
@@ -36,13 +39,21 @@ def _index_vectors(k: int, t: int) -> tuple[tuple[int, ...], ...]:
     return tuple(itertools.combinations(range(k + t), k))
 
 
+@lru_cache(maxsize=None)
+def _replacement_getters(k: int, t: int) -> tuple:
+    """One getter per index vector of :func:`_index_vectors`, in its
+    order, taking a concatenation ``v + u`` to that replacement."""
+    # a one-index getter would return the entry, not a 1-tuple: slice it
+    return tuple(itemgetter(*vec) if k > 1 else itemgetter(slice(*vec, vec[0] + 1))
+                 for vec in _index_vectors(k, t))
+
+
 def replacements(v: Sequence[int], u: Sequence[int]) -> list[tuple[int, ...]]:
     """The C = binom(k+t, k) length-k subsequences of the concatenation
     ``(v, u)``, ordered lexicographically by index vector.  The first
     entry is always ``v`` itself."""
-    v, u = tuple(v), tuple(u)
-    concat = v + u
-    return [tuple(concat[i] for i in vec) for vec in _index_vectors(len(v), len(u))]
+    concat = tuple(v) + tuple(u)
+    return [get(concat) for get in _replacement_getters(len(v), len(u))]
 
 
 class ColorDictionary:
@@ -242,47 +253,64 @@ def _collapse(values: dict, lengths: Sequence[int], stage: str, dic: ColorDictio
     return cur[()]
 
 
-def _replacement_walk(spec: GfwlSpec, g: Graph, rset: list):
-    """Every (colored tuple ``v``, aggregation tuple ``u``) pair on ``g``
-    in sorted order, as ``(v, u, replacements of v by u, choice indices
-    of the replacements outside the tuple universe)``."""
-    universe = set(rset)
-    closed = universe.issuperset
-    for v in rset:
-        for u in sorted(f_set(spec.f_selector, spec.t, g, v)):
-            reps = replacements(v, u)
-            if closed(reps):
-                yield v, u, reps, ()
-            else:
-                yield v, u, reps, [c for c, w in enumerate(reps) if w not in universe]
+class _TupleTable:
+    """The tuple facts of one (spec, graph), built once per call: the
+    sorted universe ``rset``, each colored tuple's sorted aggregation
+    tuples ``fsets[v]``, the replacement ``getters`` and one memo of
+    :func:`~wlpower.graphs.atp` codes.  Refinement and both games read
+    them through subclasses, :func:`validate_spec` directly.  Building
+    it raises :class:`ClosureError` when a replacement leaves the
+    universe; a universe of all ``g.n ** k`` tuples is closed by
+    counting, so the walk is skipped there."""
+
+    def __init__(self, spec: GfwlSpec, g: Graph):
+        self.g = g
+        self.rset = sorted(r_set(spec.r_selector, spec.k, g))
+        self.fsets = {v: sorted(f_set(spec.f_selector, spec.t, g, v)) for v in self.rset}
+        self.getters = getters = _replacement_getters(spec.k, spec.t)
+        self._types: dict = {}
+        if len(self.rset) == g.n ** spec.k:
+            return
+        universe, k = set(self.rset), spec.k
+        concats = [v + u for v, us in self.fsets.items() for u in us]
+        # the first getter gives v itself; the rest run at C speed
+        if all(universe.issuperset(map(get, concats)) for get in getters[1:]):
+            return
+        violations = [
+            {"v": concat[:k], "u": concat[k:], "choice": c, "replacement": w}
+            for concat in concats
+            for c, w in enumerate([get(concat) for get in getters])
+            if w not in universe
+        ]
+        raise ClosureError(violations)
+
+    def type_code(self, tup: tuple) -> int:
+        """``atp(g, tup)``, memoized per tuple."""
+        code = self._types.get(tup)
+        if code is None:
+            code = self._types[tup] = atp(self.g, tup)
+        return code
 
 
-class _Context:
-    """Per-(spec, graph) precomputation shared by all update steps: the
-    sorted tuple universe and, per colored tuple ``v``, one row per
-    aggregation tuple ``u`` in sorted order holding ``u``, the
-    dictionary id of the isomorphism type of ``v + u``, and the
-    replacements of ``v`` by ``u`` (validated against the universe)."""
+class _Context(_TupleTable):
+    """The tuple table plus what every update step reads: per colored
+    tuple ``v``, one row per aggregation tuple ``u`` in sorted order
+    holding ``u``, the dictionary id of the isomorphism type of ``v + u``,
+    and the replacements of ``v`` by ``u``."""
 
     def __init__(self, spec: GfwlSpec, g: Graph, dictionary: ColorDictionary):
-        self.g = g
+        super().__init__(spec, g)
         self.dictionary = dictionary
-        self.rset = sorted(r_set(spec.r_selector, spec.k, g))
-        self.rows: dict = {v: [] for v in self.rset}
-        for v, u, reps, outside in _replacement_walk(spec, g, self.rset):
-            if outside:
-                c = outside[0]
-                raise ClosureError(
-                    f"replacement {reps[c]} of v={v} by u={u} (choice index {c})"
-                    " lies outside the colored tuple universe"
-                )
-            self.rows[v].append((u, dictionary.id_for(("atp", atp(g, v + u))), reps))
+        id_for, type_code, getters = dictionary.id_for, self.type_code, self.getters
+        self.rows = {
+            v: [(u, id_for(("atp", type_code(v + u))), [get(v + u) for get in getters]) for u in us]
+            for v, us in self.fsets.items()
+        }
         self.j_desc = tuple(reversed(spec.j_seq[:-1]))
         self.i_desc = tuple(reversed(spec.i_seq[:-1]))
 
     def initial_colors(self) -> dict:
-        dic = self.dictionary
-        return {v: dic.id_for(("atp", atp(self.g, v))) for v in self.rset}
+        return {v: self.dictionary.id_for(("atp", self.type_code(v))) for v in self.rset}
 
     def step(self, colors: dict) -> dict:
         id_for, j_desc = self.dictionary.id_for, self.j_desc
@@ -415,9 +443,8 @@ def validate_spec(spec: GfwlSpec | dict, g: Graph) -> SpecValidationReport:
             report.structure_issues.append(str(exc))
             return report
     # Construction enforces (a) and (b); reaching here means both hold.
-    rset = sorted(r_set(spec.r_selector, spec.k, g))
-    for v, u, reps, outside in _replacement_walk(spec, g, rset):
-        report.closure_violations += (
-            {"v": v, "u": u, "choice": c, "replacement": reps[c]} for c in outside
-        )
+    try:
+        _TupleTable(spec, g)
+    except ClosureError as exc:
+        report.closure_violations = exc.violations
     return report

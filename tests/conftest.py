@@ -1,5 +1,7 @@
 """Shared fixtures: small-graph corpora and the acceptance summary hook."""
 
+import itertools
+
 import pytest
 
 import wlpower as wl
@@ -43,3 +45,21 @@ def c6():
 @pytest.fixture(scope="session")
 def two_c3():
     return wl.disjoint_union(wl.cycle_graph(3), wl.cycle_graph(3))
+
+
+@pytest.fixture(scope="session")
+def graphs5():
+    """Every labelled graph on 1..5 nodes."""
+    out = []
+    for n in range(1, 6):
+        pairs = list(itertools.combinations(range(n), 2))
+        for bits in range(1 << len(pairs)):
+            out.append(wl.Graph(n, [p for idx, p in enumerate(pairs) if bits >> idx & 1]))
+    return out
+
+
+@pytest.fixture(scope="session")
+def graph_classes5(graphs5):
+    """One labelled graph per isomorphism class on 1..5 nodes,
+    disconnected ones included."""
+    return list({wl.canonical_form(g): g for g in reversed(graphs5)}.values())

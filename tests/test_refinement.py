@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 import wlpower as wl
 from wlpower.errors import ClosureError, ConfigurationError, DomainError
 from wlpower.refinement import ColorDictionary
+from wlpower.selectors import f_set, r_set
 
 
 def random_graph(rng: random.Random, n: int, p: float = 0.4) -> wl.Graph:
@@ -432,3 +433,58 @@ def test_validate_spec_rejects_booleans(spec, field):
     # JSON ``true`` is no integer, though Python's ``bool`` is an ``int``
     report = wl.validate_spec({**spec.to_json_dict(), **field}, wl.path_graph(3))
     assert report.structure_issues and not report.closure_violations
+
+
+# Every selector pairing that constructs at k = 2, t = 1 with delta in {1, 2}.
+K2_T1_SPECS = [
+    wl.GfwlSpec(2, 1, (0, 2), (0, 1), r, f)
+    for r in (wl.RSelector("all_k_tuples"), *(wl.RSelector("distance_restricted", d) for d in (1, 2)))
+    for f in (
+        wl.FSelector("all_t_tuples"),
+        wl.FSelector("all_nodes"),
+        wl.FSelector("local_neighbor_union"),
+        *(wl.FSelector("delta_ball_intersection", d) for d in (1, 2)),
+    )
+]
+
+
+def brute_closure_violations(spec: wl.GfwlSpec, g: wl.Graph) -> list:
+    """Every replacement outside the universe, by a direct walk over the
+    k-subsequences of each concatenation ``v + u``."""
+    universe = r_set(spec.r_selector, spec.k, g)
+    return [
+        {"v": v, "u": u, "choice": c, "replacement": w}
+        for v in sorted(universe)
+        for u in sorted(f_set(spec.f_selector, spec.t, g, v))
+        for c, w in enumerate(itertools.combinations(v + u, spec.k))
+        if w not in universe
+    ]
+
+
+def test_closure_violations_match_brute_force(graph_classes5):
+    # Specs with a full universe skip the walk; the brute force judges
+    # that skip too.
+    seen = Counter()
+    for spec in K2_T1_SPECS:
+        for g in graph_classes5:
+            expected = brute_closure_violations(spec, g)
+            assert wl.validate_spec(spec, g).closure_violations == expected, (spec, g)
+            seen[bool(expected)] += 1
+    assert seen[True] and seen[False]
+
+
+def test_closure_error_exactly_when_violated(graph_classes5):
+    for spec in K2_T1_SPECS:
+        for g in graph_classes5:
+            violated = bool(brute_closure_violations(spec, g))
+            for solve in (
+                lambda: wl.stabilize(spec, g),
+                lambda: wl.cops_robber_wins(spec, g, want_certificate=False),
+                lambda: wl.spoiler_wins(spec, g, g, want_certificate=False),
+            ):
+                try:
+                    solve()
+                except ClosureError:
+                    assert violated, (spec, g)
+                else:
+                    assert not violated, (spec, g)

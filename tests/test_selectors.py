@@ -235,3 +235,47 @@ def test_hom_closed_truncation(monkeypatch):
     pool = [wl.empty_graph(4)]
     report = wl.check_hom_closed(wl.RSelector("all_k_tuples"), 2, None, pool)
     assert report.truncated
+
+
+# ---------------------------------------------------------------------------
+# Symmetry in the entries of a tuple (what a pebble-order quotient of the
+# games relies on)
+
+SYMMETRY_R_CASES = [
+    *((wl.RSelector("all_k_tuples"), k) for k in (1, 2, 3)),
+    *((wl.RSelector("distance_restricted", d), 2) for d in (1, 2)),
+]
+SYMMETRY_F_CASES = [
+    *((wl.FSelector("all_t_tuples"), k, t) for k, t in ((1, 2), (2, 1), (2, 2))),
+    *((wl.FSelector(kind), k, 1) for kind in ("all_nodes", "local_neighbor_union") for k in (1, 2, 3)),
+    *((wl.FSelector("delta_ball_intersection", d), 2, 1) for d in (1, 2)),
+]
+
+
+def test_selector_kinds_cover_symmetry_cases():
+    # A new selector kind must join the symmetry pin below.
+    assert {sel.kind for sel, _ in SYMMETRY_R_CASES} == set(wl.RSelector._KINDS)
+    assert {sel.kind for sel, _, _ in SYMMETRY_F_CASES} == set(wl.FSelector._KINDS)
+
+
+def permutations_closed(tuples: set) -> bool:
+    return all(p in tuples for tup in tuples for p in itertools.permutations(tup))
+
+
+@pytest.mark.parametrize("sel, k", SYMMETRY_R_CASES, ids=repr)
+def test_r_set_closed_under_entry_permutations(graphs5, sel, k):
+    for g in graphs5:
+        assert permutations_closed(r_set(sel, k, g)), g
+
+
+@pytest.mark.parametrize("sel, k, t", SYMMETRY_F_CASES, ids=repr)
+def test_f_set_depends_on_entry_set(graphs5, sel, k, t):
+    # f_set(v) is the same for every permutation of v (compared against
+    # the sorted permutation), and all_t_tuples sets are closed under
+    # permuting the entries of u.
+    for g in graphs5:
+        sets = {v: f_set(sel, t, g, v) for v in itertools.product(range(g.n), repeat=k)}
+        for v, selected in sets.items():
+            assert selected == sets[tuple(sorted(v))], (g, v)
+            if sel.kind == "all_t_tuples":
+                assert permutations_closed(selected), (g, v)

@@ -65,3 +65,26 @@ def test_imported_names_are_used():
                     if name not in read | traced:
                         found.append(f"{path.name}:{node.lineno}: {name}")
     assert not found, found
+
+
+def test_tuple_facts_come_from_one_table():
+    # One tuple table per (spec, graph): in the refinement and game
+    # modules only ``_TupleTable`` derives the universe, the aggregation
+    # sets and the isomorphism-type codes.
+    derive = {"r_set", "f_set", "atp"}
+    found = []
+    for name in ("refinement.py", "games.py"):
+        tree = ast.parse((PACKAGE / name).read_text(), filename=name)
+        inside = {
+            id(node)
+            for cls in ast.walk(tree)
+            if isinstance(cls, ast.ClassDef) and cls.name == "_TupleTable"
+            for node in ast.walk(cls)
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and id(node) not in inside:
+                func = node.func
+                called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if called in derive:
+                    found.append(f"{name}:{node.lineno}: {called}")
+    assert not found, found
