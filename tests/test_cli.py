@@ -435,49 +435,30 @@ def test_validate_failure_exits_1(capsys, monkeypatch):
     assert envelope["payload"]["passed"] is False
 
 
+# Distance-restricted pairs aggregated over all nodes: replacing a pebble
+# by a far node leaves the colored universe.
+NON_CLOSED_SPEC = wl.GfwlSpec(
+    2, 1, (0, 2), (0, 1), wl.RSelector("distance_restricted", 1), wl.FSelector("all_nodes")
+)
+
+
 def test_non_closed_spec_exits_2(capsys, tmp_path):
-    # Distance-restricted pairs aggregated over all nodes: replacing a
-    # pebble by a far node leaves the colored universe.
+    # Refinement and both games read the tuple table that checks closure,
+    # so every command that runs them rejects the spec and caches nothing.
     bad = tmp_path / "bad.json"
-    spec = wl.GfwlSpec(2, 1, (0, 2), (0, 1), wl.RSelector("distance_restricted", 1),
-                       wl.FSelector("all_nodes"))
-    bad.write_text(json.dumps(spec.to_json_dict()))
+    bad.write_text(json.dumps(NON_CLOSED_SPEC.to_json_dict()))
+    cache = tmp_path / "cache"
     for argv in (
         ["distinguish", "--spec", str(bad), "--g", "Bg", "--h", "Bw"],
         ["validate", "--suite", "theorem2", "--spec", str(bad), "--max-nodes", "3"],
+        ["cops", "--spec", str(bad), "--g", "Cr"],
+        ["ef", "--spec", str(bad), "--g", "Cr", "--h", "Cr"],
+        ["power", "--spec", str(bad), "--max-nodes", "4"],
+        ["validate", "--suite", "monotonicity", "--spec-small", str(bad), "--spec-large", str(bad)],
     ):
-        code, envelope, err = run_cli(capsys, argv)
-        assert code == 2 and envelope is None
+        code, envelope, err = run_cli(capsys, argv + ["--cache-dir", str(cache)])
+        assert code == 2 and envelope is None, argv
         assert err.startswith("error:") and "outside the colored tuple universe" in err
-
-
-NON_CLOSED_SPEC = {
-    "k": 2, "t": 1, "i_seq": [0, 2], "j_seq": [0, 1],
-    "r": {"kind": "distance_restricted", "delta": 1}, "f": {"kind": "all_nodes"},
-}
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["cops", "--spec", "{spec}", "--g", "Cr"],
-        ["ef", "--spec", "{spec}", "--g", "Cr", "--h", "Cr"],
-        ["power", "--spec", "{spec}", "--max-nodes", "4"],
-        ["validate", "--suite", "monotonicity", "--spec-small", "{spec}", "--spec-large", "{spec}"],
-    ],
-    ids=["cops", "ef", "power", "monotonicity"],
-)
-def test_solving_commands_reject_non_closed_spec(capsys, tmp_path, argv):
-    # Both games read their choice sets from the tuple table that checks
-    # replacement closure, so every command that solves a game rejects
-    # the spec as ``distinguish`` does, and caches nothing.
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(NON_CLOSED_SPEC))
-    cache = tmp_path / "cache"
-    argv = [arg.format(spec=bad) for arg in argv] + ["--cache-dir", str(cache)]
-    code, envelope, err = run_cli(capsys, argv)
-    assert code == 2 and envelope is None
-    assert err.startswith("error:") and "outside the colored tuple universe" in err
     assert not cache.exists() or not cache_files(cache)
 
 
@@ -485,7 +466,7 @@ def test_hom_closed_suite_ignores_replacement_closure(capsys, tmp_path):
     # The hom_closed suite checks each selector on its own, not the
     # replacements of one by the other, so the non-closed spec passes.
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(NON_CLOSED_SPEC))
+    bad.write_text(json.dumps(NON_CLOSED_SPEC.to_json_dict()))
     code, envelope, _ = run_cli(capsys, ["validate", "--suite", "hom_closed", "--spec", str(bad)])
     assert code == 0 and envelope["payload"]["passed"] is True
 
