@@ -3,10 +3,14 @@
 Both games share the move schedule of the spec: an initialization round
 of N putting/guarding moves staged by ``i_seq``, then repeated update
 rounds of M putting/guarding moves staged by ``j_seq`` plus one
-removing/unguarding move that keeps k of the k+t pebbles.  Both read
-their choice sets and type codes from refinement's tuple table, which
-checks replacement closure when it is built, so a spec whose refinement
-is undefined raises :class:`~wlpower.errors.ClosureError` here too.
+removing/unguarding move that keeps k of the k+t pebbles.  Both build
+refinement's tuple table and read everything from it: each putting
+stage chooses from the same staged prefix groups the refinement's
+aggregations fold over, a removal keeping index selection c is
+replacement c (the table's getters), and type codes come from its
+memo.  The table checks replacement closure when it is built, so a spec
+whose refinement is undefined raises
+:class:`~wlpower.errors.ClosureError` here too.
 
 * The bijection game runs on a pair of graphs.  The second player picks
   a bijection between the two current choice sets, the first player
@@ -85,7 +89,7 @@ def _max_matching(n: int, pairs: Iterable[tuple[int, int]]) -> list:
 
 
 # ---------------------------------------------------------------------------
-# Shared move tables
+# Successor functions, shared by the solvers and certificate replay
 
 
 def _next_phase(spec: GfwlSpec, phase: tuple) -> tuple:
@@ -94,41 +98,6 @@ def _next_phase(spec: GfwlSpec, phase: tuple) -> tuple:
     if phase[0] == "U":
         return ("U", phase[1] + 1) if phase[1] < spec.m_stages else ("R",)
     return ("U", 1)
-
-
-def _stage_groups(tuples: list[tuple[int, ...]], seq: tuple[int, ...]) -> list[dict]:
-    """For each stage ``(seq[n-1], seq[n])``: the length-``seq[n]``
-    prefixes of ``tuples``, in sorted order, as suffixes grouped by their
-    length-``seq[n-1]`` prefix."""
-    groups = []
-    for prev, cur in zip(seq, seq[1:]):
-        stage: dict = {}
-        for tup in sorted({full[:cur] for full in tuples}):
-            stage.setdefault(tup[:prev], []).append(tup[prev:])
-        groups.append(stage)
-    return groups
-
-
-class _MoveTables(_TupleTable):
-    """The tuple table with its sorted lists grouped, per putting stage,
-    into suffixes by occupied prefix: ``groups[()]`` for the universe
-    (``R(G)`` is ``F(G, ())``) and ``groups[v]`` for the aggregation
-    tuples of each colored tuple ``v``.  Closure holds once the table is
-    built, so every main part a game reaches is a key."""
-
-    def __init__(self, spec: GfwlSpec, g: Graph):
-        super().__init__(spec, g)
-        self.k = spec.k
-        self.groups = {v: _stage_groups(us, spec.j_seq) for v, us in self.fsets.items()}
-        self.groups[()] = _stage_groups(self.rset, spec.i_seq)
-
-    def put_choices(self, phase: tuple, pos: tuple) -> list:
-        main = () if phase[0] == "I" else pos[: self.k]
-        return self.groups[main][phase[1] - 1].get(pos[len(main):], [])
-
-
-# ---------------------------------------------------------------------------
-# Successor functions, shared by the solvers and certificate replay
 
 
 class _BijectionMoves:
@@ -144,8 +113,8 @@ class _BijectionMoves:
 
     def __init__(self, spec: GfwlSpec, g: Graph, h: Graph):
         self.spec = spec
-        self.tables_g = _MoveTables(spec, g)
-        self.tables_h = _MoveTables(spec, h)
+        self.tables_g = _TupleTable(spec, g)
+        self.tables_h = _TupleTable(spec, h)
 
     def puts(self, key: tuple) -> tuple[list, list, list | None]:
         """A putting state's g-side and h-side choice lists and its
@@ -176,16 +145,12 @@ class _BijectionMoves:
             for bi in buckets[code]
         ]
 
-    def removal(self, key: tuple, combo: tuple) -> tuple:
-        """The state after the pebbles at index selection ``combo`` are
-        kept."""
-        _, pos_g, pos_h = key
-        return (("U", 1), tuple([pos_g[i] for i in combo]), tuple([pos_h[i] for i in combo]))
-
     def removals(self, key: tuple) -> list[tuple]:
         """The successors of a removing state, one per index selection
-        in lexicographic order."""
-        return [self.removal(key, combo) for combo in _index_vectors(self.spec.k, self.spec.t)]
+        in lexicographic order: keeping selection ``c`` is replacement
+        ``c``, so the table's getters give them."""
+        _, pos_g, pos_h = key
+        return [(("U", 1), get(pos_g), get(pos_h)) for get in self.tables_g.getters]
 
 
 class _PursuitMoves:
@@ -203,7 +168,7 @@ class _PursuitMoves:
 
     def __init__(self, spec: GfwlSpec, g: Graph):
         self.spec = spec
-        self.tables = _MoveTables(spec, g)
+        self.tables = _TupleTable(spec, g)
         self._components: dict[int, list[int]] = {}
         self._replies: dict[tuple[int, int], list[int]] = {}
         self._grown: dict[tuple[int, int], int] = {}
@@ -249,8 +214,8 @@ class _PursuitMoves:
                 out.append((("put", delta), [(nxt, new_pos, c) for c in replies]))
             return out
         low = comp & -comp
-        for combo in _index_vectors(self.spec.k, self.spec.t):
-            new_pos = tuple([pos[i] for i in combo])
+        for combo, get in zip(_index_vectors(self.spec.k, self.spec.t), self.tables.getters):
+            new_pos = get(pos)
             kept = node_mask(new_pos)
             grown = self._grown.get((kept, low))
             if grown is None:
@@ -396,7 +361,10 @@ class _EfSolver:
     per type-respecting put, or the successor per index selection.  A
     putting state cut by Hall's condition has None for ``succs``: it is
     dead at birth.  ``states.preds[sid]`` lists each state with a move
-    to ``sid`` once."""
+    to ``sid`` once.  ``refuting`` maps each dead removing state to the
+    first index selection whose successor was dead already when the
+    state died, so Spoiler replay follows the order of deaths and never
+    cycles."""
 
     def __init__(self, spec: GfwlSpec, g: Graph, h: Graph, max_states: int):
         self.spec = spec
@@ -405,6 +373,7 @@ class _EfSolver:
         self.choices: list = []
         self.succs: list = []
         self.alive: list[bool] = []
+        self.refuting: dict[int, int] = {}
         self.matching_calls = 0
 
     def generate(self) -> None:
@@ -439,9 +408,14 @@ class _EfSolver:
         return _max_matching(len(self.choices[sid][0]), pairs)
 
     def _survives(self, sid: int) -> bool:
-        """Judge a removing state, or a putting state not cut at birth."""
+        """Judge a removing state, or a putting state not cut at birth.
+        The fixpoint deletes a state judged lost at once, so a lost
+        removing state records its ``refuting`` selection here."""
         if self.choices[sid] is None:
-            return all(self.alive[s] for s in self.succs[sid])
+            dead = next((c for c, s in enumerate(self.succs[sid]) if not self.alive[s]), None)
+            if dead is not None:
+                self.refuting[sid] = dead
+            return dead is None
         return -1 not in self._matching(sid)
 
     def fixpoint(self) -> None:
@@ -471,15 +445,8 @@ class _EfSolver:
                 matchings[key] = [(d[ai], e[bi]) for ai, bi in enumerate(self._matching(sid))]
             return {"winner": "duplicator", "matchings": matchings}
         dead_keys = [key for sid, key in enumerate(keys) if not self.alive[sid]]
-        remove_choices = {}
         combos = _index_vectors(self.spec.k, self.spec.t)
-        for sid, key in enumerate(keys):
-            if self.alive[sid] or self.choices[sid] is not None:
-                continue
-            for combo, succ in zip(combos, self.succs[sid]):
-                if not self.alive[succ]:
-                    remove_choices[key] = combo
-                    break
+        remove_choices = {keys[sid]: combos[c] for sid, c in sorted(self.refuting.items())}
         return {
             "winner": "spoiler",
             "dead": dead_keys,
@@ -763,6 +730,7 @@ def _replay_spoiler(cert: dict, spec: GfwlSpec, g: Graph, h: Graph) -> bool:
     except TypeError as exc:
         raise CertificateError("dead states must be state keys") from exc
     game = _BijectionMoves(spec, g, h)
+    combos = _index_vectors(spec.k, spec.t)
     proven: set = set()
 
     def refuted(key: tuple, succ: tuple, path: frozenset) -> bool:
@@ -792,9 +760,9 @@ def _replay_spoiler(cert: dict, spec: GfwlSpec, g: Graph, h: Graph) -> bool:
             combo = tuple(choice)
         except TypeError as exc:
             raise CertificateError(f"invalid index selection {choice!r}") from exc
-        if combo not in _index_vectors(spec.k, spec.t):
+        if combo not in combos:
             raise CertificateError(f"invalid index selection {choice!r}")
-        ok = refuted(key, game.removal(key, combo), path)
+        ok = refuted(key, game.removals(key)[combos.index(combo)], path)
         if ok:
             proven.add(key)
         return ok

@@ -7,8 +7,10 @@ selected k-tuples (the integer codes of :func:`~wlpower.graphs.atp`),
 then repeat an update step (replacement messages from the selected
 t-tuples, collapsed by nested multiset aggregations) until the induced
 partition stops changing, and finally pool to one graph-level color.
-One tuple table per (spec, graph), which both games extend, checks when
-built that every replacement stays in the universe (``ClosureError``).
+One tuple table per (spec, graph) checks when built that every
+replacement stays in the universe (``ClosureError``) and groups its
+tuples by stage once: the aggregations fold over those groups, and both
+games put from them.
 
 All hashing goes through one shared append-only :class:`ColorDictionary`
 mapping canonical content keys to fresh integers, so color identifiers
@@ -235,38 +237,60 @@ class RefinementResult:
     graph_color: int
 
 
-def _collapse(values: dict, lengths: Sequence[int], stage: str, dic: ColorDictionary) -> int:
-    """Run nested multiset aggregations, projecting to each target length
-    in turn, and return the final length-0 value.  An empty input yields
-    the hash of the empty multiset chain."""
-    cur = values
-    for length in lengths:
-        groups: dict = {}
-        for tup, val in cur.items():
-            groups.setdefault(tup[:length], []).append(val)
-        cur = {
-            prefix: dic.id_for(("aggr", stage, length, tuple(sorted(ids))))
-            for prefix, ids in groups.items()
-        }
-    if not cur:
-        return dic.id_for(("aggr", stage, 0, ()))
-    return cur[()]
+def _stage_groups(tuples: list[tuple[int, ...]], seq: tuple[int, ...]) -> list[dict]:
+    """For each stage ``(seq[m], seq[m+1])``: the length-``seq[m+1]``
+    prefixes of ``tuples``, in sorted order, as suffixes grouped by their
+    length-``seq[m]`` prefix.  Each stage's groups, read in order, list
+    the next stage's prefixes in order; the last stage's list the sorted
+    tuples."""
+    groups = []
+    for prev, cur in zip(seq, seq[1:]):
+        stage: dict = {}
+        for tup in sorted({full[:cur] for full in tuples}):
+            stage.setdefault(tup[:prev], []).append(tup[prev:])
+        groups.append(stage)
+    return groups
+
+
+def _collapse(ids: list, stages: list, seq: tuple, kind: str, id_for) -> int:
+    """Fold the nested multiset aggregations over the stage groups of
+    :func:`_stage_groups`, last stage first, and return the final
+    length-0 value.  ``ids`` holds one value per tuple in sorted order;
+    each stage hashes the values of each group, read by position, to one
+    value per group prefix (``id_for`` is the dictionary's).  An empty
+    input yields the hash of the empty multiset chain."""
+    for length, groups in zip(reversed(seq[:-1]), reversed(stages)):
+        it = iter(ids)
+        ids = [
+            id_for(("aggr", kind, length, tuple(sorted(itertools.islice(it, len(suffixes))))))
+            for suffixes in groups.values()
+        ]
+    if not ids:
+        return id_for(("aggr", kind, 0, ()))
+    return ids[0]
 
 
 class _TupleTable:
     """The tuple facts of one (spec, graph), built once per call: the
     sorted universe ``rset``, each colored tuple's sorted aggregation
-    tuples ``fsets[v]``, the replacement ``getters`` and one memo of
-    :func:`~wlpower.graphs.atp` codes.  Refinement and both games read
-    them through subclasses, :func:`validate_spec` directly.  Building
-    it raises :class:`ClosureError` when a replacement leaves the
-    universe; a universe of all ``g.n ** k`` tuples is closed by
-    counting, so the walk is skipped there."""
+    tuples ``fsets[v]``, the replacement ``getters``, the staged prefix
+    groups and one memo of :func:`~wlpower.graphs.atp` codes.
+    ``stages[v]`` groups ``fsets[v]`` by ``j_seq`` and ``stages[()]``
+    groups the universe by ``i_seq`` (``R(G)`` is ``F(G, ())``):
+    refinement folds its aggregations over them, and both games choose
+    their puts from them (:meth:`put_choices`).  Refinement reads the
+    table through :class:`_Context`, the games and :func:`validate_spec`
+    directly.  Building it raises :class:`ClosureError` when a
+    replacement leaves the universe; a universe of all ``g.n ** k``
+    tuples is closed by counting, so the walk is skipped there."""
 
     def __init__(self, spec: GfwlSpec, g: Graph):
+        self.spec = spec
         self.g = g
         self.rset = sorted(r_set(spec.r_selector, spec.k, g))
         self.fsets = {v: sorted(f_set(spec.f_selector, spec.t, g, v)) for v in self.rset}
+        self.stages = {v: _stage_groups(us, spec.j_seq) for v, us in self.fsets.items()}
+        self.stages[()] = _stage_groups(self.rset, spec.i_seq)
         self.getters = getters = _replacement_getters(spec.k, spec.t)
         self._types: dict = {}
         if len(self.rset) == g.n ** spec.k:
@@ -291,40 +315,47 @@ class _TupleTable:
             code = self._types[tup] = atp(self.g, tup)
         return code
 
+    def put_choices(self, phase: tuple, pos: tuple) -> list:
+        """The suffixes a game may put on the occupied tuple ``pos`` in
+        putting phase ``phase``: ``("I", n)`` chooses from the universe
+        by ``i_seq``, ``("U", m)`` from the aggregation tuples of the
+        colored tuple ``pos[:k]`` by ``j_seq``.  Closure holds once the
+        table is built, so every colored tuple a game reaches is a key."""
+        main = () if phase[0] == "I" else pos[: self.spec.k]
+        return self.stages[main][phase[1] - 1].get(pos[len(main):], [])
+
 
 class _Context(_TupleTable):
     """The tuple table plus what every update step reads: per colored
     tuple ``v``, one row per aggregation tuple ``u`` in sorted order
-    holding ``u``, the dictionary id of the isomorphism type of ``v + u``,
-    and the replacements of ``v`` by ``u``."""
+    holding the dictionary id of the isomorphism type of ``v + u`` and
+    the replacements of ``v`` by ``u``."""
 
     def __init__(self, spec: GfwlSpec, g: Graph, dictionary: ColorDictionary):
         super().__init__(spec, g)
         self.dictionary = dictionary
         id_for, type_code, getters = dictionary.id_for, self.type_code, self.getters
         self.rows = {
-            v: [(u, id_for(("atp", type_code(v + u))), [get(v + u) for get in getters]) for u in us]
+            v: [(id_for(("atp", type_code(v + u))), [get(v + u) for get in getters]) for u in us]
             for v, us in self.fsets.items()
         }
-        self.j_desc = tuple(reversed(spec.j_seq[:-1]))
-        self.i_desc = tuple(reversed(spec.i_seq[:-1]))
 
     def initial_colors(self) -> dict:
         return {v: self.dictionary.id_for(("atp", self.type_code(v))) for v in self.rset}
 
     def step(self, colors: dict) -> dict:
-        id_for, j_desc = self.dictionary.id_for, self.j_desc
+        id_for, seq = self.dictionary.id_for, self.spec.j_seq
         new = {}
         for v, rows in self.rows.items():
-            msgs = {
-                u: id_for(("msg", type_id, tuple([colors[w] for w in reps])))
-                for u, type_id, reps in rows
-            }
-            new[v] = _collapse(msgs, j_desc, "upd", self.dictionary)
+            msgs = [
+                id_for(("msg", type_id, tuple([colors[w] for w in reps]))) for type_id, reps in rows
+            ]
+            new[v] = _collapse(msgs, self.stages[v], seq, "upd", id_for)
         return new
 
     def pool(self, colors: dict) -> int:
-        return _collapse(dict(colors), self.i_desc, "pool", self.dictionary)
+        ids = [colors[v] for v in self.rset]
+        return _collapse(ids, self.stages[()], self.spec.i_seq, "pool", self.dictionary.id_for)
 
 
 def _partition_signature(contexts: Sequence[_Context], colors: Sequence[dict]) -> tuple:

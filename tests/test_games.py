@@ -9,7 +9,7 @@ import random
 
 import networkx as nx
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import wlpower as wl
@@ -147,8 +147,17 @@ def graph_pairs(draw, max_n: int = 5):
     return g, graph()
 
 
+# A pair whose Spoiler certificate once failed to replay: its removal
+# choices must follow the order in which the fixpoint deleted states.
+LATE_DEATH_PAIR = (
+    wl.Graph(5, [(0, 1), (0, 2), (0, 3), (1, 2), (3, 4)]),
+    wl.Graph(5, [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3)]),
+)
+
+
 @settings(max_examples=60, deadline=None)
 @given(graph_pairs())
+@example(LATE_DEATH_PAIR)
 def test_bijection_matches_refinement_and_replays(pair):
     # Refinement is an oracle independent of the Hall cut: the game's
     # winner must follow it, and the certificate must replay.
@@ -357,6 +366,18 @@ def test_replay_spoiler_small_pair():
     assert wl.replay_certificate(verdict, spec, (k3, p3))
     # replay is direction-sensitive: the stored strategy names g-side tuples
     assert wl.spoiler_wins(spec, p3, k3).winner == "spoiler"
+
+
+def test_replay_spoiler_removal_choices_follow_deaths():
+    # A removing state must name a selection whose successor was dead
+    # already when the state died.  Taking the first successor dead at
+    # the end of the fixpoint instead can name one that died later and
+    # whose own refutation leads back, so replay finds no win.
+    spec = wl.local_fwl_spec(1)
+    g, h = LATE_DEATH_PAIR
+    verdict = wl.spoiler_wins(spec, g, h)
+    assert verdict.winner == "spoiler" and wl.distinguish(spec, g, h)
+    assert wl.replay_certificate(verdict, spec, (g, h))
 
 
 def test_replay_malformed():

@@ -26,7 +26,12 @@ COPS_FWL2_N5_SHA256 = "463ce0f7e61ee63b6530316bb4e307d413179513cc42054ca26af8f8b
 # Recomputed when the bijection solver began to cut putting states that
 # fail Hall's condition: cut states get no successors, so Spoiler
 # certificates list fewer dead states (the winners pin below is unchanged).
-SPOILER_FWL2_N4_SHA256 = "dd12d99c9d52877c179ebd65c2bfce3623b73ee7018855c155f93a140cf22c8b"
+# Recomputed again when a dead removing state began to name the index
+# selection whose successor was dead already when the state died, not the
+# first one dead at the end of the fixpoint: 70 of the 84 removal choices
+# in two of the 45 certificates changed; winners, state counts and dead
+# lists did not.
+SPOILER_FWL2_N4_SHA256 = "996880a7a040d0c0919374288d27d786895880ac0be403c3cc23b6e9dccb444e"
 
 
 def verdicts_digest(verdicts) -> str:
@@ -165,13 +170,26 @@ THEOREM2_SHA256 = {
 # before ``atp`` became an integer code.  The ids come from the shared
 # dictionary in first-seen order, so the pin catches any change to which
 # keys the run hashes or in what order.  ``fwl_plus_2_2`` runs the
-# multi-stage ``j_seq`` path on the n <= 4 classes.
+# multi-stage ``j_seq`` path on the n <= 4 classes; the two uneven
+# schedules of ``UNEVEN_SPECS`` (pinned before the aggregation became a
+# fold over the tuple table's stage groups) run a two-stage ``i_seq``
+# with a first step of 2 and a two-stage ``j_seq`` with steps 2 and 1.
+UNEVEN_SPECS = {
+    "k3_t1_i023": wl.GfwlSpec(
+        3, 1, (0, 2, 3), (0, 1), wl.RSelector("all_k_tuples"), wl.FSelector("all_nodes")
+    ),
+    "k2_t3_j023": wl.GfwlSpec(
+        2, 3, (0, 2), (0, 2, 3), wl.RSelector("all_k_tuples"), wl.FSelector("all_t_tuples")
+    ),
+}
 JOINT_COLORS_SHA256 = {
     "local_1fwl": "dc69fafb8f83b787ac7e1702357fe25593791273c55bc4acdd81b55acc3d42fc",
     "2fwl": "1ae764b5b0635f01273de26c78228a8b31069dd3d3f764e8da0e96d6c3c17d89",
     "local_2fwl": "a04e125627bf5b53c3ec4e70bd9823df8aa196b250a91e672200fd38f83bae27",
     "drfwl2_1": "a3666a0089dc2a733da72dd7f2f4ee6262f0ec5b8096b352ceefb370dca5e550",
     "fwl_plus_2_2": "3a4b218f1ae194faccd61b5ce8cddbb71e71e3e4bc481410d1a867d319feac05",
+    "k3_t1_i023": "ef96bdb74910557b8eaadcf960b908f0238a1e218b5a81f1f8597e53b4dc8aec",
+    "k2_t3_j023": "3899c3d07b3251669d95ca0acac2d934cf9ab80bc54fca1cfa1589d336cdd249",
 }
 
 
@@ -179,10 +197,40 @@ JOINT_COLORS_SHA256 = {
 def test_joint_color_id_digests(name, classes4, classes6):
     if name == "fwl_plus_2_2":
         spec, classes = wl.fwl_plus_spec(2, 2), classes4
+    elif name in UNEVEN_SPECS:
+        spec, classes = UNEVEN_SPECS[name], classes4
     else:
         spec, classes = wl.BUILTIN_SPECS[name], classes6
     colors = wl.joint_graph_colors(spec, *classes)
     assert hashlib.sha256(json.dumps(colors).encode()).hexdigest() == JOINT_COLORS_SHA256[name]
+
+
+# SHA-256 over ``(graph6, winner, states_explored)`` of the pursuit game
+# on every connected class with n <= 4, and over ``(graph6 g, graph6 h,
+# winner, states_explored)`` of the bijection game on every unordered
+# pair, with repetition, of those classes, under each uneven schedule.
+# Computed before both games took their putting stages from the tuple
+# table's stage groups.
+UNEVEN_GAMES_SHA256 = {
+    ("k3_t1_i023", "pursuit"): "ae531dfe48298ac55021ab3a5a40b03c0d5cdd064ba58d83f09010e3f7454368",
+    ("k3_t1_i023", "bijection"): "5e658ff76099b8757f4a14914f8082206376916fdca9f93d4ce54107fa6d2eac",
+    ("k2_t3_j023", "pursuit"): "009c5b246a79e52856e773ebeb2c5e93f157fbd719f9efd5fcb604a3ba50f284",
+    ("k2_t3_j023", "bijection"): "4eff8d9e0b2fbe07276237985910656945e58a8b7777856c93a5cc56c2065f1c",
+}
+
+
+@pytest.mark.parametrize("name, game", sorted(UNEVEN_GAMES_SHA256))
+def test_uneven_schedule_game_digests(name, game, classes4):
+    if game == "pursuit":
+        solve, inputs = wl.cops_robber_wins, [(g,) for g in classes4]
+    else:
+        solve, inputs = wl.spoiler_wins, itertools.combinations_with_replacement(classes4, 2)
+    digest = hashlib.sha256()
+    for graphs in inputs:
+        verdict = solve(UNEVEN_SPECS[name], *graphs, want_certificate=False)
+        record = [*map(wl.emit_graph6, graphs), verdict.winner, verdict.states_explored]
+        digest.update(json.dumps(record).encode())
+    assert digest.hexdigest() == UNEVEN_GAMES_SHA256[(name, game)]
 
 
 # SHA-256 over ``canonical_form(g) + b"\n"`` for every labelled graph g,

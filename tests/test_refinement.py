@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import wlpower as wl
 from wlpower.errors import ClosureError, ConfigurationError, DomainError
-from wlpower.refinement import ColorDictionary
+from wlpower.refinement import ColorDictionary, _TupleTable
 from wlpower.selectors import f_set, r_set
 
 
@@ -488,3 +488,43 @@ def test_closure_error_exactly_when_violated(graph_classes5):
                     assert violated, (spec, g)
                 else:
                     assert not violated, (spec, g)
+
+
+# Uneven schedules: a two-stage ``i_seq`` with a first step of 2, and a
+# two-stage ``j_seq`` with steps 2 and 1.
+UNEVEN_SPECS = [
+    wl.GfwlSpec(3, 1, (0, 2, 3), (0, 1), wl.RSelector("all_k_tuples"), wl.FSelector("all_nodes")),
+    wl.GfwlSpec(2, 3, (0, 2), (0, 2, 3), wl.RSelector("all_k_tuples"), wl.FSelector("all_t_tuples")),
+]
+
+
+def brute_stage(tuples: list, a: int, b: int) -> dict:
+    """Every length-``a`` prefix of ``tuples`` mapped to the sorted
+    suffixes of its length-``b`` extensions."""
+    return {
+        p: sorted({tup[a:b] for tup in tuples if tup[:a] == p})
+        for p in {tup[:a] for tup in tuples}
+    }
+
+
+def test_stage_groups_match_brute_force(graph_classes5):
+    # The aggregation fold reads each stage's groups by position, so each
+    # stage must also list its prefixes sorted, and its groups in order
+    # must spell the next stage's prefixes (the last stage's, the tuples).
+    checked = 0
+    for spec in [*UNEVEN_SPECS, wl.drfwl2_spec(1)]:
+        for g in graph_classes5:
+            table = _TupleTable(spec, g)
+            lists = [((), table.rset, spec.i_seq)]
+            lists += [(v, us, spec.j_seq) for v, us in table.fsets.items()]
+            for main, tuples, seq in lists:
+                stages = table.stages[main]
+                assert len(stages) == len(seq) - 1
+                for m, groups in enumerate(stages):
+                    assert groups == brute_stage(tuples, seq[m], seq[m + 1]), (spec, g, main, m)
+                    assert list(groups) == sorted(groups)
+                    spelled = [p + s for p, suffixes in groups.items() for s in suffixes]
+                    nxt = list(stages[m + 1]) if m + 1 < len(stages) else tuples
+                    assert spelled == nxt, (spec, g, main, m)
+                    checked += 1
+    assert checked > 5_000

@@ -70,8 +70,8 @@ def test_imported_names_are_used():
 def test_tuple_facts_come_from_one_table():
     # One tuple table per (spec, graph): in the refinement and game
     # modules only ``_TupleTable`` derives the universe, the aggregation
-    # sets and the isomorphism-type codes.
-    derive = {"r_set", "f_set", "atp"}
+    # sets, the staged prefix groups and the isomorphism-type codes.
+    derive = {"r_set", "f_set", "_stage_groups", "atp"}
     found = []
     for name in ("refinement.py", "games.py"):
         tree = ast.parse((PACKAGE / name).read_text(), filename=name)
