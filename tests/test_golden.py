@@ -78,6 +78,36 @@ def test_pursuit_winner_and_states_digest(name, classes6):
     assert digest.hexdigest() == COPS_N6_SHA256[name]
 
 
+# SHA-256 over ``(graph6, winner)`` of the pursuit solve of every
+# connected class with n <= 6 under each spec above, and with n <= 4
+# under each uneven schedule of ``UNEVEN_SPECS`` (defined below).
+# Computed before the solver keyed its states by positions up to pebble
+# order: a differential test of the quotient game against the full game,
+# whose ``states_explored`` the pins above and below no longer match.
+COPS_WINNERS_SHA256 = {
+    "fwl_1": "e870669278cb3a7d15bf39ab0e5193ea3b2cf3e104a7fb5b09f4d81208a49f1a",
+    "local_1fwl": "e870669278cb3a7d15bf39ab0e5193ea3b2cf3e104a7fb5b09f4d81208a49f1a",
+    "2fwl": "3f45113f0bb53e10f922077c4da5278416c98c9344e1e008e90855f0c33beece",
+    "local_2fwl": "3f45113f0bb53e10f922077c4da5278416c98c9344e1e008e90855f0c33beece",
+    "drfwl2_1": "f9bfa2204069303815d76313a7ef482e753bc5624453efb5d15d9ec25be576fe",
+    "k3_t1_i023": "0240486e0d0d1022498346e8383a58c0ac009500b06990d911bfe17d2c28bb4c",
+    "k2_t3_j023": "0240486e0d0d1022498346e8383a58c0ac009500b06990d911bfe17d2c28bb4c",
+}
+
+
+@pytest.mark.parametrize("name", sorted(COPS_WINNERS_SHA256))
+def test_pursuit_winner_digest(name, classes4, classes6):
+    if name in UNEVEN_SPECS:
+        spec, classes = UNEVEN_SPECS[name], classes4
+    else:
+        spec, classes = wl.fwl_spec(1) if name == "fwl_1" else wl.BUILTIN_SPECS[name], classes6
+    digest = hashlib.sha256()
+    for g in classes:
+        verdict = wl.cops_robber_wins(spec, g, want_certificate=False)
+        digest.update(json.dumps([wl.emit_graph6(g), verdict.winner]).encode())
+    assert digest.hexdigest() == COPS_WINNERS_SHA256[name]
+
+
 def test_bijection_certificate_digest(classes4):
     spec = wl.fwl_spec(2)
     pairs = itertools.combinations(classes4, 2)
