@@ -31,7 +31,13 @@ whose refinement is undefined raises
   after each placement and grows back to its enclosing component after
   each removal.  Cops must trap Robber in finite play, so the solver
   computes the attractor (least fixed point) of the Robber-stuck
-  positions, folding Robber replies into for-all edges.
+  positions, folding Robber replies into for-all edges.  Its states are
+  positions up to pebble order: every selector kind is symmetric in the
+  entries of a tuple and Robber's component depends only on the set of
+  pebbled nodes, so sorting the pebble tuple keeps a state's value (the
+  symmetry quotient of Emerson and Sistla, "Symmetry and model
+  checking", FMSD 1996; Seymour and Thomas place cops as a set for the
+  same reason, JCTB 1993).
 
 Each game has one successor function (``_BijectionMoves``,
 ``_PursuitMoves``) that both its solver and :func:`replay_certificate`
@@ -156,7 +162,17 @@ class _BijectionMoves:
 class _PursuitMoves:
     """The pursuit game on one graph.  A state key is ``(phase, pebbles,
     Robber's component)``, with the component as a node mask (bit ``v``
-    set iff node ``v`` is in it).  Robber's component is always a
+    set iff node ``v`` is in it) and the pebbles up to pebble order
+    (:meth:`canon`, the one place that orders them).  That keeps every
+    state's value: the universe and the aggregation sets are closed under
+    permuting a tuple's entries, each aggregation set depends only on the
+    entries of its colored tuple
+    (``tests/test_selectors.py::test_r_set_closed_under_entry_permutations``
+    and ``::test_f_set_depends_on_entry_set``), so permuted positions have
+    the same choices up to the same permutation; Robber's component
+    depends only on the set of pebbled nodes; and a removal keeps every
+    k-subset of the positions, so a whole-tuple sort is safe where the
+    next move is a removal.  Robber's component is always a
     component of g minus the pebbled nodes, so every component comes
     from one table keyed by the blocked-node mask.  A put's replies are
     memoized per (blocked mask, Robber mask), and a removal's grown
@@ -190,17 +206,34 @@ class _PursuitMoves:
         phase, pos, comp = key
         return (phase, pos, frozenset(mask_nodes(comp)))
 
+    def canon(self, phase: tuple, pos: tuple) -> tuple:
+        """``pos`` up to pebble order in phase ``phase``: the whole tuple
+        sorted in phases ``I`` and ``R``, the main part ``pos[:k]`` and
+        the aux part ``pos[k:]`` sorted separately in phase ``U``."""
+        if phase[0] == "U":
+            k = self.spec.k
+            return (*sorted(pos[:k]), *sorted(pos[k:]))
+        return tuple(sorted(pos))
+
     def moves(self, key: tuple) -> list[tuple]:
         """Cops' moves as ``[(choice, [successor per Robber reply])]``.
-        A put leaves Robber the components inside the current one; a
-        removal grows Robber's component to the one that contains it."""
+        A put leaves Robber the components inside the current one, and
+        each canonical position it leads to is offered once, by its first
+        choice.  A removal grows Robber's component to the one that
+        contains it; its kept pebbles are an ordered subsequence of a
+        sorted tuple, so they need no sort."""
         phase, pos, comp = key
         out = []
         if phase[0] != "R":
             nxt = _next_phase(self.spec, phase)
             blocked = node_mask(pos)
-            replies_memo = self._replies
+            replies_memo, canon = self._replies, self.canon
+            offered = set()
             for delta in self.tables.put_choices(phase, pos):
+                new_pos = canon(nxt, pos + delta)
+                if new_pos in offered:
+                    continue
+                offered.add(new_pos)
                 new_blocked = blocked
                 for v in delta:
                     new_blocked |= 1 << v
@@ -210,7 +243,6 @@ class _PursuitMoves:
                     replies = replies_memo[(new_blocked, comp)] = [
                         c for c in self._avoiding(new_blocked) if not c & ~comp
                     ]
-                new_pos = pos + delta
                 out.append((("put", delta), [(nxt, new_pos, c) for c in replies]))
             return out
         low = comp & -comp

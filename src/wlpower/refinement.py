@@ -392,7 +392,9 @@ def _stabilize(contexts: Sequence[_Context]) -> tuple[list[dict], int]:
 
 def init_colors(spec: GfwlSpec, g: Graph, dictionary: ColorDictionary | None = None) -> ColorMap:
     """Initial coloring: each selected tuple gets the identifier of its
-    isomorphism type."""
+    isomorphism type.  Each call builds the whole tuple table (universe,
+    aggregation lists, stage groups, closure check); to refine to a
+    stable coloring, call :func:`stabilize`, which builds it once."""
     dic = dictionary if dictionary is not None else ColorDictionary()
     ctx = _Context(spec, g, dic)
     return ColorMap(ctx.initial_colors(), dic)
@@ -401,7 +403,10 @@ def init_colors(spec: GfwlSpec, g: Graph, dictionary: ColorDictionary | None = N
 def refine_step(spec: GfwlSpec, g: Graph, colors: ColorMap) -> ColorMap:
     """One update step: messages from every aggregation tuple (its
     concatenated isomorphism type plus the colors of all replacements in
-    lexicographic order), collapsed by the staged aggregations."""
+    lexicographic order), collapsed by the staged aggregations.  Each
+    call builds the whole tuple table (universe, aggregation lists, stage
+    groups, closure check), so stepping round by round rebuilds it every
+    round; :func:`stabilize` builds it once for all rounds."""
     ctx = _Context(spec, g, colors.dictionary)
     if set(colors.colors) != set(ctx.rset):
         raise DomainError("color map domain must equal the selected tuple universe")

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 import wlpower as wl
 from wlpower.errors import BudgetError, CertificateError
 from wlpower.games import _BijectionMoves, _EfSolver, _PursuitMoves, _max_matching, _next_phase
+from test_golden import UNEVEN_SPECS
 
 
 def nx_trees(n: int) -> list[wl.Graph]:
@@ -488,7 +489,8 @@ def test_pursuit_moves_match_networkx_components(classes5):
     put's replies are the components of Robber's component minus the new
     pebbles; a removal grows it to its component of g minus the kept
     pebbles.  Keys hold components as node masks, so each is compared
-    decoded."""
+    decoded, and positions up to pebble order, so each is compared with
+    its canonical form."""
     for spec in (wl.fwl_spec(2), wl.drfwl2_spec(1)):
         for g in classes5:
             nx_g = nx.Graph()
@@ -501,19 +503,55 @@ def test_pursuit_moves_match_networkx_components(classes5):
             frontier = list(seen)
             while frontier:
                 key = frontier.pop()
-                _, pos, comp = game.decode(key)
+                phase, pos, comp = game.decode(key)
                 for (tag, payload), succs in game.moves(key):
                     if tag == "put":
                         rest = nx_g.subgraph(comp - set(payload))
                         expected = sorted(map(frozenset, nx.connected_components(rest)), key=min)
                         assert [game.decode(s)[2] for s in succs] == expected
-                        assert all(s[1] == pos + payload for s in succs)
+                        nxt = _next_phase(spec, phase)
+                        assert all(s[1] == game.canon(nxt, pos + payload) for s in succs)
                     else:
                         kept = tuple(pos[i] for i in payload)
                         rest = nx_g.subgraph(set(range(g.n)) - set(kept))
                         grown = frozenset(nx.node_connected_component(rest, min(comp)))
-                        assert [game.decode(s)[1:] for s in succs] == [(kept, grown)]
+                        canon = game.canon(("U", 1), kept)
+                        assert [game.decode(s)[1:] for s in succs] == [(canon, grown)]
                     for succ in succs:
                         if succ not in seen:
                             seen.add(succ)
                             frontier.append(succ)
+
+
+# Specs and the largest class size on which the pebble-order quotient is
+# checked against the full game.
+QUOTIENT_SPECS = {
+    **wl.BUILTIN_SPECS,
+    "fwl_1": wl.fwl_spec(1),
+    "drfwl2_2": wl.drfwl2_spec(2),
+    "fwl_3": wl.fwl_spec(3),
+    "fwl_plus_2_2": wl.fwl_plus_spec(2, 2),
+    **UNEVEN_SPECS,
+}
+QUOTIENT_CASES = [
+    *((name, 6) for name in [*wl.BUILTIN_SPECS, "fwl_1", "drfwl2_2"]),
+    ("fwl_3", 5),
+    ("fwl_plus_2_2", 5),
+    *((name, 4) for name in UNEVEN_SPECS),
+    pytest.param("fwl_3", 6, marks=pytest.mark.slow),
+]
+
+
+@pytest.mark.parametrize("name, n_max", QUOTIENT_CASES)
+def test_pebble_order_quotient_matches_full_game(name, n_max, request, monkeypatch):
+    """Keys up to pebble order against the full game, with the
+    canonicalization replaced by the identity: the winners must agree,
+    and the quotient's certificates must replay."""
+    spec, classes = QUOTIENT_SPECS[name], request.getfixturevalue(f"classes{n_max}")
+    quotient = [wl.cops_robber_wins(spec, g) for g in classes]
+    for g, verdict in zip(classes, quotient):
+        assert wl.replay_certificate(verdict, spec, g), wl.emit_graph6(g)
+    monkeypatch.setattr(_PursuitMoves, "canon", lambda self, phase, pos: pos)
+    full = [wl.cops_robber_wins(spec, g, want_certificate=False) for g in classes]
+    assert [v.winner for v in quotient] == [v.winner for v in full]
+    assert sum(v.states_explored for v in quotient) < sum(v.states_explored for v in full)

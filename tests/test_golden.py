@@ -22,7 +22,10 @@ POWER_SHA256 = {
     "local_2fwl": "52e159d813d013a666bb77b179e700023400d1d0658a579584c9960e78ebe602",
     "drfwl2_1": "fc46fb5c677cd1f80adbaaa805d324d89d98ba3cb9b9c9c2cb6b836bf9289483",
 }
-COPS_FWL2_N5_SHA256 = "463ce0f7e61ee63b6530316bb4e307d413179513cc42054ca26af8f8b390c7a0"
+# Recomputed when the pursuit solver began to key states by positions up
+# to pebble order: ``states_explored`` and the certificates shrank, the
+# winners pin ``COPS_WINNERS_SHA256`` below is unchanged.
+COPS_FWL2_N5_SHA256 = "4d1ca2efc6bc124b96285c934e0a8d98ee9d874b16361f6d8576efc276e26549"
 # Recomputed when the bijection solver began to cut putting states that
 # fail Hall's condition: cut states get no successors, so Spoiler
 # certificates list fewer dead states (the winners pin below is unchanged).
@@ -58,13 +61,15 @@ def test_pursuit_certificate_digest(classes5):
 # SHA-256 over ``(graph6, winner, states_explored)`` of the pursuit solve
 # of every connected class with n <= 6, computed on the set-based solver
 # before the move to node masks: a differential test of the mask path
-# against the path it replaced.
+# against the path it replaced.  Recomputed when the solver began to key
+# states by positions up to pebble order, which changes ``states_explored``
+# and no winner (``COPS_WINNERS_SHA256``).
 COPS_N6_SHA256 = {
-    "fwl_1": "6683d981271c67d43b8fc0fcefb2681f642583ac79e26befd2e9e1bd6c9c6691",
-    "local_1fwl": "f5186fac74f479decbf4076be1f3b80f33b60839ae12b2c98271dc9f12437315",
-    "2fwl": "1b9362ef2b7ecfb547c1ff6ee2b0029ceb696f256fa498eea44bf8695607afd0",
-    "local_2fwl": "9ce9cabe4056f942880d747e20b41dbce8bfacf973101c3c6950f15e4f4831e2",
-    "drfwl2_1": "91ee5ebf9330b2ac2a3ceaa3839376f418a872a83586e829795e8c0fe9e323b6",
+    "fwl_1": "11e3d47bcf919fb91153a5c8aa099f545589a35f546c0b5cd934b2e5dac670a8",
+    "local_1fwl": "652b74e00a227c2c7c31a47327e9e37187a360dd321c696a3d9d90a8fe1b8f82",
+    "2fwl": "aacf1c6eecae9e307a6a4713caaff1875338d64c83f1a7ddc5ef4dda2e7a153b",
+    "local_2fwl": "780f6c6cb0ce3f55b6814f465db0cb8b5c8f6e2927d76e0c1feccc97519976b3",
+    "drfwl2_1": "2ec21e2abb1d8e2d4773afb6cf802e0445e0a0b6a9627f3817710dd840b6f34b",
 }
 
 
@@ -240,11 +245,12 @@ def test_joint_color_id_digests(name, classes4, classes6):
 # winner, states_explored)`` of the bijection game on every unordered
 # pair, with repetition, of those classes, under each uneven schedule.
 # Computed before both games took their putting stages from the tuple
-# table's stage groups.
+# table's stage groups; the two pursuit pins were recomputed when the
+# pursuit solver began to key states by positions up to pebble order.
 UNEVEN_GAMES_SHA256 = {
-    ("k3_t1_i023", "pursuit"): "ae531dfe48298ac55021ab3a5a40b03c0d5cdd064ba58d83f09010e3f7454368",
+    ("k3_t1_i023", "pursuit"): "5fd6a7599e4983ad822d3be6d636a01bd9344363d12d50264cb8409b80634f0a",
     ("k3_t1_i023", "bijection"): "5e658ff76099b8757f4a14914f8082206376916fdca9f93d4ce54107fa6d2eac",
-    ("k2_t3_j023", "pursuit"): "009c5b246a79e52856e773ebeb2c5e93f157fbd719f9efd5fcb604a3ba50f284",
+    ("k2_t3_j023", "pursuit"): "3e8ced830e86d94ac66c047288df3a5bd5786ed53664b4aed7375c1e19fce437",
     ("k2_t3_j023", "bijection"): "4eff8d9e0b2fbe07276237985910656945e58a8b7777856c93a5cc56c2065f1c",
 }
 

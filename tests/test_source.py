@@ -88,3 +88,25 @@ def test_tuple_facts_come_from_one_table():
                 if called in derive:
                     found.append(f"{name}:{node.lineno}: {called}")
     assert not found, found
+
+
+def test_positions_canonicalized_in_one_place():
+    # One position rule per pursuit game: only ``_PursuitMoves`` calls its
+    # pebble-order canonicalization, so the solver and both replays take
+    # every key from its moves and cannot drift onto a second rule.
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        inside = {
+            id(node)
+            for cls in ast.walk(tree)
+            if isinstance(cls, ast.ClassDef) and cls.name == "_PursuitMoves"
+            for node in ast.walk(cls)
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and id(node) not in inside:
+                func = node.func
+                called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if called == "canon":
+                    found.append(f"{path.name}:{node.lineno}")
+    assert not found, found
