@@ -86,9 +86,9 @@ def test_pursuit_winner_and_states_digest(name, classes6):
 # SHA-256 over ``(graph6, winner)`` of the pursuit solve of every
 # connected class with n <= 6 under each spec above, and with n <= 4
 # under each uneven schedule of ``UNEVEN_SPECS`` (defined below).
-# Computed before the solver keyed its states by positions up to pebble
-# order: a differential test of the quotient game against the full game,
-# whose ``states_explored`` the pins above and below no longer match.
+# Computed on the full game, before the solver keyed its states by
+# positions up to pebble order: a differential test of the quotient
+# against the full game.
 COPS_WINNERS_SHA256 = {
     "fwl_1": "e870669278cb3a7d15bf39ab0e5193ea3b2cf3e104a7fb5b09f4d81208a49f1a",
     "local_1fwl": "e870669278cb3a7d15bf39ab0e5193ea3b2cf3e104a7fb5b09f4d81208a49f1a",

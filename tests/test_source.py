@@ -67,26 +67,33 @@ def test_imported_names_are_used():
     assert not found, found
 
 
-def test_tuple_facts_come_from_one_table():
-    # One tuple table per (spec, graph): in the refinement and game
-    # modules only ``_TupleTable`` derives the universe, the aggregation
-    # sets, the staged prefix groups and the isomorphism-type codes.
-    derive = {"r_set", "f_set", "_stage_groups", "atp"}
+def calls_outside(class_name: str, names: set, paths) -> list[str]:
+    """``file:line: name`` for each call of one of ``names`` in ``paths``
+    that is not inside the class ``class_name``."""
     found = []
-    for name in ("refinement.py", "games.py"):
-        tree = ast.parse((PACKAGE / name).read_text(), filename=name)
+    for path in paths:
+        tree = ast.parse(path.read_text(), filename=path.name)
         inside = {
             id(node)
             for cls in ast.walk(tree)
-            if isinstance(cls, ast.ClassDef) and cls.name == "_TupleTable"
+            if isinstance(cls, ast.ClassDef) and cls.name == class_name
             for node in ast.walk(cls)
         }
         for node in ast.walk(tree):
             if isinstance(node, ast.Call) and id(node) not in inside:
                 func = node.func
                 called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-                if called in derive:
-                    found.append(f"{name}:{node.lineno}: {called}")
+                if called in names:
+                    found.append(f"{path.name}:{node.lineno}: {called}")
+    return found
+
+
+def test_tuple_facts_come_from_one_table():
+    # One tuple table per (spec, graph): in the refinement and game
+    # modules only ``_TupleTable`` derives the universe, the aggregation
+    # sets, the staged prefix groups and the isomorphism-type codes.
+    derive = {"r_set", "f_set", "_stage_groups", "atp"}
+    found = calls_outside("_TupleTable", derive, [PACKAGE / "refinement.py", PACKAGE / "games.py"])
     assert not found, found
 
 
@@ -94,19 +101,5 @@ def test_positions_canonicalized_in_one_place():
     # One position rule per pursuit game: only ``_PursuitMoves`` calls its
     # pebble-order canonicalization, so the solver and both replays take
     # every key from its moves and cannot drift onto a second rule.
-    found = []
-    for path in sorted(PACKAGE.glob("*.py")):
-        tree = ast.parse(path.read_text(), filename=str(path))
-        inside = {
-            id(node)
-            for cls in ast.walk(tree)
-            if isinstance(cls, ast.ClassDef) and cls.name == "_PursuitMoves"
-            for node in ast.walk(cls)
-        }
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Call) and id(node) not in inside:
-                func = node.func
-                called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-                if called == "canon":
-                    found.append(f"{path.name}:{node.lineno}")
+    found = calls_outside("_PursuitMoves", {"canon"}, sorted(PACKAGE.glob("*.py")))
     assert not found, found
