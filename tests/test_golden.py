@@ -183,6 +183,21 @@ def test_hom_layer_digests(name):
     assert digest.hexdigest() == HOM_SHA256[name]
 
 
+# SHA-256 over ``(graph6, treewidth)`` of every connected class with
+# n <= 7, then every class with n <= 6, connected or not, computed while
+# the DP found each vertex's component by a per-node BFS: a differential
+# test of the subset-neighbourhood DP against the path it replaced.
+TREEWIDTH_SHA256 = "cab5d03ce8a6e7b2f515416e4c22efc5d4f5634145b160b7f8ed48bc25aec5fd"
+
+
+def test_treewidth_digest():
+    graphs = itertools.chain(wl.connected_classes(7), wl.enumerate_connected_graphs(6, connected_only=False))
+    digest = hashlib.sha256()
+    for g in graphs:
+        digest.update(json.dumps([wl.emit_graph6(g), wl.treewidth(g)]).encode())
+    assert digest.hexdigest() == TREEWIDTH_SHA256
+
+
 # SHA-256 of ``to_json_dict()`` of the refinement-side validation
 # suites, computed before they moved from pairwise refinement to one
 # joint run per class set.

@@ -579,6 +579,68 @@ def test_treewidth_known_values(c6):
                     + [(r * 3 + c, r * 3 + c + 3) for r in range(2) for c in range(3)])
     assert wl.treewidth(grid) == 3
     assert wl.treewidth(wl.disjoint_union(wl.complete_graph(4), wl.path_graph(3))) == 3
+    petersen = wl.Graph(10, [(i, (i + 1) % 5) for i in range(5)]
+                        + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+                        + [(i, i + 5) for i in range(5)])
+    assert wl.treewidth(petersen) == 4
+    grid_3x4 = wl.Graph(12, [(r * 4 + c, r * 4 + c + 1) for r in range(3) for c in range(3)]
+                        + [(r * 4 + c, r * 4 + c + 4) for r in range(2) for c in range(4)])
+    assert wl.treewidth(grid_3x4) == 3
+    assert wl.treewidth(wl.complete_graph(12)) == 11
+    assert wl.treewidth(wl.cycle_graph(12)) == 2
+    assert wl.treewidth(wl.empty_graph(12)) == 0
+
+
+def bfs_treewidth(g: wl.Graph) -> int:
+    """The DP as it stood before the subset-neighbourhood table: ``q`` by
+    a per-node BFS with a ``seen`` mask.  A reference for the table path."""
+    n = g.n
+    if n == 0:
+        return -1
+
+    adj_mask = g.adj_masks
+
+    def q(s_mask: int, v: int) -> int:
+        reach = 0
+        frontier = adj_mask[v]
+        seen = 1 << v
+        while frontier:
+            u = (frontier & -frontier).bit_length() - 1
+            frontier &= frontier - 1
+            if seen >> u & 1:
+                continue
+            seen |= 1 << u
+            if s_mask >> u & 1:
+                frontier |= adj_mask[u] & ~seen
+            else:
+                reach += 1
+        return reach
+
+    full = (1 << n) - 1
+    opt = [0] * (full + 1)
+    opt[0] = -1
+    for s_mask in range(1, full + 1):
+        best = n
+        rest = s_mask
+        while rest:
+            v = (rest & -rest).bit_length() - 1
+            rest &= rest - 1
+            prev = s_mask & ~(1 << v)
+            width = max(opt[prev], q(prev, v))
+            if width < best:
+                best = width
+        opt[s_mask] = best
+    return opt[full]
+
+
+def test_treewidth_matches_bfs_dp():
+    rng = random.Random(23)
+    cases = [random_graph(rng, n, p) for n in (8, 9, 10) for p in (0.15, 0.3, 0.5, 0.8)]
+    cases += [random_graph(rng, n, p) for n, p in ((11, 0.25), (11, 0.6), (12, 0.2), (12, 0.45), (12, 0.7))]
+    cases.append(wl.disjoint_union(random_graph(rng, 5, 0.7), random_graph(rng, 6, 0.5)))
+    assert any(len(wl.components_avoiding(g, ())) > 1 for g in cases)
+    for g in cases:
+        assert wl.treewidth(g) == bfs_treewidth(g), wl.emit_graph6(g)
 
 
 def test_treewidth_matches_elimination_oracle(classes5):
