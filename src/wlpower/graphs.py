@@ -619,8 +619,15 @@ def treewidth(g: Graph) -> int:
     ``opt[S]`` is the best width eliminating exactly the vertices of
     ``S`` first:  ``opt[S] = min over v in S of max(opt[S - v],
     q(S - v, v))`` where ``q(S, v)`` counts vertices outside ``S + v``
-    reachable from ``v`` through ``S``.  The empty graph gets -1; graphs
-    over ``_TREEWIDTH_MAX_NODES`` nodes raise :class:`BudgetError`.
+    reachable from ``v`` through ``S`` (Bodlaender, Fomin, Koster,
+    Kratsch and Thilikos, ESA 2006).  ``nb[T]``, the union of the
+    neighbourhoods of the nodes of ``T``, is tabulated once for all
+    ``2 ** n`` subsets; ``v``'s component in ``S`` grows by
+    ``comp |= nb[comp] & (S - v)`` until it stops, and ``q`` is the
+    popcount of ``nb[comp]`` outside ``S``.  A ``v`` with
+    ``opt[S - v]`` at or above the best width so far is skipped, since
+    the max cannot go below it.  The empty graph gets -1; graphs over
+    ``_TREEWIDTH_MAX_NODES`` nodes raise :class:`BudgetError`.
     """
     n = g.n
     if n > _TREEWIDTH_MAX_NODES:
@@ -632,35 +639,31 @@ def treewidth(g: Graph) -> int:
         return -1
 
     adj_mask = g.adj_masks
-
-    def q(s_mask: int, v: int) -> int:
-        reach = 0
-        frontier = adj_mask[v]
-        seen = 1 << v
-        while frontier:
-            u = (frontier & -frontier).bit_length() - 1
-            frontier &= frontier - 1
-            if seen >> u & 1:
-                continue
-            seen |= 1 << u
-            if s_mask >> u & 1:
-                frontier |= adj_mask[u] & ~seen
-            else:
-                reach += 1
-        return reach
-
     full = (1 << n) - 1
+    nb = [0] * (full + 1)
+    for t_mask in range(1, full + 1):
+        low = t_mask & -t_mask
+        nb[t_mask] = nb[t_mask ^ low] | adj_mask[low.bit_length() - 1]
     opt = [0] * (full + 1)
     opt[0] = -1
     for s_mask in range(1, full + 1):
         best = n
         rest = s_mask
         while rest:
-            v = (rest & -rest).bit_length() - 1
-            rest &= rest - 1
-            prev = s_mask & ~(1 << v)
-            width = max(opt[prev], q(prev, v))
-            if width < best:
-                best = width
+            bit = rest & -rest
+            rest ^= bit
+            prev = s_mask ^ bit
+            floor = opt[prev]
+            if floor >= best:
+                continue
+            comp = bit
+            while True:
+                grown = comp | nb[comp] & prev
+                if grown == comp:
+                    break
+                comp = grown
+            reach = (nb[comp] & ~s_mask).bit_count()
+            if reach < best:
+                best = reach if reach > floor else floor
         opt[s_mask] = best
     return opt[full]
