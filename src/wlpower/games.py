@@ -174,21 +174,18 @@ class _PursuitMoves:
     k-subset of the positions, so a whole-tuple sort is safe where the
     next move is a removal.  Robber's component is always a
     component of g minus the pebbled nodes, so every component comes
-    from one table keyed by the blocked-node mask.  A put's replies are
-    memoized per (blocked mask, Robber mask), and a removal's grown
-    component per (kept mask, lowest bit of Robber's mask): Robber's
-    component is connected and avoids the kept pebbles, so the one
-    component of g minus them that holds any of its nodes holds it all.
-    Certificates store components as frozensets; :meth:`decode` converts
-    a key to that form."""
+    from one table keyed by the blocked-node mask, the game's only memo.
+    A put's replies are the table's components inside Robber's, and a
+    removal's grown component is the one holding the lowest node of
+    Robber's: Robber's component is connected and avoids the kept
+    pebbles, so the one component of g minus them that holds any of its
+    nodes holds it all.  Certificates store components as frozensets;
+    :meth:`decode` converts a key to that form."""
 
     def __init__(self, spec: GfwlSpec, g: Graph):
         self.spec = spec
         self.tables = _TupleTable(spec, g)
         self._components: dict[int, list[int]] = {}
-        self._replies: dict[tuple[int, int], list[int]] = {}
-        self._grown: dict[tuple[int, int], int] = {}
-        self.table_misses = 0  # memo lookups in moves() that had to compute
 
     def _avoiding(self, blocked: int) -> list[int]:
         comps = self._components.get(blocked)
@@ -227,7 +224,7 @@ class _PursuitMoves:
         if phase[0] != "R":
             nxt = _next_phase(self.spec, phase)
             blocked = node_mask(pos)
-            replies_memo, canon = self._replies, self.canon
+            avoiding, canon = self._avoiding, self.canon
             offered = set()
             for delta in self.tables.put_choices(phase, pos):
                 new_pos = canon(nxt, pos + delta)
@@ -237,22 +234,13 @@ class _PursuitMoves:
                 new_blocked = blocked
                 for v in delta:
                     new_blocked |= 1 << v
-                replies = replies_memo.get((new_blocked, comp))
-                if replies is None:
-                    self.table_misses += 1
-                    replies = replies_memo[(new_blocked, comp)] = [
-                        c for c in self._avoiding(new_blocked) if not c & ~comp
-                    ]
-                out.append((("put", delta), [(nxt, new_pos, c) for c in replies]))
+                replies = [(nxt, new_pos, c) for c in avoiding(new_blocked) if not c & ~comp]
+                out.append((("put", delta), replies))
             return out
         low = comp & -comp
         for combo, get in zip(_index_vectors(self.spec.k, self.spec.t), self.tables.getters):
             new_pos = get(pos)
-            kept = node_mask(new_pos)
-            grown = self._grown.get((kept, low))
-            if grown is None:
-                self.table_misses += 1
-                grown = self._grown[(kept, low)] = next(c for c in self._avoiding(kept) if c & low)
+            grown = next(c for c in self._avoiding(node_mask(new_pos)) if c & low)
             out.append((("rm", combo), [(("U", 1), new_pos, grown)]))
         return out
 
@@ -522,7 +510,8 @@ def cops_robber_wins(
             "generate_ms": round((generated - start) * 1000, 3),
             "attract_ms": round((attracted - generated) * 1000, 3),
             "edges": edges,
-            "component_table_hits": edges - solver.game.table_misses,
+            # one table lookup per edge plus the initial board's; each miss adds an entry
+            "component_table_hits": edges + 1 - len(solver.game._components),
         },
     )
     if want_certificate:
@@ -550,7 +539,7 @@ class _CrSolver:
     def generate(self) -> None:
         states = self.states
         self.initial = [states.add(key) for key in self.game.initial()]
-        index, rev, add = states.index, states.preds, states.add
+        rev, add = states.preds, states.add
         owner, choices, pending = self.edge_owner, self.edge_choice, self.edge_pending
         moves = self.game.moves
         eid = 0
@@ -560,8 +549,7 @@ class _CrSolver:
                 choices.append(choice)
                 pending.append(len(succs))
                 for succ in succs:
-                    tid = index.get(succ)
-                    rev[add(succ) if tid is None else tid].append(eid)
+                    rev[add(succ)].append(eid)
                 eid += 1
         n = self.game.tables.g.n
         bound = (n + 1) ** (self.spec.k + self.spec.t) * 2 ** n * (

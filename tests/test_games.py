@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 import wlpower as wl
 from wlpower.errors import BudgetError, CertificateError
 from wlpower.games import _BijectionMoves, _EfSolver, _PursuitMoves, _max_matching, _next_phase
+from wlpower.graphs import component_masks
 from test_golden import UNEVEN_SPECS
 
 
@@ -91,6 +92,29 @@ def test_pursuit_budget():
     with pytest.raises(BudgetError) as exc:
         wl.cops_robber_wins(wl.fwl_spec(2), wl.cycle_graph(6), max_states=10)
     assert exc.value.stats["states"] == 10
+
+
+@pytest.mark.parametrize(
+    "spec, g",
+    [
+        (wl.fwl_spec(2), wl.cycle_graph(6)),
+        (wl.drfwl2_spec(1), wl.Graph(5, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 4)])),
+    ],
+    ids=["fwl2-C6", "drfwl2_1-bull"],
+)
+def test_component_table_hits_count_table_lookups(spec, g, monkeypatch):
+    # Each edge looks Robber's components up once in the blocked-mask
+    # table, and the initial board once more; only a miss computes them.
+    calls = []
+
+    def counting(graph, blocked):
+        calls.append(blocked)
+        return component_masks(graph, blocked)
+
+    monkeypatch.setattr("wlpower.games.component_masks", counting)
+    stats = wl.cops_robber_wins(spec, g).stats
+    assert len(calls) == len(set(calls)) > 1
+    assert stats["component_table_hits"] == stats["edges"] + 1 - len(calls)
 
 
 # ---------------------------------------------------------------------------
