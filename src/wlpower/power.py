@@ -75,21 +75,13 @@ class PowerReport:
     def payload_bytes(self) -> bytes:
         return json.dumps(self.payload_dict(), sort_keys=True, separators=(",", ":")).encode()
 
-    def to_json_dict(self) -> dict:
-        return {"payload": self.payload_dict(), "telemetry": {"per_graph": self.per_graph_stats}}
-
-    def csv_rows(self) -> list[list]:
-        rows = []
-        for key, stats in self.per_graph_stats.items():
-            rows.append([key, stats["n"], stats["verdict"], stats["states"], stats["millis"]])
-        return rows
-
 
 def write_power_csv(report: PowerReport, fileobj) -> None:
     """One row per enumerated class: graph6, n, verdict, states, millis."""
     writer = csv.writer(fileobj)
     writer.writerow(["graph6", "n", "verdict", "states", "millis"])
-    writer.writerows(report.csv_rows())
+    for key, stats in report.per_graph_stats.items():
+        writer.writerow([key, stats["n"], stats["verdict"], stats["states"], stats["millis"]])
 
 
 @dataclass
@@ -127,39 +119,30 @@ def enumerate_power(
     Per-graph state-budget blowouts are recorded as undecided instead
     of aborting the sweep; a passed run deadline aborts the whole sweep.
     """
-    cops: list[str] = []
-    robber: list[str] = []
-    undecided: list[str] = []
+    verdicts: dict[str, list[str]] = {"cops": [], "robber": [], "undecided": []}
     stats: dict[str, dict] = {}
     for g in connected_classes(n_max):
         key = emit_graph6(g)
         start = time.perf_counter()
         try:
             verdict = cops_robber_wins(spec, g, max_states=max_states, want_certificate=False)
+            winner, states = verdict.winner, verdict.states_explored
         except BudgetError as exc:
             check_deadline()  # a timeout is no state-budget blowout
-            undecided.append(key)
-            stats[key] = {
-                "n": g.n,
-                "verdict": "undecided",
-                "states": exc.stats.get("states", max_states),
-                "millis": int(round((time.perf_counter() - start) * 1000)),
-            }
-            continue
-        millis = int(round((time.perf_counter() - start) * 1000))
-        (cops if verdict.winner == "cops" else robber).append(key)
+            winner, states = "undecided", exc.stats.get("states", max_states)
+        verdicts[winner].append(key)
         stats[key] = {
             "n": g.n,
-            "verdict": verdict.winner,
-            "states": verdict.states_explored,
-            "millis": millis,
+            "verdict": winner,
+            "states": states,
+            "millis": int(round((time.perf_counter() - start) * 1000)),
         }
     return PowerReport(
         spec=spec,
         n_max=n_max,
-        cops_win=cops,
-        robber_win=robber,
-        undecided=undecided,
+        cops_win=verdicts["cops"],
+        robber_win=verdicts["robber"],
+        undecided=verdicts["undecided"],
         per_graph_stats=stats,
     )
 
