@@ -159,6 +159,22 @@ class _BijectionMoves:
         return [(("U", 1), get(pos_g), get(pos_h)) for get in self.tables_g.getters]
 
 
+class _ComponentTable(dict):
+    """Blocked-node mask to the component masks of g minus those nodes
+    (:func:`~wlpower.graphs.component_masks`), computed on the first
+    lookup of each mask; ``len`` counts the misses."""
+
+    __slots__ = ("g",)
+
+    def __init__(self, g: Graph):
+        super().__init__()
+        self.g = g
+
+    def __missing__(self, blocked: int) -> list[int]:
+        comps = self[blocked] = component_masks(self.g, blocked)
+        return comps
+
+
 class _PursuitMoves:
     """The pursuit game on one graph.  A state key is ``(phase, pebbles,
     Robber's component)``, with the component as a node mask (bit ``v``
@@ -174,7 +190,8 @@ class _PursuitMoves:
     k-subset of the positions, so a whole-tuple sort is safe where the
     next move is a removal.  Robber's component is always a
     component of g minus the pebbled nodes, so every component comes
-    from one table keyed by the blocked-node mask, the game's only memo.
+    from one table keyed by the blocked-node mask, the game's only memo
+    (:class:`_ComponentTable`, a dict that fills itself on a miss).
     A put's replies are the table's components inside Robber's, and a
     removal's grown component is the one holding the lowest node of
     Robber's: Robber's component is connected and avoids the kept
@@ -185,17 +202,13 @@ class _PursuitMoves:
     def __init__(self, spec: GfwlSpec, g: Graph):
         self.spec = spec
         self.tables = _TupleTable(spec, g)
-        self._components: dict[int, list[int]] = {}
-
-    def _avoiding(self, blocked: int) -> list[int]:
-        comps = self._components.get(blocked)
-        if comps is None:
-            comps = self._components[blocked] = component_masks(self.tables.g, blocked)
-        return comps
+        self._components = _ComponentTable(g)
+        combos = _index_vectors(spec.k, spec.t)
+        self._removals = [(("rm", combo), get) for combo, get in zip(combos, self.tables.getters)]
 
     def initial(self) -> list[tuple]:
         """The empty board with Robber in each component of g."""
-        return [(("I", 1), (), comp) for comp in self._avoiding(0)]
+        return [(("I", 1), (), comp) for comp in self._components[0]]
 
     @staticmethod
     def decode(key: tuple) -> tuple:
@@ -218,13 +231,15 @@ class _PursuitMoves:
         each canonical position it leads to is offered once, by its first
         choice.  A removal grows Robber's component to the one that
         contains it; its kept pebbles are an ordered subsequence of a
-        sorted tuple, so they need no sort."""
+        sorted tuple, so they need no sort.  Each put and each removal
+        looks the component table up once."""
         phase, pos, comp = key
         out = []
+        table = self._components
         if phase[0] != "R":
             nxt = _next_phase(self.spec, phase)
             blocked = node_mask(pos)
-            avoiding, canon = self._avoiding, self.canon
+            canon = self.canon
             offered = set()
             for delta in self.tables.put_choices(phase, pos):
                 new_pos = canon(nxt, pos + delta)
@@ -234,14 +249,23 @@ class _PursuitMoves:
                 new_blocked = blocked
                 for v in delta:
                     new_blocked |= 1 << v
-                replies = [(nxt, new_pos, c) for c in avoiding(new_blocked) if not c & ~comp]
+                replies = [(nxt, new_pos, c) for c in table[new_blocked] if not c & ~comp]
                 out.append((("put", delta), replies))
             return out
         low = comp & -comp
-        for combo, get in zip(_index_vectors(self.spec.k, self.spec.t), self.tables.getters):
+        for choice, get in self._removals:
             new_pos = get(pos)
-            grown = next(c for c in self._avoiding(node_mask(new_pos)) if c & low)
-            out.append((("rm", combo), [(("U", 1), new_pos, grown)]))
+            kept = 0
+            for v in new_pos:
+                kept |= 1 << v
+            for grown in table[kept]:
+                if grown & low:
+                    break
+            else:
+                raise RuntimeError(
+                    "Robber's component must lie in one component of g minus the kept pebbles"
+                )
+            out.append((choice, [(("U", 1), new_pos, grown)]))
         return out
 
 
@@ -348,12 +372,14 @@ def spoiler_wins(
     every index selection leads to a surviving state.  The first player
     wins iff the empty-board root is deleted.  The run deadline is
     checked every 256 generated states.  ``stats`` holds the phase
-    milliseconds, ``matching_calls`` (bipartite matchings run by the
+    milliseconds (``table_ms`` builds the two tuple tables),
+    ``matching_calls`` (bipartite matchings run by the
     fixpoint) and ``cut_states`` (putting states cut, dead at birth, by
     Hall's condition).
     """
-    solver = _EfSolver(spec, g, h, max_states)
     start = time.perf_counter()
+    solver = _EfSolver(spec, g, h, max_states)
+    built = time.perf_counter()
     solver.generate()
     generated = time.perf_counter()
     solver.fixpoint()
@@ -363,7 +389,8 @@ def spoiler_wins(
         winner="duplicator" if root_alive else "spoiler",
         states_explored=len(solver.states.keys),
         stats={
-            "generate_ms": round((generated - start) * 1000, 3),
+            "table_ms": round((built - start) * 1000, 3),
+            "generate_ms": round((generated - built) * 1000, 3),
             "fixpoint_ms": round((fixed - generated) * 1000, 3),
             "matching_calls": solver.matching_calls,
             "cut_states": solver.succs.count(None),
@@ -493,10 +520,13 @@ def cops_robber_wins(
     backward counter propagation.  Cops win iff every initial component
     choice lies in the attractor; every state outside it (cycles
     included) is a Robber win.  The run deadline is checked every 256
-    generated states.
+    generated states.  ``stats`` holds the phase milliseconds
+    (``table_ms`` builds the tuple table), ``edges`` and
+    ``component_table_hits``.
     """
-    solver = _CrSolver(spec, f, max_states)
     start = time.perf_counter()
+    solver = _CrSolver(spec, f, max_states)
+    built = time.perf_counter()
     solver.generate()
     generated = time.perf_counter()
     solver.attract()
@@ -507,7 +537,8 @@ def cops_robber_wins(
         winner="cops" if cops else "robber",
         states_explored=len(solver.states.keys),
         stats={
-            "generate_ms": round((generated - start) * 1000, 3),
+            "table_ms": round((built - start) * 1000, 3),
+            "generate_ms": round((generated - built) * 1000, 3),
             "attract_ms": round((attracted - generated) * 1000, 3),
             "edges": edges,
             # one table lookup per edge plus the initial board's; each miss adds an entry

@@ -508,15 +508,19 @@ def test_pursuit_replay_round_trip(classes4):
         assert wl.replay_certificate(verdict, spec, g)
 
 
-def test_pursuit_moves_match_networkx_components(classes5):
+def test_pursuit_moves_match_networkx_components(classes4, classes5):
     """The component table against networkx on every reachable state: a
     put's replies are the components of Robber's component minus the new
     pebbles; a removal grows it to its component of g minus the kept
     pebbles.  Keys hold components as node masks, so each is compared
     decoded, and positions up to pebble order, so each is compared with
-    its canonical form."""
-    for spec in (wl.fwl_spec(2), wl.drfwl2_spec(1)):
-        for g in classes5:
+    its canonical form.  The uneven schedules put in several stages and
+    keep 3 of 4 or 2 of 5 pebbles in a removal."""
+    cases = [(wl.fwl_spec(2), classes5), (wl.drfwl2_spec(1), classes5)]
+    cases += [(spec, classes4) for spec in UNEVEN_SPECS.values()]
+    for spec, classes in cases:
+        phases = set()
+        for g in classes:
             nx_g = nx.Graph()
             nx_g.add_nodes_from(range(g.n))
             nx_g.add_edges_from(g.edge_set)
@@ -528,6 +532,7 @@ def test_pursuit_moves_match_networkx_components(classes5):
             while frontier:
                 key = frontier.pop()
                 phase, pos, comp = game.decode(key)
+                phases.add(phase)
                 for (tag, payload), succs in game.moves(key):
                     if tag == "put":
                         rest = nx_g.subgraph(comp - set(payload))
@@ -545,6 +550,7 @@ def test_pursuit_moves_match_networkx_components(classes5):
                         if succ not in seen:
                             seen.add(succ)
                             frontier.append(succ)
+        assert len(phases) == spec.n_stages + spec.m_stages + 1  # every stage reached
 
 
 # Specs and the largest class size on which the pebble-order quotient is

@@ -15,6 +15,7 @@ import pytest
 
 import wlpower as wl
 import wlpower.cli as cli
+from wlpower.games import DEFAULT_MAX_STATES, _CrSolver
 
 POWER_SHA256 = {
     "local_1fwl": "fd32e40b3fca1f36c76683cf9567c3d2442e97d16ee2cb77b858bbfe0289136a",
@@ -282,6 +283,38 @@ def test_uneven_schedule_game_digests(name, game, classes4):
         record = [*map(wl.emit_graph6, graphs), verdict.winner, verdict.states_explored]
         digest.update(json.dumps(record).encode())
     assert digest.hexdigest() == UNEVEN_GAMES_SHA256[(name, game)]
+
+
+# SHA-256 over the generated arena of each pursuit solve: the state keys
+# in sid order, ``(owner, choice, pending replies)`` per for-all edge and
+# the reply-to-edge lists, on every connected class with n <= 6 (n <= 4
+# for the uneven schedules).  The attractor picks each Cops-win state's
+# move by edge order, so this pins the order the other pins do not see.
+# Computed before the component table filled itself and the removal
+# choices were built once per game.
+PURSUIT_ARENA_SHA256 = {
+    "fwl_1": "992ffebbf0b1f9e175270e2a42b6b5831b15125d6758ebc37b17e8ae1d9c9f9f",
+    "2fwl": "a9bf4fb7dd8ef63b28ae5cb9f3eba43266a5676d0b5ed37f00d3b3f458aef0a7",
+    "drfwl2_1": "ac0ed154866453d05d50410d3a893c5f25090941107519dcd291bc31d9a7a85c",
+    "k3_t1_i023": "41211a62d9691fb088c7708525ce30b06a2ea4004c4f84607c9318148630c009",
+    "k2_t3_j023": "46022b30bf72377dd223f46cb3ee12883563d931ec4c2df95d718279cfeb5475",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PURSUIT_ARENA_SHA256))
+def test_pursuit_arena_digest(name, classes4, classes6):
+    if name in UNEVEN_SPECS:
+        spec, classes = UNEVEN_SPECS[name], classes4
+    else:
+        spec, classes = wl.fwl_spec(1) if name == "fwl_1" else wl.BUILTIN_SPECS[name], classes6
+    digest = hashlib.sha256()
+    for g in classes:
+        solver = _CrSolver(spec, g, DEFAULT_MAX_STATES)
+        solver.generate()
+        edges = list(zip(solver.edge_owner, solver.edge_choice, solver.edge_pending))
+        record = [wl.emit_graph6(g), solver.states.keys, edges, solver.states.preds]
+        digest.update(json.dumps(record).encode())
+    assert digest.hexdigest() == PURSUIT_ARENA_SHA256[name]
 
 
 # SHA-256 over ``canonical_form(g) + b"\n"`` for every labelled graph g,

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import wlpower as wl
 from wlpower.errors import ClosureError, ConfigurationError, DomainError
-from wlpower.refinement import ColorDictionary, _TupleTable
+from wlpower.refinement import ColorDictionary, _stage_groups, _TupleTable
 from wlpower.selectors import f_set, r_set
 
 
@@ -528,3 +528,39 @@ def test_stage_groups_match_brute_force(graph_classes5):
                     assert spelled == nxt, (spec, g, main, m)
                     checked += 1
     assert checked > 5_000
+
+
+def sorted_prefix_stages(tuples: list, seq: tuple) -> list[dict]:
+    """The stage groups by sorting each stage's set of prefixes: the
+    formula the one-pass build replaced."""
+    groups = []
+    for prev, cur in zip(seq, seq[1:]):
+        stage: dict = {}
+        for tup in sorted({full[:cur] for full in tuples}):
+            stage.setdefault(tup[:prev], []).append(tup[prev:])
+        groups.append(stage)
+    return groups
+
+
+@st.composite
+def sorted_tuple_lists(draw):
+    """A sorted, duplicate-free list of equal-length tuples: length 1 to
+    4, entries 0 to 4, possibly empty."""
+    length = draw(st.integers(min_value=1, max_value=4))
+    entries = st.tuples(*[st.integers(min_value=0, max_value=4)] * length)
+    return length, sorted(draw(st.lists(entries, unique=True, max_size=40)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(sorted_tuple_lists())
+def test_stage_groups_match_sorted_prefixes(case):
+    # The one-pass build relies on sorted, duplicate-free input; under
+    # every strictly increasing ``seq`` from 0 to the tuple length, the
+    # dicts must match the set-and-sort formula in key order too.
+    length, tuples = case
+    for inner in itertools.chain.from_iterable(
+        itertools.combinations(range(1, length), r) for r in range(length)
+    ):
+        seq = (0, *inner, length)
+        expected = [list(stage.items()) for stage in sorted_prefix_stages(tuples, seq)]
+        assert [list(stage.items()) for stage in _stage_groups(tuples, seq)] == expected, seq
