@@ -255,10 +255,7 @@ class _PursuitMoves:
         low = comp & -comp
         for choice, get in self._removals:
             new_pos = get(pos)
-            kept = 0
-            for v in new_pos:
-                kept |= 1 << v
-            for grown in table[kept]:
+            for grown in table[node_mask(new_pos)]:
                 if grown & low:
                     break
             else:

@@ -243,19 +243,15 @@ def _stage_groups(tuples: list[tuple[int, ...]], seq: tuple[int, ...]) -> list[d
     length-``seq[m]`` prefix.  Each stage's groups, read in order, list
     the next stage's prefixes in order; the last stage's list the sorted
     tuples.  ``tuples`` must be sorted and duplicate-free, each of length
-    ``seq[-1]`` (``seq`` runs from 0): then each stage's prefixes arrive
-    sorted with repeats adjacent, and one pass builds the stage."""
-    if len(seq) == 2:  # one stage: the whole tuples under the empty prefix
+    ``seq[-1]`` (``seq`` runs from 0): then a one-stage ``seq`` groups
+    the tuples themselves under the empty prefix, with no sort."""
+    if len(seq) == 2:
         return [{(): list(tuples)} if tuples else {}]
     groups = []
     for prev, cur in zip(seq, seq[1:]):
         stage: dict = {}
-        last = None
-        for full in tuples:
-            tup = full[:cur]
-            if tup != last:
-                stage.setdefault(tup[:prev], []).append(tup[prev:])
-                last = tup
+        for tup in sorted({full[:cur] for full in tuples}):
+            stage.setdefault(tup[:prev], []).append(tup[prev:])
         groups.append(stage)
     return groups
 

@@ -532,7 +532,7 @@ def test_stage_groups_match_brute_force(graph_classes5):
 
 def sorted_prefix_stages(tuples: list, seq: tuple) -> list[dict]:
     """The stage groups by sorting each stage's set of prefixes: the
-    formula the one-pass build replaced."""
+    formula that the one-stage shortcut must match."""
     groups = []
     for prev, cur in zip(seq, seq[1:]):
         stage: dict = {}
@@ -554,7 +554,7 @@ def sorted_tuple_lists(draw):
 @settings(max_examples=200, deadline=None)
 @given(sorted_tuple_lists())
 def test_stage_groups_match_sorted_prefixes(case):
-    # The one-pass build relies on sorted, duplicate-free input; under
+    # The one-stage shortcut relies on sorted, duplicate-free input; under
     # every strictly increasing ``seq`` from 0 to the tuple length, the
     # dicts must match the set-and-sort formula in key order too.
     length, tuples = case
