@@ -1,6 +1,14 @@
 """wlpower: generalized color refinement on node tuples, the two pebble
 games attached to a refinement spec, and enumeration of the spec's
-homomorphism-counting power over small query graphs."""
+homomorphism-counting power over small query graphs.
+
+The package exports what its commands run: the graph toolbox, the two
+selectors with their set builders and the hom-closure check, the specs
+and the refinement engine (:func:`stabilize`, :func:`joint_graph_colors`,
+:func:`distinguish`, :func:`validate_spec`), the two game solvers with
+certificate replay, power enumeration with its validation suites, and
+the CLI's entry points.  Helpers that only the package itself calls stay
+in their modules."""
 
 __version__ = "0.1.0"
 
@@ -14,12 +22,10 @@ from .errors import (
 )
 from .graphs import (
     INFINITY,
-    DistanceTable,
     Graph,
     atp,
     canonical_form,
     complete_graph,
-    components_avoiding,
     cycle_graph,
     disjoint_union,
     distance_table,
@@ -39,19 +45,14 @@ from .graphs import (
 from .selectors import (
     FSelector,
     HomClosedReport,
-    InvarianceReport,
     RSelector,
-    check_f_equivariance,
     check_hom_closed,
-    check_r_invariance,
     f_set,
     r_set,
 )
 from .refinement import (
     BUILTIN_SPECS,
     PRESET_SPECS,
-    ColorDictionary,
-    ColorMap,
     GfwlSpec,
     RefinementResult,
     SpecValidationReport,
@@ -59,10 +60,8 @@ from .refinement import (
     drfwl2_spec,
     fwl_plus_spec,
     fwl_spec,
-    init_colors,
     joint_graph_colors,
     local_fwl_spec,
-    refine_step,
     replacements,
     stabilize,
     validate_spec,

@@ -275,21 +275,16 @@ class GameVerdict:
     """Outcome of one game solve.
 
     ``winner`` is ``"cops"``/``"robber"`` for the pursuit game and
-    ``"spoiler"``/``"duplicator"`` for the bijection game;
-    ``first_player`` folds these back to the mover/defender split.
-    ``stats`` holds solver counters (phase milliseconds, edges, table
-    hits); they vary between runs and are no part of the verdict, so
-    neither equality nor :meth:`to_json_dict` reads them.
+    ``"spoiler"``/``"duplicator"`` for the bijection game.  ``stats``
+    holds solver counters (phase milliseconds, edges, table hits); they
+    vary between runs and are no part of the verdict, so neither
+    equality nor :meth:`to_json_dict` reads them.
     """
 
     winner: str
     states_explored: int
     certificate: dict | None = None
     stats: dict = field(default_factory=dict, compare=False)
-
-    @property
-    def first_player(self) -> bool:
-        return self.winner in ("cops", "spoiler")
 
     def to_json_dict(self, include_certificate: bool = False) -> dict:
         out = {"winner": self.winner, "states_explored": self.states_explored}

@@ -15,7 +15,6 @@ from __future__ import annotations
 import itertools
 import json
 import operator
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -324,32 +323,11 @@ def component_masks(g: Graph, blocked: int) -> list[int]:
     return comps
 
 
-def components_avoiding(g: Graph, blocked: Iterable[int]) -> list[frozenset]:
-    """Connected components of the subgraph induced on nodes outside
-    ``blocked``, sorted by smallest member."""
-    blocked = set(blocked)
-    for x in blocked:
-        if not 0 <= x < g.n:
-            raise DomainError(f"blocked node {x} outside 0..{g.n - 1}")
-    return [frozenset(mask_nodes(c)) for c in component_masks(g, node_mask(blocked))]
-
-
-@dataclass(frozen=True)
-class DistanceTable:
-    """All-pairs shortest-path distances with :data:`INFINITY` marking
-    unreachable pairs."""
-
-    matrix: tuple
-    infinity: int = INFINITY
-
-    def dist(self, u: int, v: int) -> int:
-        return self.matrix[u][v]
-
-
 @lru_cache(maxsize=4096)
-def distance_table(g: Graph) -> DistanceTable:
-    """Distances by a breadth-first search from every node, one layer
-    (a node mask) at a time."""
+def distance_table(g: Graph) -> tuple[tuple[int, ...], ...]:
+    """All-pairs shortest-path distances as rows, ``dist[u][v]``, with
+    :data:`INFINITY` marking unreachable pairs.  Found by a breadth-first
+    search from every node, one layer (a node mask) at a time."""
     adj = g.adj_masks
     rows = []
     for src in range(g.n):
@@ -365,7 +343,7 @@ def distance_table(g: Graph) -> DistanceTable:
             seen |= layer
             dist += 1
         rows.append(tuple(row))
-    return DistanceTable(tuple(rows))
+    return tuple(rows)
 
 
 # ---------------------------------------------------------------------------

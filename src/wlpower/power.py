@@ -309,18 +309,12 @@ def _r_contained(small: RSelector, large: RSelector) -> bool:
 
 
 def _f_contained(small: FSelector, large: FSelector) -> bool:
-    if large.kind == "all_t_tuples":
+    # both specs share t, and ``all_nodes`` (t = 1) is ``all_t_tuples``
+    if large.kind in ("all_t_tuples", "all_nodes"):
         return True
-    if small.kind == large.kind:
-        if small.kind == "delta_ball_intersection":
-            return small.delta <= large.delta
-        return True
-    if large.kind == "all_nodes" and small.kind in (
-        "local_neighbor_union",
-        "delta_ball_intersection",
-    ):
-        return True
-    return False
+    if small.kind != large.kind:
+        return False
+    return small.kind != "delta_ball_intersection" or small.delta <= large.delta
 
 
 def check_monotonicity(

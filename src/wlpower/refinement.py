@@ -29,7 +29,7 @@ from functools import lru_cache
 from operator import itemgetter
 from typing import Sequence
 
-from .errors import ClosureError, ConfigurationError, DomainError, check_deadline
+from .errors import ClosureError, ConfigurationError, check_deadline
 from .graphs import Graph, atp
 from .selectors import FSelector, RSelector, f_set, r_set
 
@@ -120,10 +120,6 @@ class GfwlSpec:
     @property
     def m_stages(self) -> int:
         return len(self.j_seq) - 1
-
-    @property
-    def replacement_count(self) -> int:
-        return len(_index_vectors(self.k, self.t))
 
     def to_json_dict(self) -> dict:
         return {
@@ -222,17 +218,8 @@ PRESET_SPECS = {
 
 
 @dataclass
-class ColorMap:
-    """Colors over the selected tuple universe plus the dictionary the
-    identifiers live in."""
-
-    colors: dict
-    dictionary: ColorDictionary
-
-
-@dataclass
 class RefinementResult:
-    stable_colors: ColorMap
+    stable_colors: dict
     iterations: int
     graph_color: int
 
@@ -394,39 +381,16 @@ def _stabilize(contexts: Sequence[_Context]) -> tuple[list[dict], int]:
             raise RuntimeError("refinement exceeded its round bound")
 
 
-def init_colors(spec: GfwlSpec, g: Graph, dictionary: ColorDictionary | None = None) -> ColorMap:
-    """Initial coloring: each selected tuple gets the identifier of its
-    isomorphism type.  Each call builds the whole tuple table (universe,
-    aggregation lists, stage groups, closure check); to refine to a
-    stable coloring, call :func:`stabilize`, which builds it once."""
-    dic = dictionary if dictionary is not None else ColorDictionary()
-    ctx = _Context(spec, g, dic)
-    return ColorMap(ctx.initial_colors(), dic)
-
-
-def refine_step(spec: GfwlSpec, g: Graph, colors: ColorMap) -> ColorMap:
-    """One update step: messages from every aggregation tuple (its
-    concatenated isomorphism type plus the colors of all replacements in
-    lexicographic order), collapsed by the staged aggregations.  Each
-    call builds the whole tuple table (universe, aggregation lists, stage
-    groups, closure check), so stepping round by round rebuilds it every
-    round; :func:`stabilize` builds it once for all rounds."""
-    ctx = _Context(spec, g, colors.dictionary)
-    if set(colors.colors) != set(ctx.rset):
-        raise DomainError("color map domain must equal the selected tuple universe")
-    return ColorMap(ctx.step(colors.colors), colors.dictionary)
-
-
-def stabilize(
-    spec: GfwlSpec, g: Graph, dictionary: ColorDictionary | None = None
-) -> RefinementResult:
+def stabilize(spec: GfwlSpec, g: Graph) -> RefinementResult:
     """Iterate update steps until the induced partition stops changing,
-    then pool to the graph-level color."""
-    dic = dictionary if dictionary is not None else ColorDictionary()
-    ctx = _Context(spec, g, dic)
+    then pool to the graph-level color.  ``stable_colors`` maps each
+    tuple of the universe to its stable color; the identifiers come from
+    a fresh dictionary, so they are comparable only within this result
+    (:func:`joint_graph_colors` compares graphs)."""
+    ctx = _Context(spec, g, ColorDictionary())
     (colors,), iterations = _stabilize([ctx])
     return RefinementResult(
-        stable_colors=ColorMap(colors, dic),
+        stable_colors=colors,
         iterations=iterations,
         graph_color=ctx.pool(colors),
     )

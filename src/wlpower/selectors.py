@@ -4,16 +4,15 @@
 ``FSelector`` picks, per colored tuple, the t-tuples aggregated over.
 Both are closed enumerations (no arbitrary user code) so that the
 homomorphism-closure hypothesis behind the counting-power results stays
-empirically checkable.  The ``check_*`` helpers accept a callable in
-place of a selector for negative-control experiments.
+empirically checkable: :func:`check_hom_closed` checks it on a pool of
+graphs.
 """
 
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass
-from typing import Callable, ClassVar, Iterable, Sequence
+from typing import ClassVar, Iterable, Sequence
 
 from .errors import ConfigurationError, DomainError, check_deadline
 from .graphs import Graph, distance_table, homomorphisms, mask_nodes
@@ -93,12 +92,12 @@ def r_set(sel: RSelector, k: int, g: Graph) -> set[tuple[int, ...]]:
     if sel.kind == "all_k_tuples":
         return set(itertools.product(range(g.n), repeat=k))
     # distance_restricted, k == 2
-    dt = distance_table(g)
+    dist = distance_table(g)
     return {
         (u, v)
         for u in range(g.n)
         for v in range(g.n)
-        if dt.dist(u, v) <= sel.delta
+        if dist[u][v] <= sel.delta
     }
 
 
@@ -119,82 +118,22 @@ def f_set(sel: FSelector, t: int, g: Graph, v: Sequence[int]) -> set[tuple[int, 
             union |= g.adj_masks[x]
         return {(w,) for w in mask_nodes(union)}
     # delta_ball_intersection, k == 2, t == 1
-    dt = distance_table(g)
+    dist = distance_table(g)
     a, b = v
     return {
         (w,)
         for w in range(g.n)
-        if dt.dist(a, w) <= sel.delta and dt.dist(w, b) <= sel.delta
+        if dist[a][w] <= sel.delta and dist[w][b] <= sel.delta
     }
 
 
 # ---------------------------------------------------------------------------
-# Empirical property checkers
-
-
-@dataclass
-class InvarianceReport:
-    trials: int
-    violations: list
-
-    @property
-    def passed(self) -> bool:
-        return not self.violations
+# Empirical hom-closure check
 
 
 def _map_tuples(tuples: Iterable[tuple[int, ...]], mapping: Sequence[int]) -> set:
-    """Apply a node map (permutation or homomorphism image) entrywise."""
+    """Apply a node map (a homomorphism's image list) entrywise."""
     return {tuple(mapping[x] for x in tup) for tup in tuples}
-
-
-def check_r_invariance(
-    sel: RSelector | Callable[[Graph], set],
-    k: int,
-    g: Graph,
-    trials: int = 100,
-    seed: int = 0,
-) -> InvarianceReport:
-    """Verify ``perm(R(G)) == R(perm(G))`` for random node permutations,
-    checked as :func:`check_f_equivariance` over the single key ``()``
-    (the 0-tuples), since ``R(G)`` is ``F(G, ())``.  A violation names no
-    ``"tuple"``.
-
-    ``sel`` may be a callable ``graph -> set of k-tuples`` so broken
-    selectors can be exercised as negative controls.
-    """
-    get = sel if callable(sel) else (lambda graph: r_set(sel, k, graph))
-    report = check_f_equivariance(lambda graph, v: get(graph), 0, 0, g, trials, seed)
-    for violation in report.violations:
-        del violation["tuple"]
-    return report
-
-
-def check_f_equivariance(
-    sel: FSelector | Callable[[Graph, tuple], set],
-    k: int,
-    t: int,
-    g: Graph,
-    trials: int = 100,
-    seed: int = 0,
-) -> InvarianceReport:
-    """Verify ``perm(F(G, v)) == F(perm(G), perm(v))`` for random
-    permutations, over every k-tuple ``v`` of ``g``."""
-    get = sel if callable(sel) else (lambda graph, v: f_set(sel, t, graph, v))
-    rng = random.Random(seed)
-    tuples = list(itertools.product(range(g.n), repeat=k))
-    base = {v: get(g, v) for v in tuples}
-    violations = []
-    for trial in range(trials):
-        perm = list(range(g.n))
-        rng.shuffle(perm)
-        h = g.permuted(perm)
-        for v in tuples:
-            expected = _map_tuples(base[v], perm)
-            actual = get(h, tuple(perm[x] for x in v))
-            if expected != actual:
-                violations.append({"trial": trial, "perm": tuple(perm), "tuple": v})
-                break
-    return InvarianceReport(trials=trials, violations=violations)
 
 
 @dataclass
@@ -226,16 +165,14 @@ def check_hom_closed(
     checked as F mode with the single key ``()``, since ``R(G)`` is
     ``F(G, ())``.  Each graph's sets are computed once, on first use.
     More than ``_MAX_MAPS_PER_PAIR`` maps in one pair marks the report as
-    truncated instead of failing.  ``sel`` may also be a callable
-    (``graph -> set`` in R mode, ``(graph, v) -> set`` in F mode) for
-    negative controls.  A counterexample names its ``"tuple"`` in F mode.
-    The run deadline is checked once per pool pair and every 1024 maps.
+    truncated instead of failing.  A counterexample names its ``"tuple"``
+    in F mode.  The run deadline is checked once per pool pair and every
+    1024 maps.
     """
     if t is None:
-        get_r = sel if callable(sel) else (lambda graph: r_set(sel, k, graph))
-        get = lambda graph, v: get_r(graph)
+        get = lambda graph, v: r_set(sel, k, graph)
     else:
-        get = sel if callable(sel) else (lambda graph, v: f_set(sel, t, graph, v))
+        get = lambda graph, v: f_set(sel, t, graph, v)
     tables: list[dict[tuple, set]] = [{} for _ in pool]
 
     def selected(i: int, v: tuple) -> set:

@@ -6,6 +6,7 @@ import copy
 import itertools
 import json
 import random
+from unittest import mock
 
 import networkx as nx
 import pytest
@@ -13,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import wlpower as wl
-from wlpower.errors import BudgetError, CertificateError
+from wlpower.errors import BudgetError, CertificateError, ClosureError, ConfigurationError
 from wlpower.games import _BijectionMoves, _EfSolver, _PursuitMoves, _max_matching, _next_phase
 from wlpower.graphs import component_masks
 from test_golden import UNEVEN_SPECS
@@ -251,7 +252,7 @@ def test_verdict_deterministic(c6, two_c3):
 
 def test_verdict_json():
     verdict = wl.cops_robber_wins(wl.local_fwl_spec(1), wl.path_graph(3))
-    assert verdict.first_player is True
+    assert verdict.winner == "cops"
     plain = verdict.to_json_dict()
     assert plain == {"winner": "cops", "states_explored": verdict.states_explored}
     full = verdict.to_json_dict(include_certificate=True)
@@ -259,7 +260,7 @@ def test_verdict_json():
     json.dumps(full)  # repr-stringified keys: must serialize
 
     robber = wl.cops_robber_wins(wl.fwl_spec(2), wl.complete_graph(4))
-    assert robber.first_player is False
+    assert robber.winner == "robber"
     json.dumps(robber.to_json_dict(include_certificate=True))
 
 
@@ -585,3 +586,83 @@ def test_pebble_order_quotient_matches_full_game(name, n_max, request, monkeypat
     full = [wl.cops_robber_wins(spec, g, want_certificate=False) for g in classes]
     assert [v.winner for v in quotient] == [v.winner for v in full]
     assert sum(v.states_explored for v in quotient) < sum(v.states_explored for v in full)
+
+
+# ---------------------------------------------------------------------------
+# The spec space
+
+
+def index_seqs(end: int) -> list[tuple[int, ...]]:
+    """Every strictly increasing sequence running from 0 to ``end``."""
+    return [(0, *mid, end) for size in range(end) for mid in itertools.combinations(range(1, end), size)]
+
+
+def spec_space() -> list[wl.GfwlSpec]:
+    """Every valid spec with k <= 3 and t <= 2: all index sequences, every
+    selector kind, and delta in {1, 2} where a kind takes one."""
+    rs = [wl.RSelector("all_k_tuples"), *(wl.RSelector("distance_restricted", d) for d in (1, 2))]
+    fs = [
+        *(wl.FSelector(kind) for kind in ("all_t_tuples", "all_nodes", "local_neighbor_union")),
+        *(wl.FSelector("delta_ball_intersection", d) for d in (1, 2)),
+    ]
+    specs = []
+    for k, t in itertools.product((1, 2, 3), (1, 2)):
+        for i_seq, j_seq, r, f in itertools.product(index_seqs(k), index_seqs(t), rs, fs):
+            try:
+                specs.append(wl.GfwlSpec(k, t, i_seq, j_seq, r, f))
+            except ConfigurationError:
+                pass
+    return specs
+
+
+SPEC_SPACE = spec_space()
+CLASSES4 = wl.connected_classes(4)
+
+
+def test_spec_space_covers_every_selector_kind():
+    assert len(SPEC_SPACE) == 67
+    assert {spec.r_selector.kind for spec in SPEC_SPACE} == set(wl.RSelector._KINDS)
+    assert {spec.f_selector.kind for spec in SPEC_SPACE} == set(wl.FSelector._KINDS)
+
+
+def raises_closure_error(solve) -> bool:
+    try:
+        solve()
+    except ClosureError:
+        return True
+    return False
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(SPEC_SPACE), st.sampled_from(CLASSES4), st.sampled_from(CLASSES4))
+def test_spec_space_games_agree(spec, g, h):
+    """Over the whole spec space: every command refuses a graph whose
+    replacements leave the universe, or none does; the pursuit quotient
+    wins as the full game does; the bijection game follows refinement
+    (Theorem 2); and every certificate replays."""
+    closed = True
+    for x in (g, h):
+        try:
+            pursuit = wl.cops_robber_wins(spec, x)
+        except ClosureError:
+            pursuit = None
+        refused = {
+            pursuit is None,
+            raises_closure_error(lambda: wl.stabilize(spec, x)),
+            bool(wl.validate_spec(spec, x).closure_violations),
+        }
+        assert len(refused) == 1, (spec, wl.emit_graph6(x))
+        if pursuit is None:
+            closed = False
+            continue
+        assert wl.replay_certificate(pursuit, spec, x)
+        with mock.patch.object(_PursuitMoves, "canon", lambda self, phase, pos: pos):
+            full = wl.cops_robber_wins(spec, x, want_certificate=False)
+        assert pursuit.winner == full.winner, (spec, wl.emit_graph6(x))
+    if not closed:
+        assert raises_closure_error(lambda: wl.spoiler_wins(spec, g, h))
+        return
+    bijection = wl.spoiler_wins(spec, g, h)
+    expected = "spoiler" if wl.distinguish(spec, g, h) else "duplicator"
+    assert bijection.winner == expected, (spec, wl.emit_graph6(g), wl.emit_graph6(h))
+    assert wl.replay_certificate(bijection, spec, (g, h))

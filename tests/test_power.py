@@ -203,6 +203,10 @@ def test_check_monotonicity_positive():
     assert wl.check_monotonicity(wl.local_fwl_spec(2), wl.fwl_spec(2), 4).passed
     assert wl.check_monotonicity(wl.drfwl2_spec(1), wl.fwl_spec(2), 4).passed
     assert wl.check_monotonicity(wl.fwl_spec(2), wl.fwl_spec(2), 4).passed
+    # at t = 1 all t-tuples are all nodes: the two specs are the same
+    all_pairs = wl.GfwlSpec(2, 1, (0, 2), (0, 1), wl.RSelector("all_k_tuples"), wl.FSelector("all_t_tuples"))
+    assert wl.check_monotonicity(all_pairs, wl.fwl_spec(2), 4).passed
+    assert wl.check_monotonicity(wl.fwl_spec(2), all_pairs, 4).passed
 
 
 def test_check_monotonicity_rejects_incomparable():

@@ -14,8 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wlpower as wl
-from wlpower.errors import ClosureError, ConfigurationError, DomainError
-from wlpower.refinement import ColorDictionary, _stage_groups, _TupleTable
+from wlpower.errors import ClosureError, ConfigurationError
+from wlpower.graphs import component_masks
+from wlpower.refinement import ColorDictionary, _Context, _stage_groups, _TupleTable
 from wlpower.selectors import f_set, r_set
 
 
@@ -27,7 +28,7 @@ def random_graph(rng: random.Random, n: int, p: float = 0.4) -> wl.Graph:
 def random_connected(rng: random.Random, n: int) -> wl.Graph:
     while True:
         g = random_graph(rng, n, 0.5)
-        if n == 0 or len(wl.components_avoiding(g, ())) == 1:
+        if n == 0 or len(component_masks(g, 0)) == 1:
             return g
 
 
@@ -96,7 +97,7 @@ def test_spec_validation():
 def test_spec_presets():
     two = wl.fwl_spec(2)
     assert two.k == 2 and two.t == 1 and two.i_seq == (0, 2) and two.j_seq == (0, 1)
-    assert two.replacement_count == 3
+    assert len(wl.replacements((0, 1), (2,))) == 3
     local = wl.local_fwl_spec(1)
     assert local.f_selector.kind == "local_neighbor_union"
     dr = wl.drfwl2_spec(2)
@@ -119,37 +120,41 @@ def test_spec_json_round_trip():
 # Initial colors
 
 
+def initial_colors(spec: wl.GfwlSpec, g: wl.Graph, dic: ColorDictionary | None = None) -> dict:
+    return _Context(spec, g, ColorDictionary() if dic is None else dic).initial_colors()
+
+
 def test_init_colors_k2():
     spec = wl.fwl_spec(2)
-    cm = wl.init_colors(spec, wl.complete_graph(2))
-    assert len(cm.colors) == 4
-    assert len(set(cm.colors.values())) == 2
-    assert cm.colors[(0, 1)] == cm.colors[(1, 0)]
-    assert cm.colors[(0, 0)] == cm.colors[(1, 1)]
+    colors = initial_colors(spec, wl.complete_graph(2))
+    assert len(colors) == 4
+    assert len(set(colors.values())) == 2
+    assert colors[(0, 1)] == colors[(1, 0)]
+    assert colors[(0, 0)] == colors[(1, 1)]
 
-    cm = wl.init_colors(spec, wl.empty_graph(3))
-    assert len(set(cm.colors.values())) == 2
+    colors = initial_colors(spec, wl.empty_graph(3))
+    assert len(set(colors.values())) == 2
 
-    cm = wl.init_colors(spec, wl.empty_graph(0))
-    assert cm.colors == {}
+    colors = initial_colors(spec, wl.empty_graph(0))
+    assert colors == {}
 
 
 def test_init_colors_match_atp(classes4):
     spec = wl.fwl_spec(2)
     for g in classes4:
-        cm = wl.init_colors(spec, g)
-        tuples = sorted(cm.colors)
+        colors = initial_colors(spec, g)
+        tuples = sorted(colors)
         for v1, v2 in itertools.combinations(tuples, 2):
-            same_color = cm.colors[v1] == cm.colors[v2]
+            same_color = colors[v1] == colors[v2]
             assert same_color == (wl.atp(g, v1) == wl.atp(g, v2))
 
 
 def test_init_colors_shared_dictionary():
     spec = wl.fwl_spec(2)
     dic = ColorDictionary()
-    a = wl.init_colors(spec, wl.complete_graph(2), dic)
-    b = wl.init_colors(spec, wl.complete_graph(2).permuted([1, 0]), dic)
-    assert set(a.colors.values()) == set(b.colors.values())
+    a = initial_colors(spec, wl.complete_graph(2), dic)
+    b = initial_colors(spec, wl.complete_graph(2).permuted([1, 0]), dic)
+    assert set(a.values()) == set(b.values())
 
 
 # ---------------------------------------------------------------------------
@@ -157,40 +162,32 @@ def test_init_colors_shared_dictionary():
 
 
 def test_refine_step_constant_on_vertex_transitive(c6):
-    spec = wl.local_fwl_spec(1)
-    cm = wl.init_colors(spec, c6)
-    assert len(set(cm.colors.values())) == 1
-    stepped = wl.refine_step(spec, c6, cm)
-    assert len(set(stepped.colors.values())) == 1
+    ctx = _Context(wl.local_fwl_spec(1), c6, ColorDictionary())
+    colors = ctx.initial_colors()
+    assert len(set(colors.values())) == 1
+    stepped = ctx.step(colors)
+    assert len(set(stepped.values())) == 1
 
 
 def test_refine_step_splits_by_degree():
     # one update step separates K3 from P3 tuple-histogram-wise
     spec = wl.local_fwl_spec(1)
     dic = ColorDictionary()
-    k3, p3 = wl.complete_graph(3), wl.path_graph(3)
-    a = wl.refine_step(spec, k3, wl.init_colors(spec, k3, dic))
-    b = wl.refine_step(spec, p3, wl.init_colors(spec, p3, dic))
-    assert Counter(a.colors.values()) != Counter(b.colors.values())
-
-
-def test_refine_step_requires_full_domain():
-    spec = wl.fwl_spec(2)
-    cm = wl.init_colors(spec, wl.path_graph(3))
-    cm.colors.pop((0, 0))
-    with pytest.raises(DomainError):
-        wl.refine_step(spec, wl.path_graph(3), cm)
+    k3, p3 = _Context(spec, wl.complete_graph(3), dic), _Context(spec, wl.path_graph(3), dic)
+    a = k3.step(k3.initial_colors())
+    b = p3.step(p3.initial_colors())
+    assert Counter(a.values()) != Counter(b.values())
 
 
 def test_stabilize_single_node():
     result = wl.stabilize(wl.local_fwl_spec(1), wl.empty_graph(1))
     assert result.iterations <= 1
-    assert len(result.stable_colors.colors) == 1
+    assert len(result.stable_colors) == 1
 
 
 def test_stabilize_c6_2fwl(c6):
     result = wl.stabilize(wl.fwl_spec(2), c6)
-    classes = len(set(result.stable_colors.colors.values()))
+    classes = len(set(result.stable_colors.values()))
     assert classes == 4  # tuple classes on a 6-cycle: distances 0..3
     assert result.iterations <= 37
 
@@ -205,19 +202,19 @@ def test_stabilize_iteration_bound(classes5):
 def test_stabilize_fixpoint_idempotent(c6):
     spec = wl.fwl_spec(2)
     result = wl.stabilize(spec, c6)
-    stepped = wl.refine_step(spec, c6, result.stable_colors)
+    stepped = _Context(spec, c6, ColorDictionary()).step(result.stable_colors)
 
     def signature(colors):
         seen = {}
         return tuple(seen.setdefault(colors[v], len(seen)) for v in sorted(colors))
 
-    assert signature(stepped.colors) == signature(result.stable_colors.colors)
+    assert signature(stepped) == signature(result.stable_colors)
 
 
 def test_stabilize_deterministic(c6):
     a = wl.stabilize(wl.fwl_spec(2), c6)
     b = wl.stabilize(wl.fwl_spec(2), c6)
-    assert a.stable_colors.colors == b.stable_colors.colors
+    assert a.stable_colors == b.stable_colors
     assert a.graph_color == b.graph_color and a.iterations == b.iterations
 
 
@@ -227,11 +224,10 @@ def test_refinement_is_monotone():
     spec = wl.fwl_spec(2)
     for _ in range(10):
         g = random_connected(rng, rng.randint(2, 5))
-        dic = ColorDictionary()
-        cm = wl.init_colors(spec, g, dic)
-        prev = cm.colors
+        ctx = _Context(spec, g, ColorDictionary())
+        prev = ctx.initial_colors()
         for _ in range(6):
-            cur = wl.refine_step(spec, g, wl.ColorMap(prev, dic)).colors
+            cur = ctx.step(prev)
             owners: dict = {}
             for v, new_color in cur.items():
                 owners.setdefault(new_color, set()).add(prev[v])
@@ -241,7 +237,7 @@ def test_refinement_is_monotone():
 
 def test_empty_universe_graph_color():
     result = wl.stabilize(wl.fwl_spec(2), wl.empty_graph(0))
-    assert result.stable_colors.colors == {}
+    assert result.stable_colors == {}
     assert isinstance(result.graph_color, int)
     assert not wl.distinguish(wl.fwl_spec(2), wl.empty_graph(0), wl.empty_graph(0))
 

@@ -116,12 +116,33 @@ ALL_F = [
 ]
 
 
+def equivariance_violations(get, k: int, g: wl.Graph, trials: int, seed: int = 0) -> list:
+    """Check ``perm(get(G, v)) == get(perm(G), perm(v))`` for random node
+    permutations over every k-tuple ``v`` of ``g``; one violation per
+    failing trial.  With ``k = 0`` the single key is ``()``, which checks
+    the invariance of a universe, since ``R(G)`` is ``F(G, ())``."""
+    rng = random.Random(seed)
+    tuples = list(itertools.product(range(g.n), repeat=k))
+    base = {v: get(g, v) for v in tuples}
+    violations = []
+    for trial in range(trials):
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        h = g.permuted(perm)
+        for v in tuples:
+            expected = {tuple(perm[x] for x in tup) for tup in base[v]}
+            if expected != get(h, tuple(perm[x] for x in v)):
+                violations.append({"trial": trial, "perm": tuple(perm), "tuple": v})
+                break
+    return violations
+
+
 def test_r_invariance_builtin_selectors():
     rng = random.Random(23)
     for sel in ALL_R:
         for _ in range(5):
             g = random_graph(rng, rng.randint(1, 6))
-            assert wl.check_r_invariance(sel, 2, g, trials=30).passed
+            assert not equivariance_violations(lambda graph, v: r_set(sel, 2, graph), 0, g, trials=30)
 
 
 def test_f_equivariance_builtin_selectors():
@@ -129,26 +150,23 @@ def test_f_equivariance_builtin_selectors():
     for sel in ALL_F:
         for _ in range(4):
             g = random_graph(rng, rng.randint(1, 5))
-            assert wl.check_f_equivariance(sel, 2, 1, g, trials=15).passed
+            assert not equivariance_violations(lambda graph, v: f_set(sel, 1, graph, v), 2, g, trials=15)
 
 
 def test_invariance_negative_control():
     # label-dependent universe: every pair involving node 0
-    def broken(g):
+    def broken(g, v):
         return {(0, w) for w in range(g.n)}
 
-    g = wl.path_graph(3)
-    report = wl.check_r_invariance(broken, 2, g, trials=50)
-    assert not report.passed
-    assert report.violations and "perm" in report.violations[0]
+    violations = equivariance_violations(broken, 0, wl.path_graph(3), trials=50)
+    assert violations and "perm" in violations[0]
 
 
 def test_equivariance_negative_control():
     def broken(g, v):
         return {(0,)} if g.n else set()
 
-    report = wl.check_f_equivariance(broken, 2, 1, wl.path_graph(3), trials=50)
-    assert not report.passed
+    assert equivariance_violations(broken, 2, wl.path_graph(3), trials=50)
 
 
 # ---------------------------------------------------------------------------
@@ -180,42 +198,46 @@ def test_hom_closed_counts_maps():
     assert report.maps_checked > 0 and not report.truncated
 
 
-def test_hom_closed_negative_control():
+def test_hom_closed_negative_control(monkeypatch):
     # tuples of maximum-degree nodes: invariant but not hom-closed
-    def broken(g):
+    def broken(sel, k, g):
         if g.n == 0:
             return set()
         top = max(range(g.n), key=g.degree)
         cap = g.degree(top)
         return {(u, u) for u in range(g.n) if g.degree(u) == cap}
 
-    report = wl.check_hom_closed(broken, 2, None, [wl.complete_graph(2), wl.path_graph(3)])
+    monkeypatch.setattr(wl.selectors, "r_set", broken)
+    pool = [wl.complete_graph(2), wl.path_graph(3)]
+    report = wl.check_hom_closed(wl.RSelector("all_k_tuples"), 2, None, pool)
     assert not report.passed
     ce = report.counterexamples[0]
     assert set(ce) >= {"g", "h", "hom"}
 
 
-def test_hom_closed_r_sets_computed_once_per_graph():
+def test_hom_closed_r_sets_computed_once_per_graph(monkeypatch):
     calls = []
 
-    def universe(g):
+    def universe(sel, k, g):
         calls.append(g)
-        return wl.r_set(wl.RSelector("all_k_tuples"), 2, g)
+        return r_set(sel, k, g)
 
+    monkeypatch.setattr(wl.selectors, "r_set", universe)
     pool = small_pool()
-    assert wl.check_hom_closed(universe, 2, None, pool).passed
+    assert wl.check_hom_closed(wl.RSelector("all_k_tuples"), 2, None, pool).passed
     assert len(calls) == len(pool)
 
 
-def test_hom_closed_f_sets_computed_once_per_graph_and_tuple():
+def test_hom_closed_f_sets_computed_once_per_graph_and_tuple(monkeypatch):
     calls = []
 
-    def neighbors(g, v):
+    def neighbors(sel, t, g, v):
         calls.append((g, v))
-        return wl.f_set(wl.FSelector("local_neighbor_union"), 1, g, v)
+        return f_set(sel, t, g, v)
 
+    monkeypatch.setattr(wl.selectors, "f_set", neighbors)
     pool = small_pool()
-    assert wl.check_hom_closed(neighbors, 2, 1, pool).passed
+    assert wl.check_hom_closed(wl.FSelector("local_neighbor_union"), 2, 1, pool).passed
     assert len(calls) == len(set(calls)) == sum(g.n ** 2 for g in pool)
 
 
