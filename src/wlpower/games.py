@@ -337,11 +337,14 @@ class _StateIndex:
 
     def walk(self) -> Iterator[tuple[int, tuple]]:
         """``(sid, key)`` in sid order, states added during the walk
-        included; the run deadline is checked every 256 states."""
+        included; the run deadline is checked every 256 states and once
+        more when the walk ends, so an arena of fewer states than that is
+        checked after its generation too."""
         for sid, key in enumerate(self.keys):  # reaches appended keys
             if not sid & 255:
                 check_deadline()
             yield sid, key
+        check_deadline()
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +366,7 @@ def spoiler_wins(
     successor) admit a perfect matching; a removing state survives while
     every index selection leads to a surviving state.  The first player
     wins iff the empty-board root is deleted.  The run deadline is
-    checked every 256 generated states.  ``stats`` holds the phase
+    checked every 256 generated states and when generation ends.  ``stats`` holds the phase
     milliseconds (``table_ms`` builds the two tuple tables),
     ``matching_calls`` (bipartite matchings run by the
     fixpoint) and ``cut_states`` (putting states cut, dead at birth, by
@@ -512,7 +515,7 @@ def cops_robber_wins(
     backward counter propagation.  Cops win iff every initial component
     choice lies in the attractor; every state outside it (cycles
     included) is a Robber win.  The run deadline is checked every 256
-    generated states.  ``stats`` holds the phase milliseconds
+    generated states and when generation ends.  ``stats`` holds the phase milliseconds
     (``table_ms`` builds the tuple table), ``edges`` and
     ``component_table_hits``.
     """

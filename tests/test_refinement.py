@@ -97,7 +97,7 @@ def test_spec_validation():
 def test_spec_presets():
     two = wl.fwl_spec(2)
     assert two.k == 2 and two.t == 1 and two.i_seq == (0, 2) and two.j_seq == (0, 1)
-    assert len(wl.replacements((0, 1), (2,))) == 3
+    assert len(wl.replacements(range(two.k), range(two.t))) == 3
     local = wl.local_fwl_spec(1)
     assert local.f_selector.kind == "local_neighbor_union"
     dr = wl.drfwl2_spec(2)
