@@ -44,7 +44,13 @@ Each game has one successor function (``_BijectionMoves``,
 call, so replay is no second copy of the rules; the independent oracles
 stay the treewidth DP (Cops win iff treewidth <= k) and agreement of the
 bijection game with refinement.  Both solvers number states through one
-``_StateIndex``.
+``_StateIndex``, and every certificate is read from the solved arena,
+with no second pass over the moves.  Spoiler's names the dead states;
+Robber's is its winning region, every state outside the Cops attractor
+(the certificate of a safety game's winner: Grädel, Thomas and Wilke
+(eds.), "Automata, Logics, and Infinite Games", LNCS 2500, 2002, ch. 2).
+Replay explores every move of the certified player's opponent, so it
+stays sound whatever a certificate holds.
 """
 
 from __future__ import annotations
@@ -196,8 +202,9 @@ class _PursuitMoves:
     removal's grown component is the one holding the lowest node of
     Robber's: Robber's component is connected and avoids the kept
     pebbles, so the one component of g minus them that holds any of its
-    nodes holds it all.  Certificates store components as frozensets;
-    :meth:`decode` converts a key to that form."""
+    nodes holds it all.  Certificates store components as frozensets
+    (:meth:`decode`); Robber replay turns its region back into masks
+    once."""
 
     def __init__(self, spec: GfwlSpec, g: Graph):
         self.spec = spec
@@ -366,9 +373,9 @@ def spoiler_wins(
     successor) admit a perfect matching; a removing state survives while
     every index selection leads to a surviving state.  The first player
     wins iff the empty-board root is deleted.  The run deadline is
-    checked every 256 generated states and when generation ends.  ``stats`` holds the phase
-    milliseconds (``table_ms`` builds the two tuple tables),
-    ``matching_calls`` (bipartite matchings run by the
+    checked every 256 generated states and when generation ends.
+    ``stats`` holds the phase milliseconds (``table_ms`` builds the two
+    tuple tables), ``matching_calls`` (bipartite matchings run by the
     fixpoint) and ``cut_states`` (putting states cut, dead at birth, by
     Hall's condition).
     """
@@ -514,9 +521,13 @@ def cops_robber_wins(
     then computes the attractor of the Robber-stuck positions by
     backward counter propagation.  Cops win iff every initial component
     choice lies in the attractor; every state outside it (cycles
-    included) is a Robber win.  The run deadline is checked every 256
-    generated states and when generation ends.  ``stats`` holds the phase milliseconds
-    (``table_ms`` builds the tuple table), ``edges`` and
+    included) is a Robber win.  A Cops certificate maps each attractor
+    state to its winning move (``moves``); a Robber certificate lists
+    every state outside the attractor, its winning region (``region``,
+    decoded keys in sid order).  Robber replay follows, for each Cops
+    move, the first reply in move order that lies in the region.  The run deadline is checked every 256
+    generated states and when generation ends.  ``stats`` holds the phase
+    milliseconds (``table_ms`` builds the tuple table), ``edges`` and
     ``component_table_hits``.
     """
     start = time.perf_counter()
@@ -605,30 +616,19 @@ class _CrSolver:
                     queue.append(pred)
 
     def certificate(self, cops: bool) -> dict:
-        keys, index, decode = self.states.keys, self.states.index, self.game.decode
+        keys, win, decode = self.states.keys, self.win, self.game.decode
         if cops:
             moves = {
                 decode(keys[sid]): self.win_edge[sid]
                 for sid in range(len(keys))
-                if self.win[sid] and self.win_edge[sid] is not None
+                if win[sid] and self.win_edge[sid] is not None
             }
             return {"winner": "cops", "moves": moves}
-        losing_initial = next(sid for sid in self.initial if not self.win[sid])
-        responses = {}
-        for sid, key in enumerate(keys):
-            if self.win[sid] or key[0][0] not in ("I", "U"):
-                continue
-            decoded = decode(key)
-            for choice, succs in self.game.moves(key):
-                survivor = next((succ for succ in succs if not self.win[index[succ]]), None)
-                if survivor is None:
-                    raise RuntimeError("losing state must offer a surviving reply")
-                responses[(decoded, choice)] = decode(survivor)[2]
-        return {
-            "winner": "robber",
-            "initial_component": decode(keys[losing_initial])[2],
-            "responses": responses,
-        }
+        owner = self.edge_owner
+        if any(not left and not win[owner[eid]] for eid, left in enumerate(self.edge_pending)):
+            raise RuntimeError("losing state must offer a surviving reply")
+        region = [decode(key) for sid, key in enumerate(keys) if not win[sid]]
+        return {"winner": "robber", "region": region}
 
 
 # ---------------------------------------------------------------------------
@@ -659,13 +659,6 @@ def replay_certificate(verdict: GameVerdict, spec: GfwlSpec, inputs) -> bool:
     if verdict.winner == "spoiler":
         return _replay_spoiler(cert, spec, g, h)
     return _replay_duplicator(cert, spec, g, h)
-
-
-def _component(stored) -> frozenset:
-    try:
-        return frozenset(stored)
-    except TypeError as exc:
-        raise CertificateError(f"component {stored!r} is not a node set") from exc
 
 
 def _replay_cops(cert: dict, spec: GfwlSpec, g: Graph) -> bool:
@@ -699,31 +692,27 @@ def _replay_cops(cert: dict, spec: GfwlSpec, g: Graph) -> bool:
 
 
 def _replay_robber(cert: dict, spec: GfwlSpec, g: Graph) -> bool:
-    responses = cert.get("responses")
-    initial = cert.get("initial_component")
-    if not isinstance(responses, dict) or initial is None:
-        raise CertificateError("robber certificate needs responses and an initial component")
+    region = cert.get("region")
+    if not isinstance(region, list):
+        raise CertificateError("robber certificate needs a region list")
+    try:
+        held = {(phase, tuple(pos), node_mask(comp)) for phase, pos, comp in region}
+    except (TypeError, ValueError) as exc:
+        raise CertificateError("region entries must be state keys") from exc
     game = _PursuitMoves(spec, g)
-    initial_keys = {game.decode(key): key for key in game.initial()}
-    start = initial_keys.get((("I", 1), (), _component(initial)))
+    start = next((key for key in game.initial() if key in held), None)
     if start is None:
         return False
     seen = {start}
     frontier = [start]
     while frontier:
-        key = frontier.pop()
-        decoded = game.decode(key)
-        for choice, succs in game.moves(key):
-            if choice[0] == "put":
-                stored = responses.get((decoded, choice))
-                reply = None if stored is None else _component(stored)
-                succs = [s for s in succs if game.decode(s)[2] == reply]
-                if not succs:
-                    return False  # stuck or invalid reply: Robber loses this line
-            for succ in succs:
-                if succ not in seen:
-                    seen.add(succ)
-                    frontier.append(succ)
+        for _, succs in game.moves(frontier.pop()):
+            reply = next((succ for succ in succs if succ in held), None)
+            if reply is None:
+                return False  # stuck or every reply leaves the region: Robber loses this line
+            if reply not in seen:
+                seen.add(reply)
+                frontier.append(reply)
     return True  # no reachable line traps Robber; infinite play wins
 
 

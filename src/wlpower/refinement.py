@@ -23,7 +23,6 @@ same for any number of graphs.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass, field
 from functools import lru_cache
 from operator import itemgetter
@@ -130,9 +129,6 @@ class GfwlSpec:
             "r": self.r_selector.to_json_dict(),
             "f": self.f_selector.to_json_dict(),
         }
-
-    def canonical_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":"))
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "GfwlSpec":

@@ -15,7 +15,15 @@ from hypothesis import strategies as st
 
 import wlpower as wl
 from wlpower.errors import BudgetError, CertificateError, ClosureError, ConfigurationError
-from wlpower.games import _BijectionMoves, _EfSolver, _PursuitMoves, _max_matching, _next_phase
+from wlpower.games import (
+    DEFAULT_MAX_STATES,
+    _BijectionMoves,
+    _CrSolver,
+    _EfSolver,
+    _PursuitMoves,
+    _max_matching,
+    _next_phase,
+)
 from wlpower.graphs import component_masks
 from test_golden import UNEVEN_SPECS
 
@@ -297,22 +305,27 @@ def test_replay_robber():
     assert verdict.winner == "robber"
     assert wl.replay_certificate(verdict, spec, g)
 
-    tampered = copy.deepcopy(verdict)
-    tampered.certificate["initial_component"] = frozenset({0})
-    assert not wl.replay_certificate(tampered, spec, g)
+    def without(drop) -> wl.GameVerdict:
+        tampered = copy.deepcopy(verdict)
+        tampered.certificate["region"] = [key for key in verdict.certificate["region"] if not drop(key)]
+        return tampered
 
-    tampered = copy.deepcopy(verdict)
-    tampered.certificate["responses"] = {}
-    assert not wl.replay_certificate(tampered, spec, g)
+    assert not wl.replay_certificate(without(lambda key: True), spec, g)  # empty region
+    assert not wl.replay_certificate(without(lambda key: key[0] == ("I", 1) and not key[1]), spec, g)
+    assert not wl.replay_certificate(without(lambda key: key[0] == ("U", 1)), spec, g)
 
-    # a reply outside Robber's current component: the whole node set
-    # still holds the nodes just pebbled
-    start = (("I", 1), (), frozenset(verdict.certificate["initial_component"]))
-    tampered = copy.deepcopy(verdict)
-    responses = tampered.certificate["responses"]
-    first_reply = next(key for key in responses if key[0] == start)
-    responses[first_reply] = frozenset(range(g.n))
-    assert not wl.replay_certificate(tampered, spec, g)
+
+def test_replay_robber_forged_region_on_cops_win():
+    # Cops win on a tree; a Robber verdict whose region lists every
+    # reachable state still offers no reply where Cops trap Robber.
+    spec = wl.fwl_spec(2)
+    g = wl.path_graph(4)
+    assert wl.cops_robber_wins(spec, g, want_certificate=False).winner == "cops"
+    solver = _CrSolver(spec, g, DEFAULT_MAX_STATES)
+    solver.generate()
+    region = [solver.game.decode(key) for key in solver.states.keys]
+    forged = wl.GameVerdict("robber", len(region), {"winner": "robber", "region": region})
+    assert not wl.replay_certificate(forged, spec, g)
 
 
 def test_replay_duplicator(c6, two_c3):
@@ -439,13 +452,15 @@ def test_replay_malformed():
         wl.replay_certificate(unhashable_dead, spec, (wl.complete_graph(3), wl.path_graph(3)))
 
 
-def test_replay_robber_initial_component_not_a_set():
+def test_replay_robber_region_not_state_keys():
     spec = wl.fwl_spec(2)
     g = wl.complete_graph(4)
     verdict = wl.cops_robber_wins(spec, g)
-    verdict.certificate["initial_component"] = 5
-    with pytest.raises(CertificateError):
-        wl.replay_certificate(verdict, spec, g)
+    for region in ({"not": "a list"}, [5], [(("I", 1), (), 5)]):
+        tampered = copy.deepcopy(verdict)
+        tampered.certificate["region"] = region
+        with pytest.raises(CertificateError):
+            wl.replay_certificate(tampered, spec, g)
 
 
 def test_replay_cops_move_not_a_pair():
@@ -633,32 +648,34 @@ def raises_closure_error(solve) -> bool:
     return False
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.sampled_from(SPEC_SPACE), st.sampled_from(CLASSES4), st.sampled_from(CLASSES4))
-def test_spec_space_games_agree(spec, g, h):
-    """Over the whole spec space: every command refuses a graph whose
-    replacements leave the universe, or none does; the pursuit quotient
-    wins as the full game does; the bijection game follows refinement
-    (Theorem 2); and every certificate replays."""
-    closed = True
-    for x in (g, h):
-        try:
-            pursuit = wl.cops_robber_wins(spec, x)
-        except ClosureError:
-            pursuit = None
-        refused = {
-            pursuit is None,
-            raises_closure_error(lambda: wl.stabilize(spec, x)),
-            bool(wl.validate_spec(spec, x).closure_violations),
-        }
-        assert len(refused) == 1, (spec, wl.emit_graph6(x))
-        if pursuit is None:
-            closed = False
-            continue
-        assert wl.replay_certificate(pursuit, spec, x)
-        with mock.patch.object(_PursuitMoves, "canon", lambda self, phase, pos: pos):
-            full = wl.cops_robber_wins(spec, x, want_certificate=False)
-        assert pursuit.winner == full.winner, (spec, wl.emit_graph6(x))
+def pursuit_agrees(spec: wl.GfwlSpec, x: wl.Graph) -> bool:
+    """Check the pursuit game on ``x``: every command refuses a graph
+    whose replacements leave the universe, or none does; the quotient
+    wins as the full game does, and its certificate replays.  True iff
+    ``x`` is not refused."""
+    try:
+        pursuit = wl.cops_robber_wins(spec, x)
+    except ClosureError:
+        pursuit = None
+    refused = {
+        pursuit is None,
+        raises_closure_error(lambda: wl.stabilize(spec, x)),
+        bool(wl.validate_spec(spec, x).closure_violations),
+    }
+    assert len(refused) == 1, (spec, wl.emit_graph6(x))
+    if pursuit is None:
+        return False
+    assert wl.replay_certificate(pursuit, spec, x)
+    with mock.patch.object(_PursuitMoves, "canon", lambda self, phase, pos: pos):
+        full = wl.cops_robber_wins(spec, x, want_certificate=False)
+    assert pursuit.winner == full.winner, (spec, wl.emit_graph6(x))
+    return True
+
+
+def bijection_agrees(spec: wl.GfwlSpec, g: wl.Graph, h: wl.Graph, closed: bool) -> None:
+    """Check the bijection game on ``(g, h)``: it refuses the pair when
+    either graph is refused (``closed`` False), and otherwise follows
+    refinement (Theorem 2) and its certificate replays."""
     if not closed:
         assert raises_closure_error(lambda: wl.spoiler_wins(spec, g, h))
         return
@@ -666,3 +683,21 @@ def test_spec_space_games_agree(spec, g, h):
     expected = "spoiler" if wl.distinguish(spec, g, h) else "duplicator"
     assert bijection.winner == expected, (spec, wl.emit_graph6(g), wl.emit_graph6(h))
     assert wl.replay_certificate(bijection, spec, (g, h))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(SPEC_SPACE), st.sampled_from(CLASSES4), st.sampled_from(CLASSES4))
+def test_spec_space_games_agree(spec, g, h):
+    """A drawn spec and pair of classes n <= 4 pass both games' checks."""
+    closed = [pursuit_agrees(spec, x) for x in (g, h)]
+    bijection_agrees(spec, g, h, all(closed))
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("spec", SPEC_SPACE, ids=[f"spec{i}" for i in range(len(SPEC_SPACE))])
+def test_spec_space_games_agree_exhaustive(spec):
+    """Every spec on every class n <= 4 and every unordered pair of them,
+    equal pairs included, passes both games' checks."""
+    closed = [pursuit_agrees(spec, x) for x in CLASSES4]
+    for (g, g_ok), (h, h_ok) in itertools.combinations_with_replacement(zip(CLASSES4, closed), 2):
+        bijection_agrees(spec, g, h, g_ok and h_ok)

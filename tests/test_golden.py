@@ -25,8 +25,13 @@ POWER_SHA256 = {
 }
 # Recomputed when the pursuit solver began to key states by positions up
 # to pebble order: ``states_explored`` and the certificates shrank, the
-# winners pin ``COPS_WINNERS_SHA256`` below is unchanged.
-COPS_FWL2_N5_SHA256 = "4d1ca2efc6bc124b96285c934e0a8d98ee9d874b16361f6d8576efc276e26549"
+# winners pin ``COPS_WINNERS_SHA256`` below is unchanged.  Recomputed
+# again when a Robber certificate became its winning region (every state
+# outside the Cops attractor) in place of one reply per (state, choice):
+# on every class n <= 6 under fwl_1, 2fwl, drfwl2_1 and both uneven
+# schedules, every reply the old form named lies in the region and both
+# replays visit the same states.  Cops certificates did not change.
+COPS_FWL2_N5_SHA256 = "c6286f10c2062dca25153dd476866e2fd2523c72d4f31536d33b0a540d821d7e"
 # Recomputed when the bijection solver began to cut putting states that
 # fail Hall's condition: cut states get no successors, so Spoiler
 # certificates list fewer dead states (the winners pin below is unchanged).

@@ -111,7 +111,6 @@ def test_spec_presets():
 def test_spec_json_round_trip():
     for spec in wl.BUILTIN_SPECS.values():
         assert wl.GfwlSpec.from_json_dict(spec.to_json_dict()) == spec
-        assert isinstance(spec.canonical_json(), str)
     with pytest.raises(ConfigurationError):
         wl.GfwlSpec.from_json_dict({"k": 2, "t": 1})
 

@@ -142,3 +142,22 @@ def test_positions_canonicalized_in_one_place():
     # every key from its moves and cannot drift onto a second rule.
     found = calls_outside("_PursuitMoves", {"canon"}, sorted(PACKAGE.glob("*.py")))
     assert not found, found
+
+
+def test_pursuit_solver_reads_moves_once():
+    # One pass over the pursuit moves: inside ``_CrSolver`` only
+    # ``generate`` reads the game's successor function, so both
+    # certificates come from the solved arena and cannot drift back onto
+    # a second pass over the moves.
+    tree = ast.parse((PACKAGE / "games.py").read_text(), filename="games.py")
+    solver = next(
+        node for node in ast.walk(tree) if isinstance(node, ast.ClassDef) and node.name == "_CrSolver"
+    )
+    readers = {
+        method.name
+        for method in solver.body
+        if isinstance(method, ast.FunctionDef)
+        for node in ast.walk(method)
+        if isinstance(node, ast.Attribute) and node.attr == "moves"
+    }
+    assert readers == {"generate"}, readers
