@@ -49,8 +49,13 @@ with no second pass over the moves.  Spoiler's names the dead states;
 Robber's is its winning region, every state outside the Cops attractor
 (the certificate of a safety game's winner: Grädel, Thomas and Wilke
 (eds.), "Automata, Logics, and Infinite Games", LNCS 2500, 2002, ch. 2).
-Replay explores every move of the certified player's opponent, so it
-stays sound whatever a certificate holds.
+A certificate has one form, the one JSON holds: lists of state keys and
+of ``[state key, value]`` pairs in sid order, a pursuit key naming
+Robber's component by its sorted nodes.  Replay reads every key through
+its game's key reader once, at entry, so a certificate replays alike
+from memory and from its JSON dump.  Replay explores every move of the
+certified player's opponent, so it stays sound whatever a certificate
+holds.
 """
 
 from __future__ import annotations
@@ -202,9 +207,8 @@ class _PursuitMoves:
     removal's grown component is the one holding the lowest node of
     Robber's: Robber's component is connected and avoids the kept
     pebbles, so the one component of g minus them that holds any of its
-    nodes holds it all.  Certificates store components as frozensets
-    (:meth:`decode`); Robber replay turns its region back into masks
-    once."""
+    nodes holds it all.  Certificates name a component by its sorted
+    nodes, and :func:`_pursuit_key` reads that back into a mask."""
 
     def __init__(self, spec: GfwlSpec, g: Graph):
         self.spec = spec
@@ -216,12 +220,6 @@ class _PursuitMoves:
     def initial(self) -> list[tuple]:
         """The empty board with Robber in each component of g."""
         return [(("I", 1), (), comp) for comp in self._components[0]]
-
-    @staticmethod
-    def decode(key: tuple) -> tuple:
-        """The key with Robber's component as a frozenset of nodes."""
-        phase, pos, comp = key
-        return (phase, pos, frozenset(mask_nodes(comp)))
 
     def canon(self, phase: tuple, pos: tuple) -> tuple:
         """``pos`` up to pebble order in phase ``phase``: the whole tuple
@@ -296,18 +294,8 @@ class GameVerdict:
     def to_json_dict(self, include_certificate: bool = False) -> dict:
         out = {"winner": self.winner, "states_explored": self.states_explored}
         if include_certificate and self.certificate is not None:
-            out["certificate"] = _jsonify(self.certificate)
+            out["certificate"] = dict(self.certificate)
         return out
-
-
-def _jsonify(obj):
-    if isinstance(obj, dict):
-        return {k if isinstance(k, str) else repr(k): _jsonify(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonify(x) for x in obj]
-    if isinstance(obj, frozenset):
-        return sorted(obj)
-    return obj
 
 
 # ---------------------------------------------------------------------------
@@ -486,16 +474,17 @@ class _EfSolver:
     def certificate(self, root_alive: bool) -> dict:
         keys = self.states.keys
         if root_alive:
-            matchings = {}
+            matchings = []
             for sid, key in enumerate(keys):
                 if not self.alive[sid] or self.choices[sid] is None:
                     continue
                 d, e = self.choices[sid]
-                matchings[key] = [(d[ai], e[bi]) for ai, bi in enumerate(self._matching(sid))]
+                matching = [(d[ai], e[bi]) for ai, bi in enumerate(self._matching(sid))]
+                matchings.append((key, matching))
             return {"winner": "duplicator", "matchings": matchings}
         dead_keys = [key for sid, key in enumerate(keys) if not self.alive[sid]]
         combos = _index_vectors(self.spec.k, self.spec.t)
-        remove_choices = {keys[sid]: combos[c] for sid, c in sorted(self.refuting.items())}
+        remove_choices = [(keys[sid], combos[c]) for sid, c in sorted(self.refuting.items())]
         return {
             "winner": "spoiler",
             "dead": dead_keys,
@@ -521,14 +510,14 @@ def cops_robber_wins(
     then computes the attractor of the Robber-stuck positions by
     backward counter propagation.  Cops win iff every initial component
     choice lies in the attractor; every state outside it (cycles
-    included) is a Robber win.  A Cops certificate maps each attractor
-    state to its winning move (``moves``); a Robber certificate lists
-    every state outside the attractor, its winning region (``region``,
-    decoded keys in sid order).  Robber replay follows, for each Cops
-    move, the first reply in move order that lies in the region.  The run deadline is checked every 256
-    generated states and when generation ends.  ``stats`` holds the phase
-    milliseconds (``table_ms`` builds the tuple table), ``edges`` and
-    ``component_table_hits``.
+    included) is a Robber win.  A Cops certificate pairs each attractor
+    state with its winning move (``moves``); a Robber certificate lists
+    every state outside the attractor, its winning region (``region``).
+    Both are in sid order.  Robber replay follows, for each Cops move,
+    the first reply in move order that lies in the region.  The run
+    deadline is checked every 256 generated states and when generation
+    ends.  ``stats`` holds the phase milliseconds (``table_ms`` builds
+    the tuple table), ``edges`` and ``component_table_hits``.
     """
     start = time.perf_counter()
     solver = _CrSolver(spec, f, max_states)
@@ -616,19 +605,15 @@ class _CrSolver:
                     queue.append(pred)
 
     def certificate(self, cops: bool) -> dict:
-        keys, win, decode = self.states.keys, self.win, self.game.decode
+        """Keys name Robber's component by its sorted nodes."""
+        keys = [(phase, pos, tuple(mask_nodes(comp))) for phase, pos, comp in self.states.keys]
         if cops:
-            moves = {
-                decode(keys[sid]): self.win_edge[sid]
-                for sid in range(len(keys))
-                if win[sid] and self.win_edge[sid] is not None
-            }
+            moves = [(key, move) for key, move in zip(keys, self.win_edge) if move is not None]
             return {"winner": "cops", "moves": moves}
-        owner = self.edge_owner
+        win, owner = self.win, self.edge_owner
         if any(not left and not win[owner[eid]] for eid, left in enumerate(self.edge_pending)):
             raise RuntimeError("losing state must offer a surviving reply")
-        region = [decode(key) for sid, key in enumerate(keys) if not win[sid]]
-        return {"winner": "robber", "region": region}
+        return {"winner": "robber", "region": [key for key, won in zip(keys, win) if not won]}
 
 
 # ---------------------------------------------------------------------------
@@ -639,9 +624,9 @@ def replay_certificate(verdict: GameVerdict, spec: GfwlSpec, inputs) -> bool:
     """Replay a stored strategy against an exhaustive adversary.
 
     ``inputs`` is one graph for pursuit verdicts and a pair of graphs
-    for bijection verdicts.  Returns True iff the claimed winner wins
-    every line of play.  Malformed certificates raise
-    :class:`CertificateError`.
+    for bijection verdicts.  The certificate may be the solver's own or
+    read back from JSON.  Returns True iff the claimed winner wins every
+    line of play.  Malformed certificates raise :class:`CertificateError`.
     """
     cert = verdict.certificate
     if not isinstance(cert, dict) or cert.get("winner") != verdict.winner:
@@ -661,10 +646,36 @@ def replay_certificate(verdict: GameVerdict, spec: GfwlSpec, inputs) -> bool:
     return _replay_duplicator(cert, spec, g, h)
 
 
+def _pursuit_key(entry) -> tuple:
+    """A pursuit state key read from ``[phase, pebbles, component nodes]``."""
+    phase, pos, comp = entry
+    return (tuple(phase), tuple(pos), node_mask(comp))
+
+
+def _bijection_key(entry) -> tuple:
+    """A bijection state key read from ``[phase, g pebbles, h pebbles]``."""
+    phase, pos_g, pos_h = entry
+    return (tuple(phase), tuple(pos_g), tuple(pos_h))
+
+
+def _read(cert: dict, name: str, read_key, pairs: bool = False):
+    """The certificate's list ``name`` with every state key read by
+    ``read_key``: a dict of its ``[state key, value]`` pairs when
+    ``pairs``, else a set of its state keys."""
+    entries = cert.get(name)
+    if not isinstance(entries, list):
+        raise CertificateError(f"{cert['winner']} certificate needs a {name} list")
+    try:
+        if pairs:
+            return {read_key(key): value for key, value in entries}
+        return {read_key(key) for key in entries}
+    except (TypeError, ValueError) as exc:
+        form = "[state key, value] pairs" if pairs else "state keys"
+        raise CertificateError(f"{name} entries must be {form}") from exc
+
+
 def _replay_cops(cert: dict, spec: GfwlSpec, g: Graph) -> bool:
-    moves = cert.get("moves")
-    if not isinstance(moves, dict):
-        raise CertificateError("cops certificate needs a moves table")
+    moves = _read(cert, "moves", _pursuit_key, pairs=True)
     game = _PursuitMoves(spec, g)
     proven: set = set()
 
@@ -673,14 +684,15 @@ def _replay_cops(cert: dict, spec: GfwlSpec, g: Graph) -> bool:
             return True
         if key in path:
             return False  # cycle: Cops never trap Robber on this line
-        choice = moves.get(game.decode(key))
+        choice = moves.get(key)
         if choice is None:
             return False
         try:
             tag, payload = choice
+            move = (tag, tuple(payload))
         except (TypeError, ValueError) as exc:
             raise CertificateError(f"cops move {choice!r} is not a (tag, payload) pair") from exc
-        succs = next((s for c, s in game.moves(key) if c == (tag, payload)), None)
+        succs = next((s for c, s in game.moves(key) if c == move), None)
         if succs is None:
             return False  # not a legal move in this state
         ok = all(wins_from(s, path | {key}) for s in succs)
@@ -692,13 +704,7 @@ def _replay_cops(cert: dict, spec: GfwlSpec, g: Graph) -> bool:
 
 
 def _replay_robber(cert: dict, spec: GfwlSpec, g: Graph) -> bool:
-    region = cert.get("region")
-    if not isinstance(region, list):
-        raise CertificateError("robber certificate needs a region list")
-    try:
-        held = {(phase, tuple(pos), node_mask(comp)) for phase, pos, comp in region}
-    except (TypeError, ValueError) as exc:
-        raise CertificateError("region entries must be state keys") from exc
+    held = _read(cert, "region", _pursuit_key)
     game = _PursuitMoves(spec, g)
     start = next((key for key in game.initial() if key in held), None)
     if start is None:
@@ -717,9 +723,7 @@ def _replay_robber(cert: dict, spec: GfwlSpec, g: Graph) -> bool:
 
 
 def _replay_duplicator(cert: dict, spec: GfwlSpec, g: Graph, h: Graph) -> bool:
-    matchings = cert.get("matchings")
-    if not isinstance(matchings, dict):
-        raise CertificateError("duplicator certificate needs a matchings table")
+    matchings = _read(cert, "matchings", _bijection_key, pairs=True)
     game = _BijectionMoves(spec, g, h)
     start = (("I", 1), (), ())
     seen = {start}
@@ -756,14 +760,8 @@ def _replay_duplicator(cert: dict, spec: GfwlSpec, g: Graph, h: Graph) -> bool:
 
 
 def _replay_spoiler(cert: dict, spec: GfwlSpec, g: Graph, h: Graph) -> bool:
-    dead = cert.get("dead")
-    remove_choices = cert.get("remove_choices")
-    if not isinstance(dead, list) or not isinstance(remove_choices, dict):
-        raise CertificateError("spoiler certificate needs dead states and remove choices")
-    try:
-        dead_set = set(dead)
-    except TypeError as exc:
-        raise CertificateError("dead states must be state keys") from exc
+    dead_set = _read(cert, "dead", _bijection_key)
+    remove_choices = _read(cert, "remove_choices", _bijection_key, pairs=True)
     game = _BijectionMoves(spec, g, h)
     combos = _index_vectors(spec.k, spec.t)
     proven: set = set()

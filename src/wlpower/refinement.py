@@ -26,7 +26,7 @@ import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
 from operator import itemgetter
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import ClosureError, ConfigurationError, check_deadline
 from .graphs import Graph, atp
@@ -257,6 +257,13 @@ def _collapse(ids: list, stages: list, seq: tuple, kind: str, id_for) -> int:
     return ids[0]
 
 
+def _deadline_checked(items: Iterable):
+    """``items`` one by one, with the run deadline checked before each."""
+    for item in items:
+        check_deadline()
+        yield item
+
+
 class _TupleTable:
     """The tuple facts of one (spec, graph), built once per call: the
     sorted universe ``rset``, each colored tuple's sorted aggregation
@@ -275,7 +282,9 @@ class _TupleTable:
         self.spec = spec
         self.g = g
         self.rset = sorted(r_set(spec.r_selector, spec.k, g))
-        self.fsets = {v: sorted(f_set(spec.f_selector, spec.t, g, v)) for v in self.rset}
+        self.fsets = {
+            v: sorted(f_set(spec.f_selector, spec.t, g, v)) for v in _deadline_checked(self.rset)
+        }
         self.stages = {v: _stage_groups(us, spec.j_seq) for v, us in self.fsets.items()}
         self.stages[()] = _stage_groups(self.rset, spec.i_seq)
         self.getters = getters = _replacement_getters(spec.k, spec.t)
@@ -324,7 +333,7 @@ class _Context(_TupleTable):
         id_for, type_code, getters = dictionary.id_for, self.type_code, self.getters
         self.rows = {
             v: [(id_for(("atp", type_code(v + u))), [get(v + u) for get in getters]) for u in us]
-            for v, us in self.fsets.items()
+            for v, us in _deadline_checked(self.fsets.items())
         }
 
     def initial_colors(self) -> dict:

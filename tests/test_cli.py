@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -293,6 +294,24 @@ def test_time_limit_is_scoped_to_one_run(capsys):
     assert code == 3 and "time limit" in err and envelope is None
     code, envelope, _ = run_cli(capsys, argv)
     assert code == 0 and envelope["payload"]["count"] == 40320
+
+
+def test_time_limit_during_table_build(capsys):
+    # The deadline is checked per colored tuple while the tuple table and
+    # the refinement rows are built.  Under fwl_plus_k_t on the 4-cube Q4
+    # and the 4x4 rook's graph (16 nodes each), one graph's row build
+    # alone takes about half a second and the whole run about 1.8 s.
+    q4 = wl.Graph(16, [(a, a ^ (1 << b)) for a in range(16) for b in range(4) if a < a ^ (1 << b)])
+    rook = wl.Graph(16, [
+        (i, j) for i in range(16) for j in range(i + 1, 16) if (i // 4 == j // 4) != (i % 4 == j % 4)
+    ])
+    argv = ["distinguish", "--spec", "fwl_plus_k_t", "--g", wl.emit_graph6(q4)]
+    argv += ["--h", wl.emit_graph6(rook), "--time-limit-ms", "100"]
+    assert argv[4] == "Or`HOm?OH@ABAG@C_POAJ" and argv[6] == "O~`HW}GPHDaNaGPCcPWaN"
+    start = time.perf_counter()
+    code, envelope, err = run_cli(capsys, argv)
+    assert time.perf_counter() - start < 0.5
+    assert code == 3 and "time limit" in err and envelope is None
 
 
 def test_cops_solver_counters_in_telemetry(capsys, c6_str):

@@ -24,7 +24,7 @@ from wlpower.games import (
     _max_matching,
     _next_phase,
 )
-from wlpower.graphs import component_masks
+from wlpower.graphs import component_masks, mask_nodes
 from test_golden import UNEVEN_SPECS
 
 
@@ -258,18 +258,31 @@ def test_verdict_deterministic(c6, two_c3):
     assert a.certificate == b.certificate
 
 
+def json_round_trip(verdict: wl.GameVerdict) -> wl.GameVerdict:
+    """The verdict rebuilt from its JSON dump, certificate included."""
+    return wl.GameVerdict(**json.loads(json.dumps(verdict.to_json_dict(include_certificate=True))))
+
+
+def set_entry(table: list, key: tuple, value) -> None:
+    """Give ``key`` the value ``value`` in a certificate's list of
+    ``[state key, value]`` pairs."""
+    table[[stored for stored, _ in table].index(key)] = (key, value)
+
+
 def test_verdict_json():
-    verdict = wl.cops_robber_wins(wl.local_fwl_spec(1), wl.path_graph(3))
+    spec, g = wl.local_fwl_spec(1), wl.path_graph(3)
+    verdict = wl.cops_robber_wins(spec, g)
     assert verdict.winner == "cops"
     plain = verdict.to_json_dict()
     assert plain == {"winner": "cops", "states_explored": verdict.states_explored}
     full = verdict.to_json_dict(include_certificate=True)
-    assert "certificate" in full
-    json.dumps(full)  # repr-stringified keys: must serialize
+    assert full["certificate"] == verdict.certificate
+    assert wl.replay_certificate(json_round_trip(verdict), spec, g)
 
-    robber = wl.cops_robber_wins(wl.fwl_spec(2), wl.complete_graph(4))
+    spec, g = wl.fwl_spec(2), wl.complete_graph(4)
+    robber = wl.cops_robber_wins(spec, g)
     assert robber.winner == "robber"
-    json.dumps(robber.to_json_dict(include_certificate=True))
+    assert wl.replay_certificate(json_round_trip(robber), spec, g)
 
 
 # ---------------------------------------------------------------------------
@@ -284,17 +297,17 @@ def test_replay_cops():
     assert wl.replay_certificate(verdict, spec, g)
 
     tampered = copy.deepcopy(verdict)
-    tampered.certificate["moves"] = {}
+    tampered.certificate["moves"] = []
     assert not wl.replay_certificate(tampered, spec, g)
 
     # well-formed but illegal root moves
-    root = (("I", 1), (), frozenset(range(g.n)))
+    root = (("I", 1), (), tuple(range(g.n)))
     tampered = copy.deepcopy(verdict)
-    tampered.certificate["moves"][root] = ("put", (g.n,))  # outside the choice set
+    set_entry(tampered.certificate["moves"], root, ("put", (g.n,)))  # outside the choice set
     assert not wl.replay_certificate(tampered, spec, g)
 
     tampered = copy.deepcopy(verdict)
-    tampered.certificate["moves"][root] = ("rm", (0,))  # removal in a putting phase
+    set_entry(tampered.certificate["moves"], root, ("rm", (0,)))  # removal in a putting phase
     assert not wl.replay_certificate(tampered, spec, g)
 
 
@@ -323,7 +336,7 @@ def test_replay_robber_forged_region_on_cops_win():
     assert wl.cops_robber_wins(spec, g, want_certificate=False).winner == "cops"
     solver = _CrSolver(spec, g, DEFAULT_MAX_STATES)
     solver.generate()
-    region = [solver.game.decode(key) for key in solver.states.keys]
+    region = [(phase, pos, mask_nodes(comp)) for phase, pos, comp in solver.states.keys]
     forged = wl.GameVerdict("robber", len(region), {"winner": "robber", "region": region})
     assert not wl.replay_certificate(forged, spec, g)
 
@@ -336,12 +349,13 @@ def test_replay_duplicator(c6, two_c3):
 
     tampered = copy.deepcopy(verdict)
     root = (("I", 1), (), ())
-    pairs = tampered.certificate["matchings"][root]
+    pairs = dict(tampered.certificate["matchings"])[root]
     pairs[0] = (pairs[0][0], pairs[0][0])  # collapses the bijection
     assert not wl.replay_certificate(tampered, spec, (c6, two_c3))
 
     tampered = copy.deepcopy(verdict)
-    del tampered.certificate["matchings"][root]
+    matchings = tampered.certificate["matchings"]
+    matchings[:] = [(key, matching) for key, matching in matchings if key != root]
     assert not wl.replay_certificate(tampered, spec, (c6, two_c3))
 
 
@@ -356,7 +370,7 @@ def test_replay_duplicator_rejects_type_mismatch():
     assert wl.replay_certificate(verdict, spec, (g, h))
 
     tampered = copy.deepcopy(verdict)
-    pairs = tampered.certificate["matchings"][(("I", 1), (), ())]
+    pairs = dict(tampered.certificate["matchings"])[(("I", 1), (), ())]
     diag = next(i for i, (a, _) in enumerate(pairs) if a[0] == a[1])
     edge = next(i for i, (a, _) in enumerate(pairs) if g.has_edge(*a))
     (a, b), (c, d) = pairs[diag], pairs[edge]
@@ -366,7 +380,7 @@ def test_replay_duplicator_rejects_type_mismatch():
     # Mismatched positions have no stored matching, so replay could also
     # stop there; with a matching at every state the pairs reach, only
     # the type check is left to reject them.
-    matchings = tampered.certificate["matchings"]
+    matchings = dict(tampered.certificate["matchings"])
     game = _BijectionMoves(spec, g, h)
     seen, frontier = set(), [(("I", 1), (), ())]
     while frontier:
@@ -382,6 +396,7 @@ def test_replay_duplicator_rejects_type_mismatch():
         nxt = _next_phase(spec, phase)
         for a, b in matchings.setdefault(key, list(zip(sorted(d), sorted(e)))):
             frontier.append((nxt, pos_g + a, pos_h + b))
+    tampered.certificate["matchings"] = list(matchings.items())
     assert not wl.replay_certificate(tampered, spec, (g, h))
 
 
@@ -393,7 +408,7 @@ def test_replay_spoiler(c6, two_c3):
 
     tampered = copy.deepcopy(verdict)
     tampered.certificate["dead"] = []
-    tampered.certificate["remove_choices"] = {}
+    tampered.certificate["remove_choices"] = []
     assert not wl.replay_certificate(tampered, spec, (c6, two_c3))
 
 
@@ -467,7 +482,7 @@ def test_replay_cops_move_not_a_pair():
     spec = wl.local_fwl_spec(1)
     g = wl.path_graph(4)
     verdict = wl.cops_robber_wins(spec, g)
-    verdict.certificate["moves"][(("I", 1), (), frozenset(range(g.n)))] = "x"
+    set_entry(verdict.certificate["moves"], (("I", 1), (), tuple(range(g.n))), "x")
     with pytest.raises(CertificateError):
         wl.replay_certificate(verdict, spec, g)
 
@@ -477,8 +492,7 @@ def test_replay_spoiler_remove_choice_not_a_selection(c6, two_c3):
     verdict = wl.spoiler_wins(spec, c6, two_c3)
     remove_choices = verdict.certificate["remove_choices"]
     assert remove_choices
-    for key in remove_choices:
-        remove_choices[key] = 7
+    remove_choices[:] = [(key, 7) for key, _ in remove_choices]
     with pytest.raises(CertificateError):
         wl.replay_certificate(verdict, spec, (c6, two_c3))
 
@@ -487,12 +501,33 @@ def test_replay_duplicator_matching_not_pairs(c6, two_c3):
     spec = wl.local_fwl_spec(1)
     verdict = wl.spoiler_wins(spec, c6, two_c3)
     root = (("I", 1), (), ())
-    matching = verdict.certificate["matchings"][root]
+    matching = dict(verdict.certificate["matchings"])[root]
     for bad in ([1, 2], [(("a",), matching[0][1])] + matching[1:]):
         tampered = copy.deepcopy(verdict)
-        tampered.certificate["matchings"][root] = bad
+        set_entry(tampered.certificate["matchings"], root, bad)
         with pytest.raises(CertificateError):
             wl.replay_certificate(tampered, spec, (c6, two_c3))
+
+
+def test_replay_table_not_pairs(c6, two_c3):
+    # A keyed table is a list of [state key, value] pairs: a dict, a bare
+    # state key, a pair whose key is no state key and a triple are not.
+    cases = [
+        (wl.local_fwl_spec(1), wl.path_graph(4), "moves"),
+        (wl.local_fwl_spec(1), (c6, two_c3), "matchings"),
+        (wl.fwl_spec(2), (c6, two_c3), "remove_choices"),
+    ]
+    for spec, inputs, name in cases:
+        if isinstance(inputs, wl.Graph):
+            verdict = wl.cops_robber_wins(spec, inputs)
+        else:
+            verdict = wl.spoiler_wins(spec, *inputs)
+        key, value = verdict.certificate[name][0]
+        for bad in (dict(verdict.certificate[name]), [key], [(5, value)], [(key, value, value)]):
+            tampered = copy.deepcopy(verdict)
+            tampered.certificate[name] = bad
+            with pytest.raises(CertificateError):
+                wl.replay_certificate(tampered, spec, inputs)
 
 
 def test_certificates_optional():
@@ -529,9 +564,12 @@ def test_pursuit_moves_match_networkx_components(classes4, classes5):
     put's replies are the components of Robber's component minus the new
     pebbles; a removal grows it to its component of g minus the kept
     pebbles.  Keys hold components as node masks, so each is compared
-    decoded, and positions up to pebble order, so each is compared with
-    its canonical form.  The uneven schedules put in several stages and
+    as node sets, and positions up to pebble order, so each is compared
+    with its canonical form.  The uneven schedules put in several stages and
     keep 3 of 4 or 2 of 5 pebbles in a removal."""
+    def nodes(key: tuple) -> frozenset:
+        return frozenset(mask_nodes(key[2]))
+
     cases = [(wl.fwl_spec(2), classes5), (wl.drfwl2_spec(1), classes5)]
     cases += [(spec, classes4) for spec in UNEVEN_SPECS.values()]
     for spec, classes in cases:
@@ -542,18 +580,18 @@ def test_pursuit_moves_match_networkx_components(classes4, classes5):
             nx_g.add_edges_from(g.edge_set)
             game = _PursuitMoves(spec, g)
             expected = sorted(map(frozenset, nx.connected_components(nx_g)), key=min)
-            assert [game.decode(key)[2] for key in game.initial()] == expected
+            assert [nodes(key) for key in game.initial()] == expected
             seen = set(game.initial())
             frontier = list(seen)
             while frontier:
                 key = frontier.pop()
-                phase, pos, comp = game.decode(key)
+                phase, pos, comp = *key[:2], nodes(key)
                 phases.add(phase)
                 for (tag, payload), succs in game.moves(key):
                     if tag == "put":
                         rest = nx_g.subgraph(comp - set(payload))
                         expected = sorted(map(frozenset, nx.connected_components(rest)), key=min)
-                        assert [game.decode(s)[2] for s in succs] == expected
+                        assert [nodes(s) for s in succs] == expected
                         nxt = _next_phase(spec, phase)
                         assert all(s[1] == game.canon(nxt, pos + payload) for s in succs)
                     else:
@@ -561,7 +599,7 @@ def test_pursuit_moves_match_networkx_components(classes4, classes5):
                         rest = nx_g.subgraph(set(range(g.n)) - set(kept))
                         grown = frozenset(nx.node_connected_component(rest, min(comp)))
                         canon = game.canon(("U", 1), kept)
-                        assert [game.decode(s)[1:] for s in succs] == [(canon, grown)]
+                        assert [(s[1], nodes(s)) for s in succs] == [(canon, grown)]
                     for succ in succs:
                         if succ not in seen:
                             seen.add(succ)
@@ -651,8 +689,8 @@ def raises_closure_error(solve) -> bool:
 def pursuit_agrees(spec: wl.GfwlSpec, x: wl.Graph) -> bool:
     """Check the pursuit game on ``x``: every command refuses a graph
     whose replacements leave the universe, or none does; the quotient
-    wins as the full game does, and its certificate replays.  True iff
-    ``x`` is not refused."""
+    wins as the full game does, and its certificate replays, from memory
+    and from its JSON dump.  True iff ``x`` is not refused."""
     try:
         pursuit = wl.cops_robber_wins(spec, x)
     except ClosureError:
@@ -666,6 +704,7 @@ def pursuit_agrees(spec: wl.GfwlSpec, x: wl.Graph) -> bool:
     if pursuit is None:
         return False
     assert wl.replay_certificate(pursuit, spec, x)
+    assert wl.replay_certificate(json_round_trip(pursuit), spec, x)
     with mock.patch.object(_PursuitMoves, "canon", lambda self, phase, pos: pos):
         full = wl.cops_robber_wins(spec, x, want_certificate=False)
     assert pursuit.winner == full.winner, (spec, wl.emit_graph6(x))
@@ -675,7 +714,8 @@ def pursuit_agrees(spec: wl.GfwlSpec, x: wl.Graph) -> bool:
 def bijection_agrees(spec: wl.GfwlSpec, g: wl.Graph, h: wl.Graph, closed: bool) -> None:
     """Check the bijection game on ``(g, h)``: it refuses the pair when
     either graph is refused (``closed`` False), and otherwise follows
-    refinement (Theorem 2) and its certificate replays."""
+    refinement (Theorem 2) and its certificate replays, from memory and
+    from its JSON dump."""
     if not closed:
         assert raises_closure_error(lambda: wl.spoiler_wins(spec, g, h))
         return
@@ -683,6 +723,7 @@ def bijection_agrees(spec: wl.GfwlSpec, g: wl.Graph, h: wl.Graph, closed: bool) 
     expected = "spoiler" if wl.distinguish(spec, g, h) else "duplicator"
     assert bijection.winner == expected, (spec, wl.emit_graph6(g), wl.emit_graph6(h))
     assert wl.replay_certificate(bijection, spec, (g, h))
+    assert wl.replay_certificate(json_round_trip(bijection), spec, (g, h))
 
 
 @settings(max_examples=100, deadline=None)

@@ -31,7 +31,11 @@ POWER_SHA256 = {
 # on every class n <= 6 under fwl_1, 2fwl, drfwl2_1 and both uneven
 # schedules, every reply the old form named lies in the region and both
 # replays visit the same states.  Cops certificates did not change.
-COPS_FWL2_N5_SHA256 = "c6286f10c2062dca25153dd476866e2fd2523c72d4f31536d33b0a540d821d7e"
+# Recomputed when certificates took the one form JSON holds (keyed tables
+# as lists of [state key, value] pairs, components as sorted nodes): on
+# every class n <= 5 under the four built-in specs, the old and new
+# certificates name the same states and moves in the same order.
+COPS_FWL2_N5_SHA256 = "f6a90bb1f3402b65c5b66785aeca921ce36b0915e1e6d6aa8c1c7d8d06cb2e02"
 # Recomputed when the bijection solver began to cut putting states that
 # fail Hall's condition: cut states get no successors, so Spoiler
 # certificates list fewer dead states (the winners pin below is unchanged).
@@ -39,8 +43,10 @@ COPS_FWL2_N5_SHA256 = "c6286f10c2062dca25153dd476866e2fd2523c72d4f31536d33b0a540
 # selection whose successor was dead already when the state died, not the
 # first one dead at the end of the fixpoint: 70 of the 84 removal choices
 # in two of the 45 certificates changed; winners, state counts and dead
-# lists did not.
-SPOILER_FWL2_N4_SHA256 = "996880a7a040d0c0919374288d27d786895880ac0be403c3cc23b6e9dccb444e"
+# lists did not.  Recomputed again for the JSON form (above): on every
+# ordered pair of classes n <= 4 under the four built-in specs, the old
+# and new certificates name the same states and moves in the same order.
+SPOILER_FWL2_N4_SHA256 = "b06be9ef57f2ec6b104e3497adbd31be65d4839651693b818e37d4b08a13bcac"
 
 
 def verdicts_digest(verdicts) -> str:
