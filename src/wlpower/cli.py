@@ -186,7 +186,7 @@ def _power(args, specs, graphs):
                 write_power_csv(report, handle)
         except OSError as exc:
             raise ConfigurationError(f"cannot write CSV: {exc}") from exc
-    return report.payload_dict(), {"per_graph": report.per_graph_stats}
+    return report.payload_dict(), {"per_graph": report.per_graph_stats, "workers": report.workers}
 
 
 def _validate(args, specs, graphs):

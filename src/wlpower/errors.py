@@ -5,7 +5,12 @@ solvers, the refinement loop, hom counting and the suites call
 :func:`check_deadline` at their work-item boundaries, which raises
 :class:`BudgetError` once the limit has passed.  The deadline lives in a
 context variable, so it ends with the ``with`` block that set it and
-never leaks into a later run in the same process or thread.
+never leaks into a later run in the same process or thread.  A worker
+process gets the limit from :func:`run_deadline` and sets it again with
+:func:`deadline`.
+
+Every exception type here survives pickling with its message and its
+extra field, so one raised in a worker process reaches the caller as is.
 """
 
 import time
@@ -64,6 +69,16 @@ def deadline(limit_ms: int | None, start: float):
         _DEADLINE.reset(token)
 
 
+def run_deadline() -> tuple[int | None, float]:
+    """The current run's limit as ``(limit_ms, start)``, the arguments of
+    :func:`deadline` that set it again, in this or a worker process.
+    ``start`` is a ``time.perf_counter`` reading; that clock is
+    system-wide where processes fork, so a forked worker reads the same
+    limit."""
+    current = _DEADLINE.get()
+    return (None, 0.0) if current is None else (current[1], current[0])
+
+
 def check_deadline() -> None:
     """Raise :class:`BudgetError` if the current run's limit has passed."""
     current = _DEADLINE.get()
@@ -86,6 +101,10 @@ class ClosureError(RuntimeError):
         super().__init__("replacement {replacement} of v={v} by u={u} (choice index {choice})"
                          " lies outside the colored tuple universe".format(**violations[0]))
         self.violations = violations
+
+    def __reduce__(self):
+        # ``args`` holds the message, which ``__init__`` does not take
+        return type(self), (self.violations,)
 
 
 class CertificateError(ValueError):

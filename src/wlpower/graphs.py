@@ -73,6 +73,11 @@ class Graph:
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
 
+    def __reduce__(self):
+        # pickle and copy rebuild through ``__init__``; restoring the
+        # slots directly would go through the blocked ``__setattr__``
+        return Graph, (self.n, sorted(self.edge_set))
+
     @property
     def edge_set(self) -> frozenset:
         return frozenset(

@@ -7,18 +7,28 @@ Robber-win ones.  The validation suites cross-check that power set
 against independent routes: exact treewidth for the full k-tuple specs,
 the bijection game for pair distinguishing, homomorphism counts for
 soundness, and structural selector containment for monotonicity.
+
+The classes of a large sweep are solved in forked worker processes, one
+per usable CPU and at least ``_CLASSES_PER_WORKER`` classes each, and
+their rows are put back in class order, so a report, and any exception
+raised, is the one the serial loop gives.  A sweep stays serial on one
+CPU, where ``fork`` is missing, while another thread runs, and below
+``2 * _CLASSES_PER_WORKER`` classes (every sweep up to 6 nodes), where
+starting a worker would cost more than it saves.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import os
 import random
+import threading
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .errors import BudgetError, ConfigurationError, check_deadline
+from .errors import BudgetError, ConfigurationError, check_deadline, deadline, run_deadline
 from .games import DEFAULT_MAX_STATES, cops_robber_wins, spoiler_wins
 from .graphs import (
     Graph,
@@ -33,6 +43,15 @@ from .graphs import (
 # wraps ``wlpower.power.distinguish``, and ``--trace 1`` fails without it.
 from .refinement import GfwlSpec, distinguish, fwl_spec, joint_graph_colors  # noqa: F401
 from .selectors import FSelector, RSelector, check_hom_closed
+
+#: Fewest classes per worker process in a split sweep.  A forked worker
+#: spends 20-30 ms before its first solve, so a sweep splits only when
+#: every worker gets at least this many classes.
+_CLASSES_PER_WORKER = 128
+
+#: Contiguous chunks per worker, so a worker that drew cheap classes
+#: takes the next chunk while the others finish theirs.
+_CHUNKS_PER_WORKER = 4
 
 
 @lru_cache(maxsize=8)
@@ -57,6 +76,7 @@ class PowerReport:
     robber_win: list[str]
     undecided: list[str]
     per_graph_stats: dict[str, dict]
+    workers: int = 1  # processes that solved the sweep; 1 when serial
 
     @property
     def complete(self) -> bool:
@@ -118,25 +138,14 @@ def enumerate_power(
 
     Per-graph state-budget blowouts are recorded as undecided instead
     of aborting the sweep; a passed run deadline aborts the whole sweep.
+    A large sweep runs in worker processes with the same result.
     """
+    rows, workers = _solve_sweep(spec, connected_classes(n_max), max_states)
     verdicts: dict[str, list[str]] = {"cops": [], "robber": [], "undecided": []}
     stats: dict[str, dict] = {}
-    for g in connected_classes(n_max):
-        key = emit_graph6(g)
-        start = time.perf_counter()
-        try:
-            verdict = cops_robber_wins(spec, g, max_states=max_states, want_certificate=False)
-            winner, states = verdict.winner, verdict.states_explored
-        except BudgetError as exc:
-            check_deadline()  # a timeout is no state-budget blowout
-            winner, states = "undecided", exc.stats.get("states", max_states)
+    for key, n, winner, states, millis in rows:
         verdicts[winner].append(key)
-        stats[key] = {
-            "n": g.n,
-            "verdict": winner,
-            "states": states,
-            "millis": int(round((time.perf_counter() - start) * 1000)),
-        }
+        stats[key] = {"n": n, "verdict": winner, "states": states, "millis": millis}
     return PowerReport(
         spec=spec,
         n_max=n_max,
@@ -144,7 +153,63 @@ def enumerate_power(
         robber_win=verdicts["robber"],
         undecided=verdicts["undecided"],
         per_graph_stats=stats,
+        workers=workers,
     )
+
+
+def _solve_classes(spec: GfwlSpec, graphs, max_states: int) -> list[tuple]:
+    """One ``(graph6, n, verdict, states, millis)`` row per graph, in order."""
+    rows = []
+    for g in graphs:
+        start = time.perf_counter()
+        try:
+            verdict = cops_robber_wins(spec, g, max_states=max_states, want_certificate=False)
+            winner, states = verdict.winner, verdict.states_explored
+        except BudgetError as exc:
+            check_deadline()  # a timeout is no state-budget blowout
+            winner, states = "undecided", exc.stats.get("states", max_states)
+        millis = int(round((time.perf_counter() - start) * 1000))
+        rows.append((emit_graph6(g), g.n, winner, states, millis))
+    return rows
+
+
+def _solve_chunk(spec: GfwlSpec, graphs, max_states: int, limit: tuple) -> list[tuple]:
+    """A worker's share of a sweep, under the parent's run deadline."""
+    with deadline(*limit):
+        return _solve_classes(spec, graphs, max_states)
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _solve_sweep(spec: GfwlSpec, classes: tuple[Graph, ...], max_states: int) -> tuple[list, int]:
+    """``_solve_classes`` over ``classes``, split across forked workers
+    when the sweep is large enough; returns the rows and the number of
+    processes that solved them."""
+    workers = min(_usable_cpus(), len(classes) // _CLASSES_PER_WORKER)
+    if workers < 2 or not hasattr(os, "fork") or threading.active_count() != 1:
+        return _solve_classes(spec, classes, max_states), 1
+    # Imported here: they add 15-20 ms to ``import wlpower``.  ``fork``
+    # starts a worker in milliseconds, where ``spawn`` takes 300 ms; with
+    # no other thread alive, forking is safe.
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    parts = workers * _CHUNKS_PER_WORKER
+    bounds = [len(classes) * i // parts for i in range(parts + 1)]
+    chunks = [classes[a:b] for a, b in zip(bounds, bounds[1:])]
+    limit = run_deadline()
+    context = multiprocessing.get_context("fork")
+    # ``map`` yields the chunks in order and raises the first chunk's
+    # exception, cancelling the chunks not started; leaving the block
+    # joins every worker.
+    with ProcessPoolExecutor(workers, mp_context=context) as pool:
+        results = pool.map(_solve_chunk, [spec] * parts, chunks, [max_states] * parts, [limit] * parts)
+        rows = [row for chunk in results for row in chunk]
+    return rows, workers
 
 
 def compare_to_treewidth(

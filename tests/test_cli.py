@@ -138,6 +138,10 @@ def test_power_command(capsys, tmp_path):
     assert envelope["payload"]["complete"] is True
     lines = csv_path.read_text().strip().splitlines()
     assert lines[0].startswith("graph6,") and len(lines) == 11
+    # a sweep this small stays serial; the worker count is telemetry only
+    telemetry = envelope["telemetry"]
+    assert telemetry["workers"] == 1 and len(telemetry["per_graph"]) == 10
+    assert "workers" not in envelope["payload"]
 
 
 def test_power_payload_byte_deterministic(tmp_path):

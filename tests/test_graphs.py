@@ -6,8 +6,10 @@ enumeration for isomorphism classes, and elimination orderings for
 treewidth.
 """
 
+import copy
 import itertools
 import json
+import pickle
 import random
 import time
 
@@ -107,6 +109,17 @@ def test_graph_is_immutable():
     g = wl.Graph(2, [(0, 1)])
     with pytest.raises(AttributeError):
         g.n = 5
+
+
+def test_graph_pickles_and_copies():
+    # Worker processes receive graphs by pickle; the immutable slots must
+    # not stop the copy from being rebuilt.
+    rng = random.Random(11)
+    for g in [wl.Graph(0), *(random_graph(rng, n) for n in range(1, 10) for _ in range(3))]:
+        for copied in (pickle.loads(pickle.dumps(g)), copy.copy(g), copy.deepcopy(g)):
+            assert type(copied) is wl.Graph
+            assert copied == g and hash(copied) == hash(g) and copied.n == g.n
+            assert copied.edge_set == g.edge_set
 
 
 def test_builders():

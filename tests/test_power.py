@@ -3,13 +3,17 @@ suites built on top of it.
 """
 
 import io
+import multiprocessing
 import random
+import threading
 import time
 
 import pytest
 
 import wlpower as wl
-from wlpower.errors import BudgetError, ConfigurationError, deadline
+from wlpower import power
+from wlpower.errors import BudgetError, ClosureError, ConfigurationError, deadline
+from wlpower.games import DEFAULT_MAX_STATES
 
 
 def g6(g: wl.Graph) -> str:
@@ -162,6 +166,100 @@ def test_enumerate_power_timeout_aborts_the_sweep():
     with expired(), pytest.raises(BudgetError, match="time limit"):
         wl.enumerate_power(wl.fwl_spec(2), 4)
     assert wl.enumerate_power(wl.fwl_spec(2), 4).complete
+
+
+# ---------------------------------------------------------------------------
+# Sweeps split across forked workers, against the serial loop
+
+needs_two_cpus = pytest.mark.skipif(power._usable_cpus() < 2, reason="a split sweep needs 2 usable CPUs")
+
+NON_CLOSED_SPEC = wl.GfwlSpec(
+    2, 1, (0, 2), (0, 1), wl.RSelector("distance_restricted", 1), wl.FSelector("all_nodes")
+)
+
+
+@pytest.fixture
+def split_small(monkeypatch):
+    """Split every sweep of at least 16 classes: n <= 5 (31 classes)
+    goes to two workers, as n <= 7 (996 classes) does by default."""
+    monkeypatch.setattr(power, "_CLASSES_PER_WORKER", 8)
+
+
+def serial_report(spec, n_max, max_states=DEFAULT_MAX_STATES):
+    """The report of a plain loop over ``cops_robber_wins``."""
+    rows = []
+    for g in wl.connected_classes(n_max):
+        try:
+            verdict = wl.cops_robber_wins(spec, g, max_states=max_states, want_certificate=False)
+            rows.append((g6(g), verdict.winner, verdict.states_explored))
+        except BudgetError as exc:
+            rows.append((g6(g), "undecided", exc.stats.get("states", max_states)))
+    by = {w: [key for key, winner, _ in rows if winner == w] for w in ("cops", "robber", "undecided")}
+    return rows, wl.PowerReport(spec, n_max, by["cops"], by["robber"], by["undecided"], {})
+
+
+def rows_of(report):
+    return [(key, s["verdict"], s["states"]) for key, s in report.per_graph_stats.items()]
+
+
+@needs_two_cpus
+@pytest.mark.parametrize(
+    "spec, n_max, max_states",
+    [(wl.fwl_spec(2), 5, 30), (wl.drfwl2_spec(1), 5, DEFAULT_MAX_STATES), (wl.fwl_spec(1), 7, DEFAULT_MAX_STATES)],
+    ids=["fwl_2-undecided", "drfwl2_1", "fwl_1-n7-default-split"],
+)
+def test_split_sweep_matches_serial_loop(request, spec, n_max, max_states):
+    if n_max < 7:
+        request.getfixturevalue("split_small")
+    report = wl.enumerate_power(spec, n_max, max_states=max_states)
+    rows, expected = serial_report(spec, n_max, max_states)
+    assert report.workers >= 2
+    assert rows_of(report) == rows
+    assert report.payload_bytes() == expected.payload_bytes()
+    assert not multiprocessing.active_children()
+
+
+@needs_two_cpus
+def test_split_sweep_raises_the_serial_closure_error(split_small):
+    with pytest.raises(ClosureError) as serial:
+        serial_report(NON_CLOSED_SPEC, 5)
+    with pytest.raises(ClosureError) as split:
+        wl.enumerate_power(NON_CLOSED_SPEC, 5)
+    # concurrent.futures chains a worker's exception to its remote traceback
+    assert type(split.value.__cause__).__name__ == "_RemoteTraceback"
+    assert str(split.value) == str(serial.value)
+    assert split.value.violations == serial.value.violations
+    assert not multiprocessing.active_children()
+
+
+@needs_two_cpus
+def test_split_sweep_timeout_leaves_no_process(split_small):
+    with expired(), pytest.raises(BudgetError, match="time limit") as info:
+        wl.enumerate_power(wl.fwl_spec(2), 5)
+    assert type(info.value.__cause__).__name__ == "_RemoteTraceback"
+    assert "elapsed_ms" in info.value.stats
+    assert not multiprocessing.active_children()
+
+
+@needs_two_cpus
+def test_sweep_stays_serial_beside_another_thread(split_small):
+    # Forking beside a running thread can copy a lock that thread holds.
+    release = threading.Event()
+    other = threading.Thread(target=release.wait)
+    other.start()
+    try:
+        report = wl.enumerate_power(wl.fwl_spec(2), 5)
+    finally:
+        release.set()
+        other.join()
+    assert report.workers == 1
+    assert report.payload_bytes() == serial_report(wl.fwl_spec(2), 5)[1].payload_bytes()
+
+
+def test_small_sweeps_stay_serial():
+    # Every sweep up to 6 nodes (143 classes) is too small to split.
+    assert len(wl.connected_classes(6)) // power._CLASSES_PER_WORKER < 2
+    assert wl.enumerate_power(wl.local_fwl_spec(1), 6).workers == 1
 
 
 @pytest.mark.parametrize(

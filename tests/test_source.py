@@ -161,3 +161,43 @@ def test_pursuit_solver_reads_moves_once():
         if isinstance(node, ast.Attribute) and node.attr == "moves"
     }
     assert readers == {"generate"}, readers
+
+
+def test_worker_processes_start_in_one_place():
+    # Only the sweep helper in ``power.py`` starts processes: it imports
+    # ``multiprocessing`` and ``concurrent.futures`` on its split path
+    # alone, so ``import wlpower`` and every other layer stay free of
+    # them.  No file sets the process-wide start method.
+    pool_modules = {"multiprocessing", "concurrent"}
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=path.name)
+        inside = {
+            id(node)
+            for func in ast.walk(tree)
+            if path.name == "power.py" and isinstance(func, ast.FunctionDef) and func.name == "_solve_sweep"
+            for node in ast.walk(func)
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [
+                f"{path.name}:{node.lineno}: {name}"
+                for name in names
+                if name.partition(".")[0] in pool_modules and id(node) not in inside
+            ]
+    assert not found, found
+    roots = [PACKAGE, Path(__file__).parent, SPANS_PATH.parent]
+    setters = [
+        f"{path.name}:{node.lineno}"
+        for root in roots
+        for path in sorted(root.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=path.name))
+        if isinstance(node, ast.Attribute) and node.attr == "set_start_method"
+        or isinstance(node, ast.alias) and node.name == "set_start_method"
+    ]
+    assert not setters, setters
