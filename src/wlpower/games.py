@@ -45,17 +45,19 @@ call, so replay is no second copy of the rules; the independent oracles
 stay the treewidth DP (Cops win iff treewidth <= k) and agreement of the
 bijection game with refinement.  Both solvers number states through one
 ``_StateIndex``, and every certificate is read from the solved arena,
-with no second pass over the moves.  Spoiler's names the dead states;
-Robber's is its winning region, every state outside the Cops attractor
-(the certificate of a safety game's winner: Grädel, Thomas and Wilke
-(eds.), "Automata, Logics, and Infinite Games", LNCS 2500, 2002, ch. 2).
-A certificate has one form, the one JSON holds: lists of state keys and
-of ``[state key, value]`` pairs in sid order, a pursuit key naming
-Robber's component by its sorted nodes.  Replay reads every key through
-its game's key reader once, at entry, so a certificate replays alike
-from memory and from its JSON dump.  Replay explores every move of the
-certified player's opponent, so it stays sound whatever a certificate
-holds.
+with no second pass over the moves.  Spoiler's names the dead states.
+Both safety players, Robber and Duplicator, certify by their winning
+region (the certificate of a safety game's winner: Grädel, Thomas and
+Wilke (eds.), "Automata, Logics, and Infinite Games", LNCS 2500, 2002,
+ch. 2): Robber's is every state outside the Cops attractor, Duplicator's
+every state the fixpoint left alive, and one walk replays both, checking
+that the player can keep play inside it forever.  A certificate has one
+form, the one JSON holds: lists of state keys and of ``[state key,
+value]`` pairs in sid order, a pursuit key naming Robber's component by
+its sorted nodes.  Replay reads every key through its game's key reader
+once, at entry, so a certificate replays alike from memory and from its
+JSON dump.  Replay explores every move of the certified player's
+opponent, so it stays sound whatever a certificate holds.
 """
 
 from __future__ import annotations
@@ -133,30 +135,30 @@ class _BijectionMoves:
         self.tables_g = _TupleTable(spec, g)
         self.tables_h = _TupleTable(spec, h)
 
-    def puts(self, key: tuple) -> tuple[list, list, list | None]:
-        """A putting state's g-side and h-side choice lists and its
-        type-respecting puts: ``(g index, h index, successor)`` in index
-        order, pairing each g-side choice only with the h-side choices
-        whose position has the same type.  The puts are None when the two
-        sides' per-type counts differ: then no bijection respects types
-        (Hall's condition fails), so the state is lost for the second
-        player whatever its successors."""
+    def puts(self, key: tuple) -> tuple[int, list | None]:
+        """A putting state's g-side choice count and its type-respecting
+        puts: ``(g index, h index, successor)`` in index order, pairing
+        each g-side choice only with the h-side choices whose position
+        has the same type.  The puts are None when the two sides'
+        per-type counts differ: then no bijection respects types (Hall's
+        condition fails), so the state is lost for the second player
+        whatever its successors."""
         phase, pos_g, pos_h = key
         d = self.tables_g.put_choices(phase, pos_g)
         e = self.tables_h.put_choices(phase, pos_h)
         if len(d) != len(e):  # Hall fails on the totals alone: skip the type codes
-            return d, e, None
+            return len(d), None
         new_g = [pos_g + a for a in d]
         new_h = [pos_h + b for b in e]
         codes_g = list(map(self.tables_g.type_code, new_g))
         codes_h = list(map(self.tables_h.type_code, new_h))
         if sorted(codes_g) != sorted(codes_h):
-            return d, e, None
+            return len(d), None
         buckets: dict[int, list[int]] = {}
         for bi, code in enumerate(codes_h):
             buckets.setdefault(code, []).append(bi)
         nxt = _next_phase(self.spec, phase)
-        return d, e, [
+        return len(d), [
             (ai, bi, (nxt, tup, new_h[bi]))
             for ai, (tup, code) in enumerate(zip(new_g, codes_g))
             for bi in buckets[code]
@@ -360,8 +362,12 @@ def spoiler_wins(
     putting state survives while the safe pairs (same type, surviving
     successor) admit a perfect matching; a removing state survives while
     every index selection leads to a surviving state.  The first player
-    wins iff the empty-board root is deleted.  The run deadline is
-    checked every 256 generated states and when generation ends.
+    wins iff the empty-board root is deleted.  A Duplicator certificate
+    lists every surviving state, its winning region (``region``); a
+    Spoiler certificate lists the deleted states (``dead``) and pairs each
+    deleted removing state with a refuting index selection
+    (``remove_choices``).  The run deadline is checked every 256
+    generated states and when generation ends.
     ``stats`` holds the phase milliseconds (``table_ms`` builds the two
     tuple tables), ``matching_calls`` (bipartite matchings run by the
     fixpoint) and ``cut_states`` (putting states cut, dead at birth, by
@@ -393,9 +399,9 @@ def spoiler_wins(
 
 class _EfSolver:
     """Per state in sid order (the root is state 0): ``choices`` holds a
-    putting state's g-side and h-side choice lists (None for a removing
-    state), and ``succs`` its moves: ``(g index, h index, successor)``
-    per type-respecting put, or the successor per index selection.  A
+    putting state's g-side choice count (None for a removing state), and
+    ``succs`` its moves: ``(g index, h index, successor)`` per
+    type-respecting put, or the successor per index selection.  A
     putting state cut by Hall's condition has None for ``succs``: it is
     dead at birth.  ``states.preds[sid]`` lists each state with a move
     to ``sid`` once.  ``refuting`` maps each dead removing state to the
@@ -419,41 +425,36 @@ class _EfSolver:
         add((("I", 1), (), ()))
         for sid, key in states.walk():
             if key[0][0] == "R":
-                choice = None
+                count = None
                 succs = targets = [add(s) for s in game.removals(key)]
             else:
-                d, e, puts = game.puts(key)
-                choice = d, e
+                count, puts = game.puts(key)
                 if puts is None:  # dead at birth: explore no further
                     succs, targets = None, []
                 else:
                     succs = [(ai, bi, add(s)) for ai, bi, s in puts]
                     targets = [s for _, _, s in succs]
-            self.choices.append(choice)
+            self.choices.append(count)
             self.succs.append(succs)
             for succ in targets:
                 if not preds[succ] or preds[succ][-1] != sid:
                     preds[succ].append(sid)
 
-    def _matching(self, sid: int) -> list:
-        """Maximum matching of a putting state's choices over the pairs
-        whose successor survives: h-side index per g-side index, -1
-        where unmatched."""
-        self.matching_calls += 1
-        alive = self.alive
-        pairs = [(ai, bi) for ai, bi, succ in self.succs[sid] if alive[succ]]
-        return _max_matching(len(self.choices[sid][0]), pairs)
-
     def _survives(self, sid: int) -> bool:
-        """Judge a removing state, or a putting state not cut at birth.
-        The fixpoint deletes a state judged lost at once, so a lost
-        removing state records its ``refuting`` selection here."""
-        if self.choices[sid] is None:
-            dead = next((c for c, s in enumerate(self.succs[sid]) if not self.alive[s]), None)
+        """Judge a removing state, or a putting state not cut at birth,
+        which survives while the pairs whose successor survives admit a
+        perfect matching.  The fixpoint deletes a state judged lost at
+        once, so a lost removing state records its ``refuting`` selection
+        here."""
+        alive, count = self.alive, self.choices[sid]
+        if count is None:
+            dead = next((c for c, s in enumerate(self.succs[sid]) if not alive[s]), None)
             if dead is not None:
                 self.refuting[sid] = dead
             return dead is None
-        return -1 not in self._matching(sid)
+        self.matching_calls += 1
+        pairs = [(ai, bi) for ai, bi, succ in self.succs[sid] if alive[succ]]
+        return -1 not in _max_matching(count, pairs)
 
     def fixpoint(self) -> None:
         """States cut at birth start dead; a backward pass judges the
@@ -472,17 +473,11 @@ class _EfSolver:
                 stale.extend(preds[sid])
 
     def certificate(self, root_alive: bool) -> dict:
-        keys = self.states.keys
+        keys, alive = self.states.keys, self.alive
         if root_alive:
-            matchings = []
-            for sid, key in enumerate(keys):
-                if not self.alive[sid] or self.choices[sid] is None:
-                    continue
-                d, e = self.choices[sid]
-                matching = [(d[ai], e[bi]) for ai, bi in enumerate(self._matching(sid))]
-                matchings.append((key, matching))
-            return {"winner": "duplicator", "matchings": matchings}
-        dead_keys = [key for sid, key in enumerate(keys) if not self.alive[sid]]
+            region = [key for key, live in zip(keys, alive) if live]
+            return {"winner": "duplicator", "region": region}
+        dead_keys = [key for key, live in zip(keys, alive) if not live]
         combos = _index_vectors(self.spec.k, self.spec.t)
         remove_choices = [(keys[sid], combos[c]) for sid, c in sorted(self.refuting.items())]
         return {
@@ -703,60 +698,61 @@ def _replay_cops(cert: dict, spec: GfwlSpec, g: Graph) -> bool:
     return all(wins_from(key, frozenset()) for key in game.initial())
 
 
-def _replay_robber(cert: dict, spec: GfwlSpec, g: Graph) -> bool:
-    held = _read(cert, "region", _pursuit_key)
-    game = _PursuitMoves(spec, g)
-    start = next((key for key in game.initial() if key in held), None)
+def _stays_in_region(region: set, starts: list, follow) -> bool:
+    """Whether a safety player keeps play inside ``region`` forever.
+    Play starts at the first start state inside it; ``follow`` gives,
+    per reached state, the successors that the player's replies to every
+    opponent move lead to, or None when some move leaves no reply
+    inside.  Every successor is walked, so True holds on every line of
+    play, and play that never leaves the region is a win."""
+    start = next((key for key in starts if key in region), None)
     if start is None:
         return False
     seen = {start}
     frontier = [start]
     while frontier:
-        for _, succs in game.moves(frontier.pop()):
-            reply = next((succ for succ in succs if succ in held), None)
-            if reply is None:
-                return False  # stuck or every reply leaves the region: Robber loses this line
-            if reply not in seen:
-                seen.add(reply)
-                frontier.append(reply)
-    return True  # no reachable line traps Robber; infinite play wins
-
-
-def _replay_duplicator(cert: dict, spec: GfwlSpec, g: Graph, h: Graph) -> bool:
-    matchings = _read(cert, "matchings", _bijection_key, pairs=True)
-    game = _BijectionMoves(spec, g, h)
-    start = (("I", 1), (), ())
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        key = frontier.pop()
-        if key[0][0] in ("I", "U"):
-            d, e, puts = game.puts(key)
-            stored = matchings.get(key)
-            if stored is None:
-                return False
-            try:
-                pairs = [(tuple(a), tuple(b)) for a, b in stored]
-                bijective = sorted(a for a, _ in pairs) == sorted(d) and sorted(
-                    b for _, b in pairs
-                ) == sorted(e)
-            except (TypeError, ValueError) as exc:
-                raise CertificateError(f"matching {stored!r} is not a list of tuple pairs") from exc
-            if not bijective:
-                return False  # not a bijection between the two choice sets
-            # A pair that puts does not list has two types; when puts is
-            # None, every bijection holds such a pair.
-            typed = {(d[ai], e[bi]): succ for ai, bi, succ in puts or ()}
-            succs = [typed.get(pair) for pair in pairs]
-        else:
-            succs = game.removals(key)
-        if None in succs:
+        succs = follow(frontier.pop())
+        if succs is None:
             return False
         for succ in succs:
             if succ not in seen:
                 seen.add(succ)
                 frontier.append(succ)
-    return True  # play never reaches a mismatch; infinite play wins
+    return True
+
+
+def _replay_robber(cert: dict, spec: GfwlSpec, g: Graph) -> bool:
+    region = _read(cert, "region", _pursuit_key)
+    game = _PursuitMoves(spec, g)
+
+    def follow(key: tuple) -> list | None:
+        """Per Cops move, the first reply in move order inside the region."""
+        replies = [next((s for s in succs if s in region), None) for _, succs in game.moves(key)]
+        return None if None in replies else replies
+
+    return _stays_in_region(region, game.initial(), follow)
+
+
+def _replay_duplicator(cert: dict, spec: GfwlSpec, g: Graph, h: Graph) -> bool:
+    region = _read(cert, "region", _bijection_key)
+    game = _BijectionMoves(spec, g, h)
+
+    def follow(key: tuple) -> list | None:
+        """Every removal, or the puts of a perfect matching of the typed
+        puts whose successor lies inside the region."""
+        if key[0][0] == "R":
+            succs = game.removals(key)
+            return succs if all(s in region for s in succs) else None
+        count, puts = game.puts(key)
+        if puts is None:  # Hall's condition fails: every bijection pairs two types
+            return None
+        inside = [(ai, bi, s) for ai, bi, s in puts if s in region]
+        match = _max_matching(count, [(ai, bi) for ai, bi, _ in inside])
+        if -1 in match:
+            return None
+        return [s for ai, bi, s in inside if match[ai] == bi]
+
+    return _stays_in_region(region, [(("I", 1), (), ())], follow)
 
 
 def _replay_spoiler(cert: dict, spec: GfwlSpec, g: Graph, h: Graph) -> bool:
@@ -775,14 +771,14 @@ def _replay_spoiler(cert: dict, spec: GfwlSpec, g: Graph, h: Graph) -> bool:
         if key in proven:
             return True
         if key[0][0] in ("I", "U"):
-            d, _, puts = game.puts(key)
+            count, puts = game.puts(key)
             # Every bijection contains a refutable pair (a type mismatch
             # or a refuted put) iff the non-refutable puts admit no
             # perfect matching.  Puts exist only when both sides have
-            # ``len(d)`` choices.
+            # ``count`` choices.
             if puts is not None:
                 safe = [(ai, bi) for ai, bi, succ in puts if not refuted(key, succ, path)]
-                if -1 not in _max_matching(len(d), safe):
+                if -1 not in _max_matching(count, safe):
                     return False
             proven.add(key)
             return True

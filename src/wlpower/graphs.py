@@ -566,7 +566,8 @@ def enumerate_connected_graphs(n_max: int, *, connected_only: bool = True) -> It
     the second node on), deduplicating candidate adjacency masks by
     their canonical graph6 bits.  Every connected graph has a non-cut
     vertex, so the connected augmentation is exhaustive.  ``n_max`` over
-    ``_ENUM_MAX_NODES`` raises :class:`BudgetError`.
+    ``_ENUM_MAX_NODES`` raises :class:`BudgetError`, and so does the run
+    deadline, checked once per base class.
     """
     if n_max < 0:
         raise DomainError("n_max must be nonnegative")
@@ -581,6 +582,7 @@ def enumerate_connected_graphs(n_max: int, *, connected_only: bool = True) -> It
         low = 1 if connected_only and new else 0
         classes = set()
         for base in previous:
+            check_deadline()
             for bits in range(low, 1 << new):
                 masks = [row | (bits >> w & 1) << new for w, row in enumerate(base.adj_masks)]
                 masks.append(bits)

@@ -262,7 +262,6 @@ def validate_theorem2(
     rng = random.Random(seed)
     copies = [_permuted_copy(g, rng) for g in classes]
     graphs = [*classes, *copies]
-    check_deadline()  # the joint run's setup is not interruptible
     colors = joint_graph_colors(spec, *graphs)
     count = len(classes)
     pairs: list[tuple[int, int]] = []  # indices into ``graphs``

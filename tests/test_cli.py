@@ -300,6 +300,18 @@ def test_time_limit_is_scoped_to_one_run(capsys):
     assert code == 0 and envelope["payload"]["count"] == 40320
 
 
+def test_time_limit_during_class_enumeration(capsys):
+    # Enumerating the 996 classes n <= 7 takes about 0.5-0.7 s; the
+    # deadline is checked once per base class, so a cold class cache
+    # does not hold the run past its limit.
+    wl.power.connected_classes.cache_clear()
+    start = time.perf_counter()
+    argv = ["power", "--spec", "fwl_k", "--max-nodes", "7", "--time-limit-ms", "200"]
+    code, envelope, err = run_cli(capsys, argv)
+    assert time.perf_counter() - start < 0.4
+    assert code == 3 and "time limit" in err and envelope is None
+
+
 def test_time_limit_during_table_build(capsys):
     # The deadline is checked per colored tuple while the tuple table and
     # the refinement rows are built.  Under fwl_plus_k_t on the 4-cube Q4

@@ -345,59 +345,55 @@ def test_replay_duplicator(c6, two_c3):
     spec = wl.local_fwl_spec(1)
     verdict = wl.spoiler_wins(spec, c6, two_c3)
     assert verdict.winner == "duplicator"
+    assert set(verdict.certificate) == {"winner", "region"}
     assert wl.replay_certificate(verdict, spec, (c6, two_c3))
 
-    tampered = copy.deepcopy(verdict)
+    def without(drop) -> wl.GameVerdict:
+        tampered = copy.deepcopy(verdict)
+        tampered.certificate["region"] = [key for key in verdict.certificate["region"] if not drop(key)]
+        return tampered
+
     root = (("I", 1), (), ())
-    pairs = dict(tampered.certificate["matchings"])[root]
-    pairs[0] = (pairs[0][0], pairs[0][0])  # collapses the bijection
-    assert not wl.replay_certificate(tampered, spec, (c6, two_c3))
+    assert not wl.replay_certificate(without(lambda key: True), spec, (c6, two_c3))  # empty region
+    assert not wl.replay_certificate(without(lambda key: key == root), spec, (c6, two_c3))
+    assert not wl.replay_certificate(without(lambda key: key[0] == ("U", 1)), spec, (c6, two_c3))
+    # Spoiler picks the removal, so every removal must stay inside.
+    removing = next(key for key in verdict.certificate["region"] if key[0][0] == "R")
+    removed = set(_BijectionMoves(spec, c6, two_c3).removals(removing))
+    assert not wl.replay_certificate(without(lambda key: key in removed), spec, (c6, two_c3))
 
-    tampered = copy.deepcopy(verdict)
-    matchings = tampered.certificate["matchings"]
-    matchings[:] = [(key, matching) for key, matching in matchings if key != root]
-    assert not wl.replay_certificate(tampered, spec, (c6, two_c3))
+
+def test_duplicator_region_is_the_complement_of_spoiler_dead(c6, two_c3):
+    # The two bijection certificates split one solved arena: Duplicator's
+    # region is every state the fixpoint left alive, Spoiler's dead list
+    # every other state.
+    for spec, g, h in [(wl.local_fwl_spec(1), c6, two_c3), (wl.fwl_spec(2), c6, two_c3)]:
+        solver = _EfSolver(spec, g, h, DEFAULT_MAX_STATES)
+        solver.generate()
+        solver.fixpoint()
+        region = solver.certificate(True)["region"]
+        dead = solver.certificate(False)["dead"]
+        assert sorted(region + dead) == sorted(solver.states.keys)
+        assert not set(region) & set(dead)
 
 
-def test_replay_duplicator_rejects_type_mismatch():
-    # Swapping the partners of a diagonal tuple and an edge tuple keeps
-    # the matching a bijection but pairs choices of different types.
-    spec = wl.fwl_spec(2)
-    g = wl.cycle_graph(6)
-    h = g.permuted([3, 0, 4, 1, 5, 2])
-    verdict = wl.spoiler_wins(spec, g, h)
-    assert verdict.winner == "duplicator"
-    assert wl.replay_certificate(verdict, spec, (g, h))
-
-    tampered = copy.deepcopy(verdict)
-    pairs = dict(tampered.certificate["matchings"])[(("I", 1), (), ())]
-    diag = next(i for i, (a, _) in enumerate(pairs) if a[0] == a[1])
-    edge = next(i for i, (a, _) in enumerate(pairs) if g.has_edge(*a))
-    (a, b), (c, d) = pairs[diag], pairs[edge]
-    pairs[diag], pairs[edge] = (a, d), (c, b)
-    assert not wl.replay_certificate(tampered, spec, (g, h))
-
-    # Mismatched positions have no stored matching, so replay could also
-    # stop there; with a matching at every state the pairs reach, only
-    # the type check is left to reject them.
-    matchings = dict(tampered.certificate["matchings"])
-    game = _BijectionMoves(spec, g, h)
-    seen, frontier = set(), [(("I", 1), (), ())]
-    while frontier:
-        key = frontier.pop()
-        if key in seen:
-            continue
-        seen.add(key)
-        phase, pos_g, pos_h = key
-        if phase[0] == "R":
-            frontier.extend(game.removals(key))
-            continue
-        d, e, _ = game.puts(key)
-        nxt = _next_phase(spec, phase)
-        for a, b in matchings.setdefault(key, list(zip(sorted(d), sorted(e)))):
-            frontier.append((nxt, pos_g + a, pos_h + b))
-    tampered.certificate["matchings"] = list(matchings.items())
-    assert not wl.replay_certificate(tampered, spec, (g, h))
+def test_replay_duplicator_rejects_type_mismatch(classes4):
+    # On pairs Spoiler wins, a Duplicator verdict whose region lists every
+    # state the solver generated, Hall-cut states included, still reaches
+    # a putting state where no type-respecting bijection exists: with
+    # every successor inside the region, only the type rule is left to
+    # reject it.
+    forged_count = 0
+    for spec in wl.BUILTIN_SPECS.values():
+        for g, h in itertools.combinations(classes4, 2):
+            assert wl.spoiler_wins(spec, g, h, want_certificate=False).winner == "spoiler"
+            solver = _EfSolver(spec, g, h, DEFAULT_MAX_STATES)
+            solver.generate()
+            region = json.loads(json.dumps(solver.states.keys))
+            forged = wl.GameVerdict("duplicator", len(region), {"winner": "duplicator", "region": region})
+            assert not wl.replay_certificate(forged, spec, (g, h))
+            forged_count += 1
+    assert forged_count == 4 * 45
 
 
 def test_replay_spoiler(c6, two_c3):
@@ -467,15 +463,20 @@ def test_replay_malformed():
         wl.replay_certificate(unhashable_dead, spec, (wl.complete_graph(3), wl.path_graph(3)))
 
 
-def test_replay_robber_region_not_state_keys():
-    spec = wl.fwl_spec(2)
-    g = wl.complete_graph(4)
-    verdict = wl.cops_robber_wins(spec, g)
-    for region in ({"not": "a list"}, [5], [(("I", 1), (), 5)]):
+@pytest.mark.parametrize("winner", ["robber", "duplicator"])
+def test_replay_region_not_state_keys(winner, c6, two_c3):
+    if winner == "robber":
+        spec, inputs = wl.fwl_spec(2), wl.complete_graph(4)
+        verdict = wl.cops_robber_wins(spec, inputs)
+    else:
+        spec, inputs = wl.local_fwl_spec(1), (c6, two_c3)
+        verdict = wl.spoiler_wins(spec, *inputs)
+    assert verdict.winner == winner
+    for region in ({"not": "a list"}, [5], [(("I", 1), (), 5)], [[[["I"]], [], []]]):
         tampered = copy.deepcopy(verdict)
         tampered.certificate["region"] = region
         with pytest.raises(CertificateError):
-            wl.replay_certificate(tampered, spec, g)
+            wl.replay_certificate(tampered, spec, inputs)
 
 
 def test_replay_cops_move_not_a_pair():
@@ -497,24 +498,11 @@ def test_replay_spoiler_remove_choice_not_a_selection(c6, two_c3):
         wl.replay_certificate(verdict, spec, (c6, two_c3))
 
 
-def test_replay_duplicator_matching_not_pairs(c6, two_c3):
-    spec = wl.local_fwl_spec(1)
-    verdict = wl.spoiler_wins(spec, c6, two_c3)
-    root = (("I", 1), (), ())
-    matching = dict(verdict.certificate["matchings"])[root]
-    for bad in ([1, 2], [(("a",), matching[0][1])] + matching[1:]):
-        tampered = copy.deepcopy(verdict)
-        set_entry(tampered.certificate["matchings"], root, bad)
-        with pytest.raises(CertificateError):
-            wl.replay_certificate(tampered, spec, (c6, two_c3))
-
-
 def test_replay_table_not_pairs(c6, two_c3):
     # A keyed table is a list of [state key, value] pairs: a dict, a bare
     # state key, a pair whose key is no state key and a triple are not.
     cases = [
         (wl.local_fwl_spec(1), wl.path_graph(4), "moves"),
-        (wl.local_fwl_spec(1), (c6, two_c3), "matchings"),
         (wl.fwl_spec(2), (c6, two_c3), "remove_choices"),
     ]
     for spec, inputs, name in cases:

@@ -405,6 +405,11 @@ def test_rooted_sums_telescope():
         )
 
 
+def test_enumeration_checks_the_deadline():
+    with deadline(1, time.perf_counter() - 1.0), pytest.raises(BudgetError, match="time limit"):
+        list(wl.enumerate_connected_graphs(7))
+
+
 def test_hom_count_deadline_is_checked_inside_the_count():
     # P9 into K7 is 7 * 6**8 maps (about 5 s uncapped), spread over only
     # seven images of the first pattern node: a check per first-node

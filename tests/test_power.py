@@ -147,13 +147,15 @@ def expired():
     return deadline(1, time.perf_counter() - 1.0)
 
 
-def test_suites_check_the_budget_before_the_joint_run(monkeypatch):
-    # The joint run's setup is not interruptible, so an expired deadline
-    # must stop each suite before the run starts.
-    def unreachable(spec, *graphs):
-        raise AssertionError("joint run started after the budget ran out")
+def test_suites_check_the_budget_before_refining(monkeypatch):
+    # An expired deadline must stop each suite before its first
+    # refinement round: the soundness suite in its pattern sweep, the
+    # bijection suite while the joint run builds its tuple tables, which
+    # check the deadline once per colored tuple.
+    def unreachable(contexts):
+        raise AssertionError("refinement started after the budget ran out")
 
-    monkeypatch.setattr(wl.power, "joint_graph_colors", unreachable)
+    monkeypatch.setattr(wl.refinement, "_stabilize", unreachable)
     with expired():
         with pytest.raises(BudgetError):
             wl.validate_soundness(wl.local_fwl_spec(1), 3, 3)

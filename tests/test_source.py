@@ -163,6 +163,32 @@ def test_pursuit_solver_reads_moves_once():
     assert readers == {"generate"}, readers
 
 
+def test_safety_regions_replay_through_one_walk():
+    # Both safety players certify by their winning region: only the
+    # bijection fixpoint's judge and the two bijection replays run a
+    # matching (so no certificate does), and only the Robber and
+    # Duplicator replays walk a region.  A nested function counts as
+    # its enclosing function or method.
+    tree = ast.parse((PACKAGE / "games.py").read_text(), filename="games.py")
+    funcs = [node for node in tree.body if isinstance(node, ast.FunctionDef)]
+    funcs += [
+        node
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, ast.FunctionDef)
+    ]
+    callers: dict[str, set] = {"_max_matching": set(), "_stays_in_region": set()}
+    for func in funcs:
+        for node in ast.walk(func):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) in callers:
+                callers[node.func.id].add(func.name)
+    assert callers == {
+        "_max_matching": {"_survives", "_replay_spoiler", "_replay_duplicator"},
+        "_stays_in_region": {"_replay_robber", "_replay_duplicator"},
+    }, callers
+
+
 def test_worker_processes_start_in_one_place():
     # Only the sweep helper in ``power.py`` starts processes: it imports
     # ``multiprocessing`` and ``concurrent.futures`` on its split path
