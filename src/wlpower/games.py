@@ -177,14 +177,14 @@ class _ComponentTable(dict):
     (:func:`~wlpower.graphs.component_masks`), computed on the first
     lookup of each mask; ``len`` counts the misses."""
 
-    __slots__ = ("g",)
+    __slots__ = ("adj",)
 
     def __init__(self, g: Graph):
         super().__init__()
-        self.g = g
+        self.adj = g.adj_masks
 
     def __missing__(self, blocked: int) -> list[int]:
-        comps = self[blocked] = component_masks(self.g, blocked)
+        comps = self[blocked] = component_masks(self.adj, blocked)
         return comps
 
 

@@ -307,11 +307,11 @@ def mask_nodes(mask: int) -> list[int]:
     return nodes
 
 
-def component_masks(g: Graph, blocked: int) -> list[int]:
-    """Connected components of the subgraph induced on nodes outside the
+def component_masks(adj: Sequence[int], blocked: int) -> list[int]:
+    """Connected components of the graph with adjacency masks ``adj``
+    (such as :attr:`Graph.adj_masks`), induced on the nodes outside the
     node mask ``blocked``, as node masks sorted by smallest member."""
-    adj = g.adj_masks
-    rest = ((1 << g.n) - 1) & ~blocked
+    rest = ((1 << len(adj)) - 1) & ~blocked
     comps = []
     while rest:
         comp = frontier = rest & -rest
@@ -378,7 +378,7 @@ def rooted_hom_count(pattern: Graph, pins: Mapping[int, int], target: Graph) -> 
     image = [0] * pattern.n
     total = 1
     calls = 0
-    for comp in component_masks(pattern, 0):
+    for comp in component_masks(adj, 0):
         # (node, its neighbors placed before it, its allowed images), in
         # search order
         steps = []
@@ -554,6 +554,25 @@ def canonical_form(g: Graph) -> bytes:
 _ENUM_MAX_NODES = 8
 
 
+def _new_node_has_least_key(adj: Sequence[int], connected_only: bool) -> bool:
+    """Whether no eligible node of the candidate with adjacency masks
+    ``adj`` has a smaller key than its last (new) node.  A node's key is
+    its degree and then its neighbours' sorted degrees; eligible nodes
+    are the non-cut nodes when ``connected_only``, and all nodes
+    otherwise.  Only nodes whose key is smaller get the cut test."""
+    new = len(adj) - 1
+    degrees = [row.bit_count() for row in adj]
+
+    def key(v: int) -> tuple[int, list[int]]:
+        return degrees[v], sorted(degrees[w] for w in mask_nodes(adj[v]))
+
+    new_key = key(new)
+    return not any(
+        key(u) < new_key and (not connected_only or len(component_masks(adj, 1 << u)) == 1)
+        for u in range(new)
+    )
+
+
 def enumerate_connected_graphs(n_max: int, *, connected_only: bool = True) -> Iterator[Graph]:
     """Yield one canonical representative per isomorphism class with
     1..n_max nodes, ordered by node count then canonical form.
@@ -563,11 +582,25 @@ def enumerate_connected_graphs(n_max: int, *, connected_only: bool = True) -> It
     which oracle tests use.  Classes on ``n`` nodes are built from the
     0-node graph up by adding one node to every class on ``n - 1`` nodes
     with every neighborhood subset (nonempty in the connected case, from
-    the second node on), deduplicating candidate adjacency masks by
-    their canonical graph6 bits.  Every connected graph has a non-cut
-    vertex, so the connected augmentation is exhaustive.  ``n_max`` over
-    ``_ENUM_MAX_NODES`` raises :class:`BudgetError`, and so does the run
-    deadline, checked once per base class.
+    the second node on).  A candidate is canonicalized only when its new
+    node has the least key among its eligible nodes (see
+    :func:`_new_node_has_least_key`), after McKay's canonical
+    construction path: the key, degree then sorted neighbour degrees,
+    is an isomorphism invariant and costs far less than the canonical
+    search.  No class is missed: every connected graph has a non-cut
+    node, so every class has an eligible node; delete one of least key
+    and the rest is a class on ``n - 1`` nodes (connected, in the
+    connected case, as the node is not a cut node), and the
+    candidate that adds the node back passes, since its new node has
+    that same least key.  Ties must pass, as a class whose least key
+    is shared by several eligible nodes has no candidate whose new
+    node alone is least.  Several candidates of one class still pass
+    (tied nodes, or the same node added to automorphic neighborhoods),
+    so the candidates' canonical graph6 bits are still deduplicated in
+    a set; the class list and its representatives are those of
+    canonicalizing every candidate.  ``n_max`` over ``_ENUM_MAX_NODES``
+    raises :class:`BudgetError`, and so does the run deadline, checked
+    once per base class.
     """
     if n_max < 0:
         raise DomainError("n_max must be nonnegative")
@@ -586,7 +619,8 @@ def enumerate_connected_graphs(n_max: int, *, connected_only: bool = True) -> It
             for bits in range(low, 1 << new):
                 masks = [row | (bits >> w & 1) << new for w, row in enumerate(base.adj_masks)]
                 masks.append(bits)
-                classes.add(_canonical_bits(masks))
+                if _new_node_has_least_key(masks, connected_only):
+                    classes.add(_canonical_bits(masks))
         previous = [parse_graph6(_graph6_text(n, bits)) for bits in sorted(classes)]
         yield from previous
 

@@ -116,9 +116,9 @@ def test_component_table_hits_count_table_lookups(spec, g, monkeypatch):
     # table, and the initial board once more; only a miss computes them.
     calls = []
 
-    def counting(graph, blocked):
+    def counting(adj, blocked):
         calls.append(blocked)
-        return component_masks(graph, blocked)
+        return component_masks(adj, blocked)
 
     monkeypatch.setattr("wlpower.games.component_masks", counting)
     stats = wl.cops_robber_wins(spec, g).stats

@@ -7,6 +7,7 @@ treewidth.
 """
 
 import copy
+import hashlib
 import itertools
 import json
 import pickle
@@ -21,7 +22,7 @@ from hypothesis import strategies as st
 
 import wlpower as wl
 from wlpower.errors import BudgetError, DomainError, GraphFormatError, deadline
-from wlpower.graphs import component_masks, node_mask
+from wlpower.graphs import _canonical_bits, _graph6_text, _new_node_has_least_key, component_masks, node_mask
 
 # ---------------------------------------------------------------------------
 # Helpers and strategies
@@ -102,7 +103,7 @@ def test_graph_takes_numpy_integers():
     assert all(type(x) is int for edge in g.edge_set for x in edge)
     assert wl.treewidth(g) == 1
     assert wl.canonical_form(g) == wl.canonical_form(wl.path_graph(3))
-    assert component_masks(g, node_mask([1])) == [node_mask([0]), node_mask([2])]
+    assert component_masks(g.adj_masks, node_mask([1])) == [node_mask([0]), node_mask([2])]
 
 
 def test_graph_is_immutable():
@@ -313,12 +314,12 @@ def test_atp_code_equality_matches_naive_type():
 
 def test_components_avoiding():
     p4 = wl.path_graph(4)
-    assert component_masks(p4, node_mask(())) == [node_mask({0, 1, 2, 3})]
-    assert component_masks(p4, node_mask((1,))) == [node_mask({0}), node_mask({2, 3})]
-    assert component_masks(p4, node_mask((0, 1, 2, 3))) == []
-    assert component_masks(wl.empty_graph(0), node_mask(())) == []
+    assert component_masks(p4.adj_masks, node_mask(())) == [node_mask({0, 1, 2, 3})]
+    assert component_masks(p4.adj_masks, node_mask((1,))) == [node_mask({0}), node_mask({2, 3})]
+    assert component_masks(p4.adj_masks, node_mask((0, 1, 2, 3))) == []
+    assert component_masks(wl.empty_graph(0).adj_masks, node_mask(())) == []
     two = wl.disjoint_union(wl.complete_graph(2), wl.complete_graph(2))
-    assert component_masks(two, node_mask(())) == [node_mask({0, 1}), node_mask({2, 3})]
+    assert component_masks(two.adj_masks, node_mask(())) == [node_mask({0, 1}), node_mask({2, 3})]
 
 
 def test_distance_table():
@@ -498,7 +499,7 @@ def orbit_class_reps(n: int, connected_only: bool) -> list[wl.Graph]:
             continue
         edges = [pairs[i] for i in range(len(pairs)) if mask >> i & 1]
         g = wl.Graph(n, edges)
-        if connected_only and len(component_masks(g, 0)) != 1:
+        if connected_only and len(component_masks(g.adj_masks, 0)) != 1:
             continue
         reps.append(g)
         for perm in perms:
@@ -528,7 +529,7 @@ def test_enumeration_n6_count(classes6):
     keys = [wl.canonical_form(g) for g in classes6]
     assert len(set(keys)) == 143
     assert all(wl.emit_graph6(g) == key.decode("ascii") for g, key in zip(classes6, keys))
-    assert all(len(component_masks(g, 0)) == 1 for g in classes6)
+    assert all(len(component_masks(g.adj_masks, 0)) == 1 for g in classes6)
 
 
 def test_enumeration_orbit_oracle_n6():
@@ -545,6 +546,66 @@ def test_enumeration_all_graphs_flag():
 def test_enumeration_budget():
     with pytest.raises(wl.BudgetError):
         list(wl.enumerate_connected_graphs(9))
+
+
+def enumerate_every_candidate(n_max: int, connected_only: bool) -> list[str]:
+    """The enumeration loop that canonicalizes every candidate, with no
+    least-key filter: graph6 lines in (node count, canonical form)
+    order."""
+    previous = [wl.Graph(0)]
+    lines = []
+    for n in range(1, n_max + 1):
+        new = n - 1
+        low = 1 if connected_only and new else 0
+        classes = set()
+        for base in previous:
+            for bits in range(low, 1 << new):
+                masks = [row | (bits >> w & 1) << new for w, row in enumerate(base.adj_masks)]
+                masks.append(bits)
+                classes.add(_canonical_bits(masks))
+        level = [_graph6_text(n, bits) for bits in sorted(classes)]
+        previous = [wl.parse_graph6(line) for line in level]
+        lines += level
+    return lines
+
+
+@pytest.mark.parametrize(
+    "n_max,connected_only",
+    [
+        (7, True),
+        (6, False),
+        pytest.param(7, False, marks=pytest.mark.slow),
+    ],
+)
+def test_least_key_filter_matches_every_candidate(n_max, connected_only):
+    mine = [wl.emit_graph6(g) for g in wl.enumerate_connected_graphs(n_max, connected_only=connected_only)]
+    assert mine == enumerate_every_candidate(n_max, connected_only)
+
+
+def test_least_key_filter_skips_cut_nodes():
+    # Two K4s joined through node 0, whose key (2, [4, 4]) is the least
+    # but which is a cut node; the new node 8 is a degree-3 K4 node.
+    edges = [(0, 1), (0, 5)]
+    edges += [(a, b) for side in ((1, 2, 3, 4), (5, 6, 7, 8)) for a, b in itertools.combinations(side, 2)]
+    adj = wl.Graph(9, edges).adj_masks
+    assert _new_node_has_least_key(adj, connected_only=True)
+    assert not _new_node_has_least_key(adj, connected_only=False)
+
+
+# SHA-256 of the newline-joined graph6 lines of every connected class
+# n <= 8, taken from the enumerator that canonicalized every candidate.
+ENUM_N8_SHA256 = "a70ff2fe9fec55e091049a14f60b5cc117eab3ac21aebfae16482d9acb6b3b88"
+
+
+@pytest.mark.slow
+def test_enumeration_n8_pins():
+    classes = list(wl.enumerate_connected_graphs(8))
+    # OEIS A001349, connected graphs by node count
+    assert [sum(g.n == n for g in classes) for n in range(1, 9)] == [1, 1, 2, 6, 21, 112, 853, 11117]
+    lines = "\n".join(wl.emit_graph6(g) for g in classes)
+    assert hashlib.sha256(lines.encode()).hexdigest() == ENUM_N8_SHA256
+    # OEIS A000088, all graphs on 7 nodes
+    assert sum(g.n == 7 for g in wl.enumerate_connected_graphs(7, connected_only=False)) == 1044
 
 
 @pytest.mark.slow
@@ -657,7 +718,7 @@ def test_treewidth_matches_bfs_dp():
     cases = [random_graph(rng, n, p) for n in (8, 9, 10) for p in (0.15, 0.3, 0.5, 0.8)]
     cases += [random_graph(rng, n, p) for n, p in ((11, 0.25), (11, 0.6), (12, 0.2), (12, 0.45), (12, 0.7))]
     cases.append(wl.disjoint_union(random_graph(rng, 5, 0.7), random_graph(rng, 6, 0.5)))
-    assert any(len(component_masks(g, 0)) > 1 for g in cases)
+    assert any(len(component_masks(g.adj_masks, 0)) > 1 for g in cases)
     for g in cases:
         assert wl.treewidth(g) == bfs_treewidth(g), wl.emit_graph6(g)
 

@@ -28,7 +28,7 @@ def random_graph(rng: random.Random, n: int, p: float = 0.4) -> wl.Graph:
 def random_connected(rng: random.Random, n: int) -> wl.Graph:
     while True:
         g = random_graph(rng, n, 0.5)
-        if n == 0 or len(component_masks(g, 0)) == 1:
+        if n == 0 or len(component_masks(g.adj_masks, 0)) == 1:
             return g
 
 
