@@ -26,7 +26,7 @@ import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
 from operator import itemgetter
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import ClosureError, ConfigurationError, check_deadline
 from .graphs import Graph, atp
@@ -321,37 +321,38 @@ class _TupleTable:
         return self.stages[main][phase[1] - 1].get(pos[len(main):], [])
 
 
-class _Context(_TupleTable):
-    """The tuple table plus what every update step reads: per colored
+class _Context:
+    """A tuple table plus what every update step reads: per colored
     tuple ``v``, one row per aggregation tuple ``u`` in sorted order
     holding the dictionary id of the isomorphism type of ``v + u`` and
     the replacements of ``v`` by ``u``."""
 
-    def __init__(self, spec: GfwlSpec, g: Graph, dictionary: ColorDictionary):
-        super().__init__(spec, g)
+    def __init__(self, table: _TupleTable, dictionary: ColorDictionary):
+        self.table = table
         self.dictionary = dictionary
-        id_for, type_code, getters = dictionary.id_for, self.type_code, self.getters
+        id_for, type_code, getters = dictionary.id_for, table.type_code, table.getters
         self.rows = {
             v: [(id_for(("atp", type_code(v + u))), [get(v + u) for get in getters]) for u in us]
-            for v, us in _deadline_checked(self.fsets.items())
+            for v, us in _deadline_checked(table.fsets.items())
         }
 
     def initial_colors(self) -> dict:
-        return {v: self.dictionary.id_for(("atp", self.type_code(v))) for v in self.rset}
+        return {v: self.dictionary.id_for(("atp", self.table.type_code(v))) for v in self.table.rset}
 
     def step(self, colors: dict) -> dict:
-        id_for, seq = self.dictionary.id_for, self.spec.j_seq
+        id_for, seq, stages = self.dictionary.id_for, self.table.spec.j_seq, self.table.stages
         new = {}
         for v, rows in self.rows.items():
             msgs = [
                 id_for(("msg", type_id, tuple([colors[w] for w in reps]))) for type_id, reps in rows
             ]
-            new[v] = _collapse(msgs, self.stages[v], seq, "upd", id_for)
+            new[v] = _collapse(msgs, stages[v], seq, "upd", id_for)
         return new
 
     def pool(self, colors: dict) -> int:
-        ids = [colors[v] for v in self.rset]
-        return _collapse(ids, self.stages[()], self.spec.i_seq, "pool", self.dictionary.id_for)
+        table = self.table
+        ids = [colors[v] for v in table.rset]
+        return _collapse(ids, table.stages[()], table.spec.i_seq, "pool", self.dictionary.id_for)
 
 
 def _partition_signature(contexts: Sequence[_Context], colors: Sequence[dict]) -> tuple:
@@ -359,26 +360,28 @@ def _partition_signature(contexts: Sequence[_Context], colors: Sequence[dict]) -
     return tuple(
         seen.setdefault(cols[v], len(seen))
         for ctx, cols in zip(contexts, colors)
-        for v in ctx.rset
+        for v in ctx.table.rset
     )
 
 
-def _stabilize(contexts: Sequence[_Context]) -> tuple[list[dict], int]:
-    """Step every context until the partition over the union of their
-    tuple universes stops changing; returns the stable colorings, one
-    per context, and the number of steps.  The run deadline is checked
-    before every step."""
+def _stabilize(contexts: Sequence[_Context]) -> Iterator[list[dict]]:
+    """Yield each round's colorings, one per context, from round 0 on:
+    every context is stepped until the partition over the union of
+    their tuple universes stops changing, and the last coloring yielded
+    is the stable one.  The run deadline is checked before every step."""
     colors = [ctx.initial_colors() for ctx in contexts]
+    yield colors
     signature = _partition_signature(contexts, colors)
-    bound = sum(len(ctx.rset) for ctx in contexts) + 1
+    bound = sum(len(ctx.table.rset) for ctx in contexts) + 1
     iterations = 0
     while True:
         check_deadline()
         colors = [ctx.step(cols) for ctx, cols in zip(contexts, colors)]
         iterations += 1
+        yield colors
         new_signature = _partition_signature(contexts, colors)
         if new_signature == signature:
-            return colors, iterations
+            return
         signature = new_signature
         # Partition chains on a finite universe are strictly shorter
         # than this; exceeding it means the stability check is broken.
@@ -392,8 +395,9 @@ def stabilize(spec: GfwlSpec, g: Graph) -> RefinementResult:
     tuple of the universe to its stable color; the identifiers come from
     a fresh dictionary, so they are comparable only within this result
     (:func:`joint_graph_colors` compares graphs)."""
-    ctx = _Context(spec, g, ColorDictionary())
-    (colors,), iterations = _stabilize([ctx])
+    ctx = _Context(_TupleTable(spec, g), ColorDictionary())
+    for iterations, (colors,) in enumerate(_stabilize([ctx])):
+        pass
     return RefinementResult(
         stable_colors=colors,
         iterations=iterations,
@@ -410,16 +414,48 @@ def joint_graph_colors(spec: GfwlSpec, *graphs: Graph) -> tuple[int, ...]:
     rounds only rename colors, so stopping later for other graphs in
     the batch changes no verdict."""
     dic = ColorDictionary()
-    contexts = [_Context(spec, g, dic) for g in graphs]
-    colors, _ = _stabilize(contexts)
+    contexts = [_Context(_TupleTable(spec, g), dic) for g in graphs]
+    for colors in _stabilize(contexts):
+        pass  # keep only the last, stable, round
     return tuple(ctx.pool(cols) for ctx, cols in zip(contexts, colors))
 
 
 def distinguish(spec: GfwlSpec, g: Graph, h: Graph) -> bool:
     """True when the refinement assigns ``g`` and ``h`` different
-    graph-level colors (joint run, shared dictionary)."""
-    color_g, color_h = joint_graph_colors(spec, g, h)
-    return color_g != color_h
+    graph-level colors, the verdict of ``joint_graph_colors(spec, g,
+    h)``.  The joint run stops at the first round whose color multisets
+    of ``g`` and ``h`` differ: from round 1 on always, and at round 0
+    (the sorted type codes of the two universes, read from the tuple
+    tables before any row or dictionary id is built) only when every
+    colored tuple of both graphs has a nonempty aggregation set.
+    Otherwise it runs to stability and compares the pooled colors.
+
+    Why a differing round decides the pair.  (a) Replacement 0 of
+    ``(v, u)`` is ``v``, so each of ``v``'s messages holds its previous
+    color: a tuple with a nonempty aggregation set carries its previous
+    color into its next one, through the injective dictionary.  (b) A
+    tuple with an empty aggregation set gets the hash of the empty
+    multiset chain, one fixed color from round 1 on, which no tuple
+    with messages ever gets.  (c) By (a) and (b), from round 1 on a
+    tuple's color is a function of its color one round later, one
+    function for both graphs since they share the dictionary; so color
+    multisets that differ at some round differ at every later one, the
+    stable round included.  Under the guard, (a) alone gives the same
+    from round 0; without it, round 0 proves nothing, since an empty
+    aggregation set drops the tuple's type at round 1.  Pooling hashes
+    the stable colors' nested multisets, so different stable multisets
+    give different graph-level colors."""
+    tables = [_TupleTable(spec, g), _TupleTable(spec, h)]
+    if all(all(table.fsets.values()) for table in tables):
+        codes_g, codes_h = (sorted(map(table.type_code, table.rset)) for table in tables)
+        if codes_g != codes_h:
+            return True
+    dic = ColorDictionary()
+    ctx_g, ctx_h = contexts = [_Context(table, dic) for table in tables]
+    for colors_g, colors_h in itertools.islice(_stabilize(contexts), 1, None):
+        if sorted(colors_g.values()) != sorted(colors_h.values()):
+            return True
+    return ctx_g.pool(colors_g) != ctx_h.pool(colors_h)
 
 
 # ---------------------------------------------------------------------------

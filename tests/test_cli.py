@@ -314,16 +314,20 @@ def test_time_limit_during_class_enumeration(capsys):
 
 def test_time_limit_during_table_build(capsys):
     # The deadline is checked per colored tuple while the tuple table and
-    # the refinement rows are built.  Under fwl_plus_k_t on the 4-cube Q4
-    # and the 4x4 rook's graph (16 nodes each), one graph's row build
-    # alone takes about half a second and the whole run about 1.8 s.
-    q4 = wl.Graph(16, [(a, a ^ (1 << b)) for a in range(16) for b in range(4) if a < a ^ (1 << b)])
+    # the refinement rows are built.  Under fwl_plus_k_t, the 4x4 rook's
+    # graph and the Shrikhande graph (both 6-regular on 16 nodes) have
+    # equal type codes, so round 0 cannot separate them: the two tuple
+    # tables take about 0.2 s, one graph's row build about 0.8 s more.
     rook = wl.Graph(16, [
         (i, j) for i in range(16) for j in range(i + 1, 16) if (i // 4 == j // 4) != (i % 4 == j % 4)
     ])
-    argv = ["distinguish", "--spec", "fwl_plus_k_t", "--g", wl.emit_graph6(q4)]
-    argv += ["--h", wl.emit_graph6(rook), "--time-limit-ms", "100"]
-    assert argv[4] == "Or`HOm?OH@ABAG@C_POAJ" and argv[6] == "O~`HW}GPHDaNaGPCcPWaN"
+    steps = {(0, 1), (0, 3), (1, 0), (3, 0), (1, 1), (3, 3)}
+    shrikhande = wl.Graph(16, [
+        (i, j) for i in range(16) for j in range(i + 1, 16) if ((j // 4 - i // 4) % 4, (j - i) % 4) in steps
+    ])
+    argv = ["distinguish", "--spec", "fwl_plus_k_t", "--g", wl.emit_graph6(rook)]
+    argv += ["--h", wl.emit_graph6(shrikhande), "--time-limit-ms", "100"]
+    assert argv[4] == "O~`HW}GPHDaNaGPCcPWaN" and argv[6] == "OlfJHsHBGK_\\oHWKeBK_\\"
     start = time.perf_counter()
     code, envelope, err = run_cli(capsys, argv)
     assert time.perf_counter() - start < 0.5

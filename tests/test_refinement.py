@@ -10,7 +10,7 @@ import random
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import wlpower as wl
@@ -18,6 +18,7 @@ from wlpower.errors import ClosureError, ConfigurationError
 from wlpower.graphs import component_masks
 from wlpower.refinement import ColorDictionary, _Context, _stage_groups, _TupleTable
 from wlpower.selectors import f_set, r_set
+from test_golden import UNEVEN_SPECS
 
 
 def random_graph(rng: random.Random, n: int, p: float = 0.4) -> wl.Graph:
@@ -119,8 +120,12 @@ def test_spec_json_round_trip():
 # Initial colors
 
 
+def context(spec: wl.GfwlSpec, g: wl.Graph, dic: ColorDictionary | None = None) -> _Context:
+    return _Context(_TupleTable(spec, g), ColorDictionary() if dic is None else dic)
+
+
 def initial_colors(spec: wl.GfwlSpec, g: wl.Graph, dic: ColorDictionary | None = None) -> dict:
-    return _Context(spec, g, ColorDictionary() if dic is None else dic).initial_colors()
+    return context(spec, g, dic).initial_colors()
 
 
 def test_init_colors_k2():
@@ -161,7 +166,7 @@ def test_init_colors_shared_dictionary():
 
 
 def test_refine_step_constant_on_vertex_transitive(c6):
-    ctx = _Context(wl.local_fwl_spec(1), c6, ColorDictionary())
+    ctx = context(wl.local_fwl_spec(1), c6)
     colors = ctx.initial_colors()
     assert len(set(colors.values())) == 1
     stepped = ctx.step(colors)
@@ -172,7 +177,7 @@ def test_refine_step_splits_by_degree():
     # one update step separates K3 from P3 tuple-histogram-wise
     spec = wl.local_fwl_spec(1)
     dic = ColorDictionary()
-    k3, p3 = _Context(spec, wl.complete_graph(3), dic), _Context(spec, wl.path_graph(3), dic)
+    k3, p3 = context(spec, wl.complete_graph(3), dic), context(spec, wl.path_graph(3), dic)
     a = k3.step(k3.initial_colors())
     b = p3.step(p3.initial_colors())
     assert Counter(a.values()) != Counter(b.values())
@@ -201,7 +206,7 @@ def test_stabilize_iteration_bound(classes5):
 def test_stabilize_fixpoint_idempotent(c6):
     spec = wl.fwl_spec(2)
     result = wl.stabilize(spec, c6)
-    stepped = _Context(spec, c6, ColorDictionary()).step(result.stable_colors)
+    stepped = context(spec, c6).step(result.stable_colors)
 
     def signature(colors):
         seen = {}
@@ -223,7 +228,7 @@ def test_refinement_is_monotone():
     spec = wl.fwl_spec(2)
     for _ in range(10):
         g = random_connected(rng, rng.randint(2, 5))
-        ctx = _Context(spec, g, ColorDictionary())
+        ctx = context(spec, g)
         prev = ctx.initial_colors()
         for _ in range(6):
             cur = ctx.step(prev)
@@ -271,7 +276,7 @@ def test_joint_colors_equal_iff_undistinguished(c6, two_c3):
 
 @st.composite
 def graph_lists(draw):
-    """Two to six graphs with one to six nodes each; some are relabeled
+    """Two to six graphs with zero to six nodes each; some are relabeled
     copies of earlier ones, so undistinguished pairs are common."""
     out = []
     for _ in range(draw(st.integers(min_value=2, max_value=6))):
@@ -279,32 +284,116 @@ def graph_lists(draw):
             g = draw(st.sampled_from(out))
             out.append(g.permuted(list(draw(st.permutations(range(g.n))))))
             continue
-        n = draw(st.integers(min_value=1, max_value=6))
+        n = draw(st.integers(min_value=0, max_value=6))
         pairs = list(itertools.combinations(range(n), 2))
         edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
         out.append(wl.Graph(n, edges))
     return out
 
 
+# The specs of the differential tests below, each with the largest node
+# count it runs on: the built-in ones, and the staged ones whose pooling
+# or update folds are nested (their universes grow fastest).
+DIFFERENTIAL_SPECS = [
+    *((name, spec, 6) for name, spec in wl.BUILTIN_SPECS.items()),
+    *((name, spec, 4) for name, spec in UNEVEN_SPECS.items()),
+    ("fwl_plus_2_2", wl.fwl_plus_spec(2, 2), 4),
+]
+
+
+# Two trees with degree sequence 3,2,2,1,1,1 that classic refinement
+# separates only in its second round.
+TREES = [
+    wl.Graph(6, [(0, 1), (0, 2), (0, 3), (3, 4), (4, 5)]),
+    wl.Graph(6, [(0, 1), (0, 2), (0, 3), (1, 4), (2, 5)]),
+]
+
+
 @settings(max_examples=40, deadline=None)
 @given(graph_lists())
+@example([*TREES, wl.empty_graph(0), wl.empty_graph(2), wl.complete_graph(2)])
 def test_joint_colors_match_pairwise_distinguish(graphs):
     # One joint run over the whole list against a fresh pairwise run per
-    # pair: the batch stops only when every graph is stable, which must
-    # not change any pair's verdict.
-    for name, spec in wl.BUILTIN_SPECS.items():
-        colors = wl.joint_graph_colors(spec, *graphs)
-        assert len(colors) == len(graphs)
-        for (i, g), (j, h) in itertools.combinations(enumerate(graphs), 2):
+    # pair: the batch stops only when every graph is stable, and a pair
+    # stops at its first separating round, which must not change any
+    # pair's verdict.
+    for name, spec, n_max in DIFFERENTIAL_SPECS:
+        batch = [g for g in graphs if g.n <= n_max]
+        colors = wl.joint_graph_colors(spec, *batch)
+        assert len(colors) == len(batch)
+        for (i, g), (j, h) in itertools.combinations(enumerate(batch), 2):
             assert (colors[i] == colors[j]) == (not wl.distinguish(spec, g, h)), name
 
 
+def assert_distinguish_matches_joint_colors(classes):
+    # Every pair with repetition of ``classes``, under each built-in spec:
+    # the early-stopping pairwise verdict against one joint run to
+    # stability.
+    for name, spec in wl.BUILTIN_SPECS.items():
+        colors = wl.joint_graph_colors(spec, *classes)
+        for i, j in itertools.combinations_with_replacement(range(len(classes)), 2):
+            expected = colors[i] != colors[j]
+            assert wl.distinguish(spec, classes[i], classes[j]) == expected, (name, i, j)
+
+
+def test_distinguish_matches_joint_colors_exhaustive(classes5):
+    assert_distinguish_matches_joint_colors(classes5)
+
+
+@pytest.mark.slow
+def test_distinguish_matches_joint_colors_exhaustive_n6(classes6):
+    assert_distinguish_matches_joint_colors(classes6)
+
+
+def count_calls(monkeypatch, owner, name: str) -> list:
+    """Wrap ``owner.name`` so that every call appends its arguments to
+    the returned list."""
+    calls, real = [], getattr(owner, name)
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_distinguish_stops_at_round_0(monkeypatch):
+    # Under fwl_k every tuple aggregates over all nodes, so graphs with
+    # different edge counts differ in their type codes: the tables alone
+    # decide, and no refinement row is built.
+    built = count_calls(monkeypatch, wl.refinement, "_Context")
+    assert wl.distinguish(wl.PRESET_SPECS["fwl_k"], wl.path_graph(4), wl.cycle_graph(4))
+    assert built == []
+    assert not wl.distinguish(wl.PRESET_SPECS["fwl_k"], wl.cycle_graph(4), wl.cycle_graph(4))
+    assert len(built) == 2
+
+
+def test_distinguish_skips_round_0_with_empty_aggregation_sets(monkeypatch):
+    # Under local_2fwl no tuple of two isolated nodes has a neighbour to
+    # aggregate over: all its tuples get one color at round 1, whatever
+    # their types, so round 0 proves nothing and the run must refine.
+    built = count_calls(monkeypatch, wl.refinement, "_Context")
+    assert wl.distinguish(wl.BUILTIN_SPECS["local_2fwl"], wl.empty_graph(2), wl.complete_graph(2))
+    assert len(built) == 2
+
+
+def test_distinguish_stops_at_the_separating_round(monkeypatch):
+    # Classic refinement separates the two trees in its second round;
+    # their joint run takes longer to become stable.
+    t1, t2 = TREES
+    spec = wl.local_fwl_spec(1)
+    steps = count_calls(monkeypatch, _Context, "step")
+    assert wl.distinguish(spec, t1, t2)
+    assert len(steps) == 2 * 2
+    steps.clear()
+    wl.joint_graph_colors(spec, t1, t2)
+    assert len(steps) > 2 * 2
+
+
 def test_joint_colors_wait_for_the_slowest_graph(c6, two_c3):
-    # Two trees with degree sequence 3,2,2,1,1,1 that classic refinement
-    # separates only in its second round, batched after a graph that is
-    # stable after one round.
-    t1 = wl.Graph(6, [(0, 1), (0, 2), (0, 3), (3, 4), (4, 5)])
-    t2 = wl.Graph(6, [(0, 1), (0, 2), (0, 3), (1, 4), (2, 5)])
+    # The two trees, batched after a graph that is stable after one round.
+    t1, t2 = TREES
     graphs = [wl.Graph(1, []), t1, t2, c6, two_c3]
     for name, spec in wl.BUILTIN_SPECS.items():
         colors = wl.joint_graph_colors(spec, *graphs)
@@ -485,14 +574,6 @@ def test_closure_error_exactly_when_violated(graph_classes5):
                     assert not violated, (spec, g)
 
 
-# Uneven schedules: a two-stage ``i_seq`` with a first step of 2, and a
-# two-stage ``j_seq`` with steps 2 and 1.
-UNEVEN_SPECS = [
-    wl.GfwlSpec(3, 1, (0, 2, 3), (0, 1), wl.RSelector("all_k_tuples"), wl.FSelector("all_nodes")),
-    wl.GfwlSpec(2, 3, (0, 2), (0, 2, 3), wl.RSelector("all_k_tuples"), wl.FSelector("all_t_tuples")),
-]
-
-
 def brute_stage(tuples: list, a: int, b: int) -> dict:
     """Every length-``a`` prefix of ``tuples`` mapped to the sorted
     suffixes of its length-``b`` extensions."""
@@ -507,7 +588,7 @@ def test_stage_groups_match_brute_force(graph_classes5):
     # stage must also list its prefixes sorted, and its groups in order
     # must spell the next stage's prefixes (the last stage's, the tuples).
     checked = 0
-    for spec in [*UNEVEN_SPECS, wl.drfwl2_spec(1)]:
+    for spec in [*UNEVEN_SPECS.values(), wl.drfwl2_spec(1)]:
         for g in graph_classes5:
             table = _TupleTable(spec, g)
             lists = [((), table.rset, spec.i_seq)]

@@ -106,17 +106,17 @@ def test_imported_names_are_used():
     assert not found, found
 
 
-def calls_outside(class_name: str, names: set, paths) -> list[str]:
+def calls_outside(scope: str, names: set, paths) -> list[str]:
     """``file:line: name`` for each call of one of ``names`` in ``paths``
-    that is not inside the class ``class_name``."""
+    that is not inside the class or function named ``scope``."""
     found = []
     for path in paths:
         tree = ast.parse(path.read_text(), filename=path.name)
         inside = {
             id(node)
-            for cls in ast.walk(tree)
-            if isinstance(cls, ast.ClassDef) and cls.name == class_name
-            for node in ast.walk(cls)
+            for owner in ast.walk(tree)
+            if isinstance(owner, (ast.ClassDef, ast.FunctionDef)) and owner.name == scope
+            for node in ast.walk(owner)
         }
         for node in ast.walk(tree):
             if isinstance(node, ast.Call) and id(node) not in inside:
@@ -133,6 +133,14 @@ def test_tuple_facts_come_from_one_table():
     # sets, the staged prefix groups and the isomorphism-type codes.
     derive = {"r_set", "f_set", "_stage_groups", "atp"}
     found = calls_outside("_TupleTable", derive, [PACKAGE / "refinement.py", PACKAGE / "games.py"])
+    assert not found, found
+
+
+def test_one_refinement_loop():
+    # One round loop for 1..N graphs: only ``_stabilize`` starts and
+    # steps a coloring, so ``stabilize``, ``joint_graph_colors`` and the
+    # early-stopping ``distinguish`` all read their rounds from it.
+    found = calls_outside("_stabilize", {"initial_colors", "step"}, sorted(PACKAGE.glob("*.py")))
     assert not found, found
 
 
