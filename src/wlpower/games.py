@@ -31,13 +31,28 @@ whose refinement is undefined raises
   after each placement and grows back to its enclosing component after
   each removal.  Cops must trap Robber in finite play, so the solver
   computes the attractor (least fixed point) of the Robber-stuck
-  positions, folding Robber replies into for-all edges.  Its states are
-  positions up to pebble order: every selector kind is symmetric in the
-  entries of a tuple and Robber's component depends only on the set of
-  pebbled nodes, so sorting the pebble tuple keeps a state's value (the
-  symmetry quotient of Emerson and Sistla, "Symmetry and model
-  checking", FMSD 1996; Seymour and Thomas place cops as a set for the
-  same reason, JCTB 1993).
+  positions, folding Robber replies into for-all edges.
+
+Both games key their states by positions up to pebble order, one rule
+for both (:func:`_pebble_order`; the symmetry quotient of Emerson and
+Sistla, "Symmetry and model checking", FMSD 1996; Seymour and Thomas
+place cops as a set for the same reason, JCTB 1993).  Permuting pebble
+indices keeps a state's value.  Every selector kind is symmetric in the
+entries of a tuple: the universe and the aggregation sets are closed
+under permuting a tuple's entries, and each aggregation set depends only
+on the entries of its colored tuple
+(``tests/test_selectors.py::test_r_set_closed_under_entry_permutations``
+and ``::test_f_set_depends_on_entry_set``), so permuted positions have
+the same choices up to the same permutation.  In the bijection game one
+permutation moves both sides at once, so it keeps two occupied tuples'
+types equal or unequal (the type of a permuted tuple is the permuted
+type); in the pursuit game Robber's component depends only on the set of
+pebbled nodes.  A whole-tuple sort is safe in the initialization round,
+whose choices depend only on the universe, and where the next move is a
+removal, which keeps every k-subset of the positions; within an update
+round the main part ``pos[:k]``, whose aggregation set the next stage
+draws from, and the aux part are sorted separately.  The bijection game
+sorts ``(g node, h node)`` pairs, so its pairs stay together.
 
 Each game has one successor function (``_BijectionMoves``,
 ``_PursuitMoves``) that both its solver and :func:`replay_certificate`
@@ -68,7 +83,7 @@ from typing import Iterable, Iterator
 
 from .errors import BudgetError, CertificateError, check_deadline
 from .graphs import Graph, component_masks, mask_nodes, node_mask
-from .refinement import GfwlSpec, _index_vectors, _TupleTable
+from .refinement import GfwlSpec, _index_vectors, _tables_of, _TupleTable
 # ``r_set`` and ``f_set`` are not called here: the tuple table reads
 # them.  They stay module attributes because the benchmark's span tracer
 # (``perfbench/spans.py``) wraps ``wlpower.games.r_set`` and ``f_set``.
@@ -119,47 +134,55 @@ def _next_phase(spec: GfwlSpec, phase: tuple) -> tuple:
     return ("U", 1)
 
 
-class _BijectionMoves:
-    """The bijection game on ``(g, h)``.  A state key is ``(phase,
-    g-side tuple, h-side tuple)``; two occupied tuples have the same
-    type when their :func:`~wlpower.graphs.atp` codes are equal.  Only a
-    put can end in a type mismatch: it checks the whole position, and
-    every index selection of two tuples of one type has one type, so a
-    removal never does.  :meth:`puts` buckets a putting state's choices
-    by the type of the position they lead to, so it pairs only choices
-    of one type; the solver and both replays take every put from it, and
-    a pair it does not list is a type mismatch."""
+def _pebble_order(k: int, phase: tuple, pebbles: tuple) -> tuple:
+    """``pebbles`` up to pebble order in phase ``phase``, the one rule by
+    which both games key their positions: the whole tuple sorted in
+    phases ``I`` and ``R``, the main part ``[:k]`` and the aux part
+    ``[k:]`` sorted separately in phase ``U``.  The pursuit game passes
+    its pebbled nodes; the bijection game passes ``(g node, h node)``
+    pairs, so one permutation of pebble indices moves both sides."""
+    if phase[0] == "U":
+        return (*sorted(pebbles[:k]), *sorted(pebbles[k:]))
+    return tuple(sorted(pebbles))
 
-    def __init__(self, spec: GfwlSpec, g: Graph, h: Graph):
-        self.spec = spec
-        self.tables_g = _TupleTable(spec, g)
-        self.tables_h = _TupleTable(spec, h)
+
+class _BijectionMoves:
+    """The bijection game on the graphs of two tuple tables of one spec.
+    A state key is ``(phase, g-side tuple, h-side tuple)``, with the two
+    sides up to one joint pebble order (:func:`_pebble_order` on their
+    pairs); two occupied tuples have the same type when their
+    :func:`~wlpower.graphs.atp` codes are equal.  Only a put can end in
+    a type mismatch: it checks the whole position, and every index
+    selection of two tuples of one type has one type, so a removal never
+    does.  :meth:`puts` pairs the two sides' put rows
+    (:meth:`~wlpower.refinement._TupleTable.put_row`), so it pairs only
+    choices of one type; the solver and both replays take every put from
+    it, and a pair it does not list is a type mismatch."""
+
+    def __init__(self, table_g: _TupleTable, table_h: _TupleTable):
+        self.spec = table_g.spec
+        self.tables_g = table_g
+        self.tables_h = table_h
 
     def puts(self, key: tuple) -> tuple[int, list | None]:
         """A putting state's g-side choice count and its type-respecting
         puts: ``(g index, h index, successor)`` in index order, pairing
-        each g-side choice only with the h-side choices whose position
-        has the same type.  The puts are None when the two sides'
-        per-type counts differ: then no bijection respects types (Hall's
-        condition fails), so the state is lost for the second player
-        whatever its successors."""
+        each g-side choice with every h-side choice whose position has
+        the same type, and each successor up to joint pebble order.
+        Puts are never merged, even where two lead to one successor:
+        Duplicator's bijection is over choices.  The puts are None when
+        the two sides' per-type counts differ: then no bijection respects
+        types (Hall's condition fails), so the state is lost for the
+        second player whatever its successors."""
         phase, pos_g, pos_h = key
-        d = self.tables_g.put_choices(phase, pos_g)
-        e = self.tables_h.put_choices(phase, pos_h)
-        if len(d) != len(e):  # Hall fails on the totals alone: skip the type codes
-            return len(d), None
-        new_g = [pos_g + a for a in d]
-        new_h = [pos_h + b for b in e]
-        codes_g = list(map(self.tables_g.type_code, new_g))
-        codes_h = list(map(self.tables_h.type_code, new_h))
-        if sorted(codes_g) != sorted(codes_h):
-            return len(d), None
-        buckets: dict[int, list[int]] = {}
-        for bi, code in enumerate(codes_h):
-            buckets.setdefault(code, []).append(bi)
+        new_g, codes_g, counts_g, _ = self.tables_g.put_row(phase, pos_g)
+        new_h, _, counts_h, buckets = self.tables_h.put_row(phase, pos_h)
+        if counts_g != counts_h:
+            return len(new_g), None
         nxt = _next_phase(self.spec, phase)
-        return len(d), [
-            (ai, bi, (nxt, tup, new_h[bi]))
+        k, order = self.spec.k, _pebble_order
+        return len(new_g), [
+            (ai, bi, (nxt, *zip(*order(k, nxt, tuple(zip(tup, new_h[bi]))))))
             for ai, (tup, code) in enumerate(zip(new_g, codes_g))
             for bi in buckets[code]
         ]
@@ -167,7 +190,9 @@ class _BijectionMoves:
     def removals(self, key: tuple) -> list[tuple]:
         """The successors of a removing state, one per index selection
         in lexicographic order: keeping selection ``c`` is replacement
-        ``c``, so the table's getters give them."""
+        ``c``, so the table's getters give them.  The kept pairs are an
+        ordered subsequence of a jointly sorted position, so they need
+        no sort."""
         _, pos_g, pos_h = key
         return [(("U", 1), get(pos_g), get(pos_h)) for get in self.tables_g.getters]
 
@@ -192,19 +217,11 @@ class _PursuitMoves:
     """The pursuit game on one graph.  A state key is ``(phase, pebbles,
     Robber's component)``, with the component as a node mask (bit ``v``
     set iff node ``v`` is in it) and the pebbles up to pebble order
-    (:meth:`canon`, the one place that orders them).  That keeps every
-    state's value: the universe and the aggregation sets are closed under
-    permuting a tuple's entries, each aggregation set depends only on the
-    entries of its colored tuple
-    (``tests/test_selectors.py::test_r_set_closed_under_entry_permutations``
-    and ``::test_f_set_depends_on_entry_set``), so permuted positions have
-    the same choices up to the same permutation; Robber's component
-    depends only on the set of pebbled nodes; and a removal keeps every
-    k-subset of the positions, so a whole-tuple sort is safe where the
-    next move is a removal.  Robber's component is always a
-    component of g minus the pebbled nodes, so every component comes
-    from one table keyed by the blocked-node mask, the game's only memo
-    (:class:`_ComponentTable`, a dict that fills itself on a miss).
+    (:func:`_pebble_order`, sound as the module docstring says).
+    Robber's component is always a component of g minus the pebbled
+    nodes, so every component comes from one table keyed by the
+    blocked-node mask, the game's only memo (:class:`_ComponentTable`, a
+    dict that fills itself on a miss).
     A put's replies are the table's components inside Robber's, and a
     removal's grown component is the one holding the lowest node of
     Robber's: Robber's component is connected and avoids the kept
@@ -223,15 +240,6 @@ class _PursuitMoves:
         """The empty board with Robber in each component of g."""
         return [(("I", 1), (), comp) for comp in self._components[0]]
 
-    def canon(self, phase: tuple, pos: tuple) -> tuple:
-        """``pos`` up to pebble order in phase ``phase``: the whole tuple
-        sorted in phases ``I`` and ``R``, the main part ``pos[:k]`` and
-        the aux part ``pos[k:]`` sorted separately in phase ``U``."""
-        if phase[0] == "U":
-            k = self.spec.k
-            return (*sorted(pos[:k]), *sorted(pos[k:]))
-        return tuple(sorted(pos))
-
     def moves(self, key: tuple) -> list[tuple]:
         """Cops' moves as ``[(choice, [successor per Robber reply])]``.
         A put leaves Robber the components inside the current one, and
@@ -246,10 +254,10 @@ class _PursuitMoves:
         if phase[0] != "R":
             nxt = _next_phase(self.spec, phase)
             blocked = node_mask(pos)
-            canon = self.canon
+            k = self.spec.k
             offered = set()
             for delta in self.tables.put_choices(phase, pos):
-                new_pos = canon(nxt, pos + delta)
+                new_pos = _pebble_order(k, nxt, pos + delta)
                 if new_pos in offered:
                     continue
                 offered.add(new_pos)
@@ -355,6 +363,7 @@ def spoiler_wins(
     *,
     max_states: int = DEFAULT_MAX_STATES,
     want_certificate: bool = True,
+    tables: tuple[_TupleTable, _TupleTable] | None = None,
 ) -> GameVerdict:
     """Decide the bijection game on ``(g, h)``.
 
@@ -367,14 +376,18 @@ def spoiler_wins(
     Spoiler certificate lists the deleted states (``dead``) and pairs each
     deleted removing state with a refuting index selection
     (``remove_choices``).  The run deadline is checked every 256
-    generated states and when generation ends.
+    generated states and when generation ends.  States are counted up
+    to joint pebble order.
     ``stats`` holds the phase milliseconds (``table_ms`` builds the two
     tuple tables), ``matching_calls`` (bipartite matchings run by the
     fixpoint) and ``cut_states`` (putting states cut, dead at birth, by
     Hall's condition).
+    ``tables`` hands in the tuple tables of ``(spec, g)`` and ``(spec,
+    h)`` when the caller built them already, so a suite that solves many
+    pairs builds one table per graph and shares its put rows.
     """
     start = time.perf_counter()
-    solver = _EfSolver(spec, g, h, max_states)
+    solver = _EfSolver(*_tables_of(spec, (g, h), tables), max_states)
     built = time.perf_counter()
     solver.generate()
     generated = time.perf_counter()
@@ -409,9 +422,9 @@ class _EfSolver:
     state died, so Spoiler replay follows the order of deaths and never
     cycles."""
 
-    def __init__(self, spec: GfwlSpec, g: Graph, h: Graph, max_states: int):
-        self.spec = spec
-        self.game = _BijectionMoves(spec, g, h)
+    def __init__(self, table_g: _TupleTable, table_h: _TupleTable, max_states: int):
+        self.spec = table_g.spec
+        self.game = _BijectionMoves(table_g, table_h)
         self.states = _StateIndex("bijection", max_states)
         self.choices: list = []
         self.succs: list = []
@@ -735,7 +748,7 @@ def _replay_robber(cert: dict, spec: GfwlSpec, g: Graph) -> bool:
 
 def _replay_duplicator(cert: dict, spec: GfwlSpec, g: Graph, h: Graph) -> bool:
     region = _read(cert, "region", _bijection_key)
-    game = _BijectionMoves(spec, g, h)
+    game = _BijectionMoves(_TupleTable(spec, g), _TupleTable(spec, h))
 
     def follow(key: tuple) -> list | None:
         """Every removal, or the puts of a perfect matching of the typed
@@ -758,7 +771,7 @@ def _replay_duplicator(cert: dict, spec: GfwlSpec, g: Graph, h: Graph) -> bool:
 def _replay_spoiler(cert: dict, spec: GfwlSpec, g: Graph, h: Graph) -> bool:
     dead_set = _read(cert, "dead", _bijection_key)
     remove_choices = _read(cert, "remove_choices", _bijection_key, pairs=True)
-    game = _BijectionMoves(spec, g, h)
+    game = _BijectionMoves(_TupleTable(spec, g), _TupleTable(spec, h))
     combos = _index_vectors(spec.k, spec.t)
     proven: set = set()
 

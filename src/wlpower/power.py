@@ -41,7 +41,13 @@ from .graphs import (
 # ``distinguish`` is not called here any more.  It stays a module
 # attribute because the benchmark's span tracer (``perfbench/spans.py``)
 # wraps ``wlpower.power.distinguish``, and ``--trace 1`` fails without it.
-from .refinement import GfwlSpec, distinguish, fwl_spec, joint_graph_colors  # noqa: F401
+from .refinement import (  # noqa: F401
+    GfwlSpec,
+    _TupleTable,
+    distinguish,
+    fwl_spec,
+    joint_graph_colors,
+)
 from .selectors import FSelector, RSelector, check_hom_closed
 
 #: Fewest classes per worker process in a split sweep.  A forked worker
@@ -253,16 +259,18 @@ def validate_theorem2(
 ) -> ValidationReport:
     """Check distinguish(g, h) == first player wins the bijection game,
     over all unordered pairs of connected classes up to ``n_max`` plus
-    one permuted equal-class pair per class.  The refinement side is one
-    joint run over the classes and their permuted copies; the game side
-    is solved per pair."""
+    one permuted equal-class pair per class.  One tuple table per class
+    and per permuted copy serves both sides: the refinement side is one
+    joint run over them, and the game side is solved per pair on the
+    pair's two tables."""
     if n_max > 5:
         raise ConfigurationError("bijection-game suite is budgeted for n_max <= 5")
     classes = connected_classes(n_max)
     rng = random.Random(seed)
     copies = [_permuted_copy(g, rng) for g in classes]
     graphs = [*classes, *copies]
-    colors = joint_graph_colors(spec, *graphs)
+    tables = [_TupleTable(spec, x) for x in graphs]
+    colors = joint_graph_colors(spec, *graphs, tables=tables)
     count = len(classes)
     pairs: list[tuple[int, int]] = []  # indices into ``graphs``
     for i in range(count):
@@ -272,7 +280,9 @@ def validate_theorem2(
     for a, b in pairs:
         g, h = graphs[a], graphs[b]
         refined = colors[a] != colors[b]
-        game = spoiler_wins(spec, g, h, max_states=max_states, want_certificate=False)
+        game = spoiler_wins(
+            spec, g, h, max_states=max_states, want_certificate=False, tables=(tables[a], tables[b])
+        )
         if refined != (game.winner == "spoiler"):
             mismatches.append(
                 {

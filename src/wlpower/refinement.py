@@ -268,7 +268,8 @@ class _TupleTable:
     """The tuple facts of one (spec, graph), built once per call: the
     sorted universe ``rset``, each colored tuple's sorted aggregation
     tuples ``fsets[v]``, the replacement ``getters``, the staged prefix
-    groups and one memo of :func:`~wlpower.graphs.atp` codes.
+    groups, one memo of :func:`~wlpower.graphs.atp` codes and one of
+    bijection-game put rows (:meth:`put_row`).
     ``stages[v]`` groups ``fsets[v]`` by ``j_seq`` and ``stages[()]``
     groups the universe by ``i_seq`` (``R(G)`` is ``F(G, ())``):
     refinement folds its aggregations over them, and both games choose
@@ -289,6 +290,7 @@ class _TupleTable:
         self.stages[()] = _stage_groups(self.rset, spec.i_seq)
         self.getters = getters = _replacement_getters(spec.k, spec.t)
         self._types: dict = {}
+        self._put_rows: dict = {}
         if len(self.rset) == g.n ** spec.k:
             return
         universe, k = set(self.rset), spec.k
@@ -319,6 +321,22 @@ class _TupleTable:
         table is built, so every colored tuple a game reaches is a key."""
         main = () if phase[0] == "I" else pos[: self.spec.k]
         return self.stages[main][phase[1] - 1].get(pos[len(main):], [])
+
+    def put_row(self, phase: tuple, pos: tuple) -> tuple:
+        """One side of a bijection-game putting state, built once per
+        ``(phase, pos)``: the positions its choices lead to in
+        :meth:`put_choices` order, their type codes, the sorted codes
+        (two sides admit a type-respecting bijection iff theirs are
+        equal) and each code's choice indices."""
+        row = self._put_rows.get((phase, pos))
+        if row is None:
+            new = [pos + delta for delta in self.put_choices(phase, pos)]
+            codes = list(map(self.type_code, new))
+            buckets: dict[int, list[int]] = {}
+            for index, code in enumerate(codes):
+                buckets.setdefault(code, []).append(index)
+            row = self._put_rows[(phase, pos)] = (new, codes, sorted(codes), buckets)
+        return row
 
 
 class _Context:
@@ -405,16 +423,29 @@ def stabilize(spec: GfwlSpec, g: Graph) -> RefinementResult:
     )
 
 
-def joint_graph_colors(spec: GfwlSpec, *graphs: Graph) -> tuple[int, ...]:
+def _tables_of(spec: GfwlSpec, graphs: Sequence[Graph], tables: Sequence[_TupleTable] | None) -> list:
+    """The tuple table of ``(spec, g)`` per graph ``g``: ``tables`` when
+    the caller built them already, else new ones."""
+    if tables is None:
+        return [_TupleTable(spec, g) for g in graphs]
+    if len(tables) != len(graphs) or any(t.spec != spec or t.g != g for t, g in zip(tables, graphs)):
+        raise ValueError("tables must be the tuple tables of the spec and the graphs, in order")
+    return list(tables)
+
+
+def joint_graph_colors(
+    spec: GfwlSpec, *graphs: Graph, tables: Sequence[_TupleTable] | None = None
+) -> tuple[int, ...]:
     """Graph-level colors of one or more graphs from one joint run: a
     single dictionary and a single stabilization loop over all their
     tuple universes, so the identifiers are directly comparable.  Two
     graphs get equal colors exactly when :func:`distinguish` says they
     are not distinguished: once the joint partition is stable, further
     rounds only rename colors, so stopping later for other graphs in
-    the batch changes no verdict."""
+    the batch changes no verdict.  ``tables`` hands in the graphs' tuple
+    tables when the caller built them already."""
     dic = ColorDictionary()
-    contexts = [_Context(_TupleTable(spec, g), dic) for g in graphs]
+    contexts = [_Context(table, dic) for table in _tables_of(spec, graphs, tables)]
     for colors in _stabilize(contexts):
         pass  # keep only the last, stable, round
     return tuple(ctx.pool(cols) for ctx, cols in zip(contexts, colors))

@@ -13,6 +13,7 @@ import wlpower as wl
 import wlpower.cli as cli
 from wlpower.errors import ConfigurationError
 from wlpower.power import ValidationReport
+from furer import furer_pair
 
 
 @pytest.fixture(autouse=True)
@@ -385,6 +386,22 @@ def test_module_entry_point():
     assert done.returncode == 0, done.stderr
     assert "usage: wlpower" in done.stdout
     assert "RuntimeWarning" not in done.stderr
+
+
+@pytest.mark.slow
+def test_ef_decides_the_furer_k4_pair(tmp_path):
+    # The bijection game on the Fürer pair of K4 under ``fwl_k`` fits the
+    # default state budget, so the command exits 0 with a verdict.
+    g, h = map(wl.emit_graph6, furer_pair(wl.complete_graph(4)))
+    src = str(Path(wl.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-m", "wlpower", "ef", "--spec", "fwl_k", "--g", g, "--h", h,
+         "--cache-dir", str(tmp_path)],
+        capture_output=True, text=True, env=env, timeout=600,
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["payload"]["winner"] == "duplicator"
 
 
 def test_power_incomplete_exits_3(capsys):

@@ -23,9 +23,17 @@ from wlpower.games import (
     _PursuitMoves,
     _max_matching,
     _next_phase,
+    _pebble_order,
 )
+from wlpower.refinement import _TupleTable
+from furer import furer_pair
 from wlpower.graphs import component_masks, mask_nodes
 from test_golden import UNEVEN_SPECS
+
+
+def ef_solver(spec: wl.GfwlSpec, g: wl.Graph, h: wl.Graph, max_states: int) -> _EfSolver:
+    """The bijection solver on ``(g, h)``, not yet run."""
+    return _EfSolver(_TupleTable(spec, g), _TupleTable(spec, h), max_states)
 
 
 def nx_trees(n: int) -> list[wl.Graph]:
@@ -157,12 +165,36 @@ def test_bijection_budget():
     assert exc.value.stats["states"] == 5
 
 
+def test_bijection_takes_the_pair_tables(c6, two_c3):
+    # Tuple tables built by the caller give the same verdict; tables of
+    # other graphs, of the pair in the other order or of another spec
+    # are refused.
+    spec = wl.fwl_spec(2)
+    tables = (_TupleTable(spec, c6), _TupleTable(spec, two_c3))
+    assert wl.spoiler_wins(spec, c6, two_c3, tables=tables) == wl.spoiler_wins(spec, c6, two_c3)
+    for bad_spec, g, h in [(spec, two_c3, c6), (spec, c6, wl.path_graph(6)), (wl.local_fwl_spec(2), c6, two_c3)]:
+        with pytest.raises(ValueError):
+            wl.spoiler_wins(bad_spec, g, h, tables=tables)
+
+
 def test_bijection_agrees_with_refinement(classes4):
     for spec in (wl.fwl_spec(2), wl.local_fwl_spec(1)):
         for g, h in itertools.combinations(classes4, 2):
             verdict = wl.spoiler_wins(spec, g, h, want_certificate=False)
             expected = "spoiler" if wl.distinguish(spec, g, h) else "duplicator"
             assert verdict.winner == expected
+
+
+@pytest.mark.slow
+def test_furer_k4_pair_fits_the_default_budget():
+    # K4 has treewidth 3, so 2-FWL does not count it and Duplicator wins
+    # on its Fürer pair (two 16-node graphs).  Up to joint pebble order
+    # the arena fits the default state budget; the full game does not.
+    g, h = furer_pair(wl.complete_graph(4))
+    assert not wl.distinguish(wl.fwl_spec(2), g, h)
+    verdict = wl.spoiler_wins(wl.fwl_spec(2), g, h, want_certificate=False)
+    assert verdict.winner == "duplicator"
+    assert verdict.states_explored < DEFAULT_MAX_STATES
 
 
 @st.composite
@@ -223,31 +255,34 @@ def test_bijection_fixpoint_matches_naive_iteration(classes4):
     pairs += [(wl.cycle_graph(5), wl.path_graph(5)), (wl.cycle_graph(6), two_c3)]
     for spec in wl.BUILTIN_SPECS.values():
         for g, h in pairs:
-            solver = _EfSolver(spec, g, h, 100_000)
+            solver = ef_solver(spec, g, h, 100_000)
             solver.generate()
             solver.fixpoint()
             fast = solver.alive
             assert naive_alive(solver) == fast
 
 
-def test_removals_keep_one_type_on_both_sides(classes4):
+def test_removals_keep_one_type_on_both_sides(classes4, monkeypatch):
     # A removing state is reached only by a put that type-checked the
     # whole position, so every index selection keeps pebbles of one type
-    # on both sides; this is why a removal needs no type check.
+    # on both sides; this is why a removal needs no type check.  Both
+    # the quotient's arenas and the full game's are checked.
     specs = [*wl.BUILTIN_SPECS.values(), wl.fwl_plus_spec(2, 2)]
     checked = 0
-    for spec in specs:
-        combos = list(itertools.combinations(range(spec.k + spec.t), spec.k))
-        for g, h in itertools.combinations_with_replacement(classes4, 2):
-            solver = _EfSolver(spec, g, h, 100_000)
-            solver.generate()
-            removing = [key for key in solver.states.keys if key[0][0] == "R"]
-            checked += len(removing)
-            for _, pos_g, pos_h in removing:
-                for combo in combos:
-                    sel_g = [pos_g[i] for i in combo]
-                    sel_h = [pos_h[i] for i in combo]
-                    assert wl.atp(g, sel_g) == wl.atp(h, sel_h), (spec, g, h, pos_g, pos_h, combo)
+    for order in (_pebble_order, played_order):
+        monkeypatch.setattr("wlpower.games._pebble_order", order)
+        for spec in specs:
+            combos = list(itertools.combinations(range(spec.k + spec.t), spec.k))
+            for g, h in itertools.combinations_with_replacement(classes4, 2):
+                solver = ef_solver(spec, g, h, 100_000)
+                solver.generate()
+                removing = [key for key in solver.states.keys if key[0][0] == "R"]
+                checked += len(removing)
+                for _, pos_g, pos_h in removing:
+                    for combo in combos:
+                        sel_g = [pos_g[i] for i in combo]
+                        sel_h = [pos_h[i] for i in combo]
+                        assert wl.atp(g, sel_g) == wl.atp(h, sel_h), (spec, g, h, pos_g, pos_h, combo)
     assert checked > 10_000
 
 
@@ -359,7 +394,7 @@ def test_replay_duplicator(c6, two_c3):
     assert not wl.replay_certificate(without(lambda key: key[0] == ("U", 1)), spec, (c6, two_c3))
     # Spoiler picks the removal, so every removal must stay inside.
     removing = next(key for key in verdict.certificate["region"] if key[0][0] == "R")
-    removed = set(_BijectionMoves(spec, c6, two_c3).removals(removing))
+    removed = set(_BijectionMoves(_TupleTable(spec, c6), _TupleTable(spec, two_c3)).removals(removing))
     assert not wl.replay_certificate(without(lambda key: key in removed), spec, (c6, two_c3))
 
 
@@ -368,7 +403,7 @@ def test_duplicator_region_is_the_complement_of_spoiler_dead(c6, two_c3):
     # region is every state the fixpoint left alive, Spoiler's dead list
     # every other state.
     for spec, g, h in [(wl.local_fwl_spec(1), c6, two_c3), (wl.fwl_spec(2), c6, two_c3)]:
-        solver = _EfSolver(spec, g, h, DEFAULT_MAX_STATES)
+        solver = ef_solver(spec, g, h, DEFAULT_MAX_STATES)
         solver.generate()
         solver.fixpoint()
         region = solver.certificate(True)["region"]
@@ -387,7 +422,7 @@ def test_replay_duplicator_rejects_type_mismatch(classes4):
     for spec in wl.BUILTIN_SPECS.values():
         for g, h in itertools.combinations(classes4, 2):
             assert wl.spoiler_wins(spec, g, h, want_certificate=False).winner == "spoiler"
-            solver = _EfSolver(spec, g, h, DEFAULT_MAX_STATES)
+            solver = ef_solver(spec, g, h, DEFAULT_MAX_STATES)
             solver.generate()
             region = json.loads(json.dumps(solver.states.keys))
             forged = wl.GameVerdict("duplicator", len(region), {"winner": "duplicator", "region": region})
@@ -581,18 +616,24 @@ def test_pursuit_moves_match_networkx_components(classes4, classes5):
                         expected = sorted(map(frozenset, nx.connected_components(rest)), key=min)
                         assert [nodes(s) for s in succs] == expected
                         nxt = _next_phase(spec, phase)
-                        assert all(s[1] == game.canon(nxt, pos + payload) for s in succs)
+                        assert all(s[1] == _pebble_order(spec.k, nxt, pos + payload) for s in succs)
                     else:
                         kept = tuple(pos[i] for i in payload)
                         rest = nx_g.subgraph(set(range(g.n)) - set(kept))
                         grown = frozenset(nx.node_connected_component(rest, min(comp)))
-                        canon = game.canon(("U", 1), kept)
+                        canon = _pebble_order(spec.k, ("U", 1), kept)
                         assert [(s[1], nodes(s)) for s in succs] == [(canon, grown)]
                     for succ in succs:
                         if succ not in seen:
                             seen.add(succ)
                             frontier.append(succ)
         assert len(phases) == spec.n_stages + spec.m_stages + 1  # every stage reached
+
+
+def played_order(k: int, phase: tuple, pebbles: tuple) -> tuple:
+    """The identity in place of ``_pebble_order``: both games then key
+    positions in the order the pebbles were played, the full game."""
+    return pebbles
 
 
 # Specs and the largest class size on which the pebble-order quotient is
@@ -623,8 +664,38 @@ def test_pebble_order_quotient_matches_full_game(name, n_max, request, monkeypat
     quotient = [wl.cops_robber_wins(spec, g) for g in classes]
     for g, verdict in zip(classes, quotient):
         assert wl.replay_certificate(verdict, spec, g), wl.emit_graph6(g)
-    monkeypatch.setattr(_PursuitMoves, "canon", lambda self, phase, pos: pos)
+    monkeypatch.setattr("wlpower.games._pebble_order", played_order)
     full = [wl.cops_robber_wins(spec, g, want_certificate=False) for g in classes]
+    assert [v.winner for v in quotient] == [v.winner for v in full]
+    assert sum(v.states_explored for v in quotient) < sum(v.states_explored for v in full)
+
+
+# Specs and the largest class size on which the bijection game's joint
+# pebble-order quotient is checked against the full game.
+BIJECTION_QUOTIENT_CASES = [
+    *((name, 5) for name in wl.BUILTIN_SPECS),
+    *((name, 4) for name in QUOTIENT_SPECS if name not in wl.BUILTIN_SPECS),
+]
+
+
+@pytest.mark.parametrize("name, n_max", BIJECTION_QUOTIENT_CASES)
+def test_bijection_pebble_order_quotient_matches_full_game(name, n_max, request, monkeypatch):
+    """Bijection keys up to joint pebble order against the full game, on
+    every unordered pair of classes, equal pairs included, with the
+    second graph relabeled: the winners must agree, the quotient's
+    certificates must replay, and the quotient must explore fewer
+    states in total."""
+    spec, classes = QUOTIENT_SPECS[name], request.getfixturevalue(f"classes{n_max}")
+    rng = random.Random(n_max)
+    pairs = [
+        (g, h.permuted(rng.sample(range(h.n), h.n)))
+        for g, h in itertools.combinations_with_replacement(classes, 2)
+    ]
+    quotient = [wl.spoiler_wins(spec, g, h) for g, h in pairs]
+    for (g, h), verdict in zip(pairs, quotient):
+        assert wl.replay_certificate(verdict, spec, (g, h)), (wl.emit_graph6(g), wl.emit_graph6(h))
+    monkeypatch.setattr("wlpower.games._pebble_order", played_order)
+    full = [wl.spoiler_wins(spec, g, h, want_certificate=False) for g, h in pairs]
     assert [v.winner for v in quotient] == [v.winner for v in full]
     assert sum(v.states_explored for v in quotient) < sum(v.states_explored for v in full)
 
@@ -693,7 +764,7 @@ def pursuit_agrees(spec: wl.GfwlSpec, x: wl.Graph) -> bool:
         return False
     assert wl.replay_certificate(pursuit, spec, x)
     assert wl.replay_certificate(json_round_trip(pursuit), spec, x)
-    with mock.patch.object(_PursuitMoves, "canon", lambda self, phase, pos: pos):
+    with mock.patch("wlpower.games._pebble_order", played_order):
         full = wl.cops_robber_wins(spec, x, want_certificate=False)
     assert pursuit.winner == full.winner, (spec, wl.emit_graph6(x))
     return True
@@ -702,8 +773,8 @@ def pursuit_agrees(spec: wl.GfwlSpec, x: wl.Graph) -> bool:
 def bijection_agrees(spec: wl.GfwlSpec, g: wl.Graph, h: wl.Graph, closed: bool) -> None:
     """Check the bijection game on ``(g, h)``: it refuses the pair when
     either graph is refused (``closed`` False), and otherwise follows
-    refinement (Theorem 2) and its certificate replays, from memory and
-    from its JSON dump."""
+    refinement (Theorem 2), wins as the full game does, and its
+    certificate replays, from memory and from its JSON dump."""
     if not closed:
         assert raises_closure_error(lambda: wl.spoiler_wins(spec, g, h))
         return
@@ -712,6 +783,9 @@ def bijection_agrees(spec: wl.GfwlSpec, g: wl.Graph, h: wl.Graph, closed: bool) 
     assert bijection.winner == expected, (spec, wl.emit_graph6(g), wl.emit_graph6(h))
     assert wl.replay_certificate(bijection, spec, (g, h))
     assert wl.replay_certificate(json_round_trip(bijection), spec, (g, h))
+    with mock.patch("wlpower.games._pebble_order", played_order):
+        full = wl.spoiler_wins(spec, g, h, want_certificate=False)
+    assert bijection.winner == full.winner, (spec, wl.emit_graph6(g), wl.emit_graph6(h))
 
 
 @settings(max_examples=100, deadline=None)

@@ -112,6 +112,26 @@ def test_validate_theorem2_small():
         wl.validate_theorem2(wl.fwl_spec(2), 6)
 
 
+@pytest.mark.parametrize("name", sorted(wl.BUILTIN_SPECS))
+def test_validate_theorem2_builds_one_table_per_graph(name, monkeypatch):
+    # One tuple table per class and per permuted copy serves the joint
+    # refinement run and every pair's bijection game: ``f_set`` runs once
+    # per colored tuple per graph, not once per pair.
+    spec = wl.BUILTIN_SPECS[name]
+    calls = []
+    original = wl.refinement.f_set
+
+    def counting(selector, t, g, v):
+        calls.append(v)
+        return original(selector, t, g, v)
+
+    monkeypatch.setattr(wl.refinement, "f_set", counting)
+    report = wl.validate_theorem2(spec, 4, seed=3)
+    assert report.passed and report.cases_run == 10 + 45
+    per_graph = sum(len(wl.r_set(spec.r_selector, spec.k, g)) for g in wl.connected_classes(4))
+    assert len(calls) == 2 * per_graph  # the classes and their permuted copies
+
+
 def test_validate_soundness_small():
     report = wl.validate_soundness(wl.local_fwl_spec(1), 4, 5)
     assert report.passed
@@ -129,8 +149,8 @@ def test_suites_report_merged_refinement_colors(monkeypatch):
     # show up as a mismatch in each.
     original = wl.power.joint_graph_colors
 
-    def merged(spec, *graphs):
-        colors = list(original(spec, *graphs))
+    def merged(spec, *graphs, **kwargs):
+        colors = list(original(spec, *graphs, **kwargs))
         assert wl.emit_graph6(graphs[0]) == "@" and wl.emit_graph6(graphs[1]) == "A_"
         colors[1] = colors[0]
         return tuple(colors)
