@@ -25,6 +25,23 @@ whose refinement is undefined raises
   Hella's bijective pebble game ("Logical hierarchies in PTIME",
   Information and Computation 1996).
 
+  Puts apply Hall's condition one move ahead.  Each choice of a putting
+  state gets a key: the type of its new position and the Hall row of
+  the state it leads to, which is the sorted type codes of that
+  position's own choices when the next phase puts, and the Hall rows of
+  the ``("U", 1)`` states its index selections keep when it removes.  A
+  pair of choices with one type but two Hall rows leads to a state dead
+  at birth: a putting state that fails Hall's condition, or a removing
+  state with a selection that leads to one.  Such a pair is in no
+  Duplicator matching, exactly like a type mismatch, so puts pair only
+  choices of one key.  If the two sides' multisets of keys differ,
+  every bijection pairs two keys that differ, so the state is dead at
+  birth too.  Keys are computed on the positions before their joint
+  pebble order, and two rows compared there agree with the same rows
+  compared after it: the order moves both sides by one permutation,
+  which maps the choices and their types alike on both sides, as the
+  argument for type codes below says.
+
 * The pursuit game runs on one graph.  The first player (Cops) places
   pebbles from the same choice sets; the second player (Robber)
   maintains a connected node set that shrinks within the unblocked part
@@ -83,7 +100,7 @@ from typing import Iterable, Iterator
 
 from .errors import BudgetError, CertificateError, check_deadline
 from .graphs import Graph, component_masks, mask_nodes, node_mask
-from .refinement import GfwlSpec, _index_vectors, _tables_of, _TupleTable
+from .refinement import GfwlSpec, _index_vectors, _next_phase, _tables_of, _TupleTable
 # ``r_set`` and ``f_set`` are not called here: the tuple table reads
 # them.  They stay module attributes because the benchmark's span tracer
 # (``perfbench/spans.py``) wraps ``wlpower.games.r_set`` and ``f_set``.
@@ -126,14 +143,6 @@ def _max_matching(n: int, pairs: Iterable[tuple[int, int]]) -> list:
 # Successor functions, shared by the solvers and certificate replay
 
 
-def _next_phase(spec: GfwlSpec, phase: tuple) -> tuple:
-    if phase[0] == "I":
-        return ("I", phase[1] + 1) if phase[1] < spec.n_stages else ("U", 1)
-    if phase[0] == "U":
-        return ("U", phase[1] + 1) if phase[1] < spec.m_stages else ("R",)
-    return ("U", 1)
-
-
 def _pebble_order(k: int, phase: tuple, pebbles: tuple) -> tuple:
     """``pebbles`` up to pebble order in phase ``phase``, the one rule by
     which both games key their positions: the whole tuple sorted in
@@ -154,37 +163,49 @@ class _BijectionMoves:
     :func:`~wlpower.graphs.atp` codes are equal.  Only a put can end in
     a type mismatch: it checks the whole position, and every index
     selection of two tuples of one type has one type, so a removal never
-    does.  :meth:`puts` pairs the two sides' put rows
-    (:meth:`~wlpower.refinement._TupleTable.put_row`), so it pairs only
-    choices of one type; the solver and both replays take every put from
-    it, and a pair it does not list is a type mismatch."""
+    does.  :meth:`puts` pairs the two sides' put rows and their choice
+    keys (:meth:`~wlpower.refinement._TupleTable.put_row`,
+    :meth:`~wlpower.refinement._TupleTable.put_keys`), so it pairs only
+    choices of one type whose successors share a Hall row; the solver
+    and both replays take every put from it, and a pair it does not list
+    is a type mismatch or leads to a state dead at birth.  The two
+    tables must share their ``hall_ids`` dictionary, so their ids
+    compare."""
 
     def __init__(self, table_g: _TupleTable, table_h: _TupleTable):
+        if table_g.hall_ids is not table_h.hall_ids:
+            raise ValueError("the two tuple tables of a bijection game must share hall_ids")
         self.spec = table_g.spec
         self.tables_g = table_g
         self.tables_h = table_h
 
     def puts(self, key: tuple) -> tuple[int, list | None]:
-        """A putting state's g-side choice count and its type-respecting
-        puts: ``(g index, h index, successor)`` in index order, pairing
-        each g-side choice with every h-side choice whose position has
-        the same type, and each successor up to joint pebble order.
-        Puts are never merged, even where two lead to one successor:
-        Duplicator's bijection is over choices.  The puts are None when
-        the two sides' per-type counts differ: then no bijection respects
-        types (Hall's condition fails), so the state is lost for the
-        second player whatever its successors."""
+        """A putting state's g-side choice count and its puts: ``(g
+        index, h index, successor)`` in index order, pairing each g-side
+        choice with every h-side choice of the same key, and each
+        successor up to joint pebble order.  Puts are never merged, even
+        where two lead to one successor: Duplicator's bijection is over
+        choices.  The puts are None, the state lost for the second player
+        whatever its successors, when the two sides' Hall rows differ (no
+        bijection respects types: Hall's condition fails) or, checked
+        only after them, their sorted keys (every bijection pairs two
+        keys that differ)."""
         phase, pos_g, pos_h = key
-        new_g, codes_g, counts_g, _ = self.tables_g.put_row(phase, pos_g)
-        new_h, _, counts_h, buckets = self.tables_h.put_row(phase, pos_h)
-        if counts_g != counts_h:
+        table_g, table_h = self.tables_g, self.tables_h
+        new_g, _, hall_g = table_g.put_row(phase, pos_g)
+        new_h, _, hall_h = table_h.put_row(phase, pos_h)
+        if hall_g != hall_h:
+            return len(new_g), None
+        keys_g, sorted_g, _ = table_g.put_keys(phase, pos_g)
+        _, sorted_h, buckets = table_h.put_keys(phase, pos_h)
+        if sorted_g != sorted_h:
             return len(new_g), None
         nxt = _next_phase(self.spec, phase)
         k, order = self.spec.k, _pebble_order
         return len(new_g), [
             (ai, bi, (nxt, *zip(*order(k, nxt, tuple(zip(tup, new_h[bi]))))))
-            for ai, (tup, code) in enumerate(zip(new_g, codes_g))
-            for bi in buckets[code]
+            for ai, (tup, choice) in enumerate(zip(new_g, keys_g))
+            for bi in buckets[choice]
         ]
 
     def removals(self, key: tuple) -> list[tuple]:
@@ -368,7 +389,7 @@ def spoiler_wins(
     """Decide the bijection game on ``(g, h)``.
 
     Greatest fixed point over reachable type-consistent states: a
-    putting state survives while the safe pairs (same type, surviving
+    putting state survives while the safe pairs (same key, surviving
     successor) admit a perfect matching; a removing state survives while
     every index selection leads to a surviving state.  The first player
     wins iff the empty-board root is deleted.  A Duplicator certificate
@@ -377,14 +398,17 @@ def spoiler_wins(
     deleted removing state with a refuting index selection
     (``remove_choices``).  The run deadline is checked every 256
     generated states and when generation ends.  States are counted up
-    to joint pebble order.
+    to joint pebble order, and a pair of choices whose successor fails
+    Hall's condition is never listed, so that successor is not counted.
     ``stats`` holds the phase milliseconds (``table_ms`` builds the two
     tuple tables), ``matching_calls`` (bipartite matchings run by the
     fixpoint) and ``cut_states`` (putting states cut, dead at birth, by
-    Hall's condition).
+    Hall's condition on the state or one move ahead).
     ``tables`` hands in the tuple tables of ``(spec, g)`` and ``(spec,
     h)`` when the caller built them already, so a suite that solves many
-    pairs builds one table per graph and shares its put rows.
+    pairs builds one table per graph and shares its put rows; tables
+    built by one ``_tables_of`` call share their ``hall_ids``, as a game
+    needs.
     """
     start = time.perf_counter()
     solver = _EfSolver(*_tables_of(spec, (g, h), tables), max_states)
@@ -413,14 +437,14 @@ def spoiler_wins(
 class _EfSolver:
     """Per state in sid order (the root is state 0): ``choices`` holds a
     putting state's g-side choice count (None for a removing state), and
-    ``succs`` its moves: ``(g index, h index, successor)`` per
-    type-respecting put, or the successor per index selection.  A
-    putting state cut by Hall's condition has None for ``succs``: it is
-    dead at birth.  ``states.preds[sid]`` lists each state with a move
-    to ``sid`` once.  ``refuting`` maps each dead removing state to the
-    first index selection whose successor was dead already when the
-    state died, so Spoiler replay follows the order of deaths and never
-    cycles."""
+    ``succs`` its moves: ``(g index, h index, successor)`` per put
+    listed by ``_BijectionMoves.puts``, or the successor per index
+    selection.  A putting state cut by Hall's condition, on the state or
+    one move ahead, has None for ``succs``: it is dead at birth.
+    ``states.preds[sid]`` lists each state with a move to ``sid`` once.
+    ``refuting`` maps each dead removing state to the first index
+    selection whose successor was dead already when the state died, so
+    Spoiler replay follows the order of deaths and never cycles."""
 
     def __init__(self, table_g: _TupleTable, table_h: _TupleTable, max_states: int):
         self.spec = table_g.spec
@@ -748,16 +772,16 @@ def _replay_robber(cert: dict, spec: GfwlSpec, g: Graph) -> bool:
 
 def _replay_duplicator(cert: dict, spec: GfwlSpec, g: Graph, h: Graph) -> bool:
     region = _read(cert, "region", _bijection_key)
-    game = _BijectionMoves(_TupleTable(spec, g), _TupleTable(spec, h))
+    game = _BijectionMoves(*_tables_of(spec, (g, h), None))
 
     def follow(key: tuple) -> list | None:
-        """Every removal, or the puts of a perfect matching of the typed
+        """Every removal, or the puts of a perfect matching of the listed
         puts whose successor lies inside the region."""
         if key[0][0] == "R":
             succs = game.removals(key)
             return succs if all(s in region for s in succs) else None
         count, puts = game.puts(key)
-        if puts is None:  # Hall's condition fails: every bijection pairs two types
+        if puts is None:  # every bijection pairs two keys that differ
             return None
         inside = [(ai, bi, s) for ai, bi, s in puts if s in region]
         match = _max_matching(count, [(ai, bi) for ai, bi, _ in inside])
@@ -771,7 +795,7 @@ def _replay_duplicator(cert: dict, spec: GfwlSpec, g: Graph, h: Graph) -> bool:
 def _replay_spoiler(cert: dict, spec: GfwlSpec, g: Graph, h: Graph) -> bool:
     dead_set = _read(cert, "dead", _bijection_key)
     remove_choices = _read(cert, "remove_choices", _bijection_key, pairs=True)
-    game = _BijectionMoves(_TupleTable(spec, g), _TupleTable(spec, h))
+    game = _BijectionMoves(*_tables_of(spec, (g, h), None))
     combos = _index_vectors(spec.k, spec.t)
     proven: set = set()
 
@@ -785,9 +809,9 @@ def _replay_spoiler(cert: dict, spec: GfwlSpec, g: Graph, h: Graph) -> bool:
             return True
         if key[0][0] in ("I", "U"):
             count, puts = game.puts(key)
-            # Every bijection contains a refutable pair (a type mismatch
-            # or a refuted put) iff the non-refutable puts admit no
-            # perfect matching.  Puts exist only when both sides have
+            # Every bijection contains a refutable pair (two keys that
+            # differ, or a refuted put) iff the non-refutable puts admit
+            # no perfect matching.  Puts exist only when both sides have
             # ``count`` choices.
             if puts is not None:
                 safe = [(ai, bi) for ai, bi, succ in puts if not refuted(key, succ, path)]

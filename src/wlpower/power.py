@@ -43,7 +43,7 @@ from .graphs import (
 # wraps ``wlpower.power.distinguish``, and ``--trace 1`` fails without it.
 from .refinement import (  # noqa: F401
     GfwlSpec,
-    _TupleTable,
+    _tables_of,
     distinguish,
     fwl_spec,
     joint_graph_colors,
@@ -269,7 +269,7 @@ def validate_theorem2(
     rng = random.Random(seed)
     copies = [_permuted_copy(g, rng) for g in classes]
     graphs = [*classes, *copies]
-    tables = [_TupleTable(spec, x) for x in graphs]
+    tables = _tables_of(spec, graphs, None)
     colors = joint_graph_colors(spec, *graphs, tables=tables)
     count = len(classes)
     pairs: list[tuple[int, int]] = []  # indices into ``graphs``

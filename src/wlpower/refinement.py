@@ -257,6 +257,15 @@ def _collapse(ids: list, stages: list, seq: tuple, kind: str, id_for) -> int:
     return ids[0]
 
 
+def _next_phase(spec: GfwlSpec, phase: tuple) -> tuple:
+    """The phase after ``phase`` in both games' move schedule."""
+    if phase[0] == "I":
+        return ("I", phase[1] + 1) if phase[1] < spec.n_stages else ("U", 1)
+    if phase[0] == "U":
+        return ("U", phase[1] + 1) if phase[1] < spec.m_stages else ("R",)
+    return ("U", 1)
+
+
 def _deadline_checked(items: Iterable):
     """``items`` one by one, with the run deadline checked before each."""
     for item in items:
@@ -268,8 +277,11 @@ class _TupleTable:
     """The tuple facts of one (spec, graph), built once per call: the
     sorted universe ``rset``, each colored tuple's sorted aggregation
     tuples ``fsets[v]``, the replacement ``getters``, the staged prefix
-    groups, one memo of :func:`~wlpower.graphs.atp` codes and one of
-    bijection-game put rows (:meth:`put_row`).
+    groups, one memo of :func:`~wlpower.graphs.atp` codes and two of
+    bijection-game put rows and their choice keys (:meth:`put_row`,
+    :meth:`put_keys`), whose Hall rows and keys are ids of ``hall_ids``:
+    the two tables of one game share that dictionary, so their ids
+    compare.
     ``stages[v]`` groups ``fsets[v]`` by ``j_seq`` and ``stages[()]``
     groups the universe by ``i_seq`` (``R(G)`` is ``F(G, ())``):
     refinement folds its aggregations over them, and both games choose
@@ -279,9 +291,10 @@ class _TupleTable:
     replacement leaves the universe; a universe of all ``g.n ** k``
     tuples is closed by counting, so the walk is skipped there."""
 
-    def __init__(self, spec: GfwlSpec, g: Graph):
+    def __init__(self, spec: GfwlSpec, g: Graph, hall_ids: ColorDictionary | None = None):
         self.spec = spec
         self.g = g
+        self.hall_ids = ColorDictionary() if hall_ids is None else hall_ids
         self.rset = sorted(r_set(spec.r_selector, spec.k, g))
         self.fsets = {
             v: sorted(f_set(spec.f_selector, spec.t, g, v)) for v in _deadline_checked(self.rset)
@@ -291,6 +304,7 @@ class _TupleTable:
         self.getters = getters = _replacement_getters(spec.k, spec.t)
         self._types: dict = {}
         self._put_rows: dict = {}
+        self._put_keys: dict = {}
         if len(self.rset) == g.n ** spec.k:
             return
         universe, k = set(self.rset), spec.k
@@ -325,17 +339,42 @@ class _TupleTable:
     def put_row(self, phase: tuple, pos: tuple) -> tuple:
         """One side of a bijection-game putting state, built once per
         ``(phase, pos)``: the positions its choices lead to in
-        :meth:`put_choices` order, their type codes, the sorted codes
-        (two sides admit a type-respecting bijection iff theirs are
-        equal) and each code's choice indices."""
+        :meth:`put_choices` order, their type codes and the state's Hall
+        row, the id in ``hall_ids`` of the sorted codes (two sides admit
+        a type-respecting bijection iff their Hall rows are equal)."""
         row = self._put_rows.get((phase, pos))
         if row is None:
             new = [pos + delta for delta in self.put_choices(phase, pos)]
             codes = list(map(self.type_code, new))
+            hall = self.hall_ids.id_for(("put", *sorted(codes)))
+            row = self._put_rows[(phase, pos)] = (new, codes, hall)
+        return row
+
+    def put_keys(self, phase: tuple, pos: tuple) -> tuple:
+        """The choice keys of a :meth:`put_row`, built once per ``(phase,
+        pos)``: per choice the id in ``hall_ids`` of its position's type
+        code and the Hall row of that position in the next phase, then
+        the sorted keys and each key's choice indices.  Two sides admit a
+        bijection that pairs choices of equal keys only iff their sorted
+        keys are equal.  A putting phase's Hall row is :meth:`put_row`'s;
+        a removing phase's lists the Hall rows of the ``("U", 1)``
+        positions its index selections keep, in getter order.  A key's
+        content is the type code and one Hall row, or the type code and
+        C >= 2 of them, and a Hall row's starts with ``"put"``, so no two
+        kinds share an id."""
+        row = self._put_keys.get((phase, pos))
+        if row is None:
+            new, codes, _ = self.put_row(phase, pos)
+            nxt, id_for, put_row = _next_phase(self.spec, phase), self.hall_ids.id_for, self.put_row
+            if nxt[0] == "R":
+                columns = [[put_row(("U", 1), kept)[2] for kept in map(get, new)] for get in self.getters]
+                keys = list(map(id_for, zip(codes, *columns)))
+            else:
+                keys = list(map(id_for, zip(codes, [put_row(nxt, tup)[2] for tup in new])))
             buckets: dict[int, list[int]] = {}
-            for index, code in enumerate(codes):
-                buckets.setdefault(code, []).append(index)
-            row = self._put_rows[(phase, pos)] = (new, codes, sorted(codes), buckets)
+            for index, key in enumerate(keys):
+                buckets.setdefault(key, []).append(index)
+            row = self._put_keys[(phase, pos)] = (keys, sorted(keys), buckets)
         return row
 
 
@@ -425,9 +464,12 @@ def stabilize(spec: GfwlSpec, g: Graph) -> RefinementResult:
 
 def _tables_of(spec: GfwlSpec, graphs: Sequence[Graph], tables: Sequence[_TupleTable] | None) -> list:
     """The tuple table of ``(spec, g)`` per graph ``g``: ``tables`` when
-    the caller built them already, else new ones."""
+    the caller built them already, else new ones that share one
+    ``hall_ids`` dictionary, so any two of them can play a bijection
+    game."""
     if tables is None:
-        return [_TupleTable(spec, g) for g in graphs]
+        hall_ids = ColorDictionary()
+        return [_TupleTable(spec, g, hall_ids) for g in graphs]
     if len(tables) != len(graphs) or any(t.spec != spec or t.g != g for t, g in zip(tables, graphs)):
         raise ValueError("tables must be the tuple tables of the spec and the graphs, in order")
     return list(tables)

@@ -260,7 +260,7 @@ def test_validate_suite_time_limit_exits_3(capsys, argv):
 # fwl_spec(3); E~~w is K6 (1,513 pursuit states), E~~o is K6 minus an
 # edge, F~~~w and G~~~~{ are K7 and K8.  The bijection game runs on an
 # isomorphic pair, whose root Hall's condition cannot cut (E~~o against
-# itself: 47,937 states, ~0.6 s); K6 against E~~o is cut at the root and
+# itself: 2,947 states, ~0.06 s); K6 against E~~o is cut at the root and
 # solved in one state.
 TIME_LIMIT_CASES = {
     "distinguish": ["--spec", "FWL3", "--g", "E~~w", "--h", "E~~o"],
@@ -352,9 +352,10 @@ def test_cops_solver_counters_in_telemetry(capsys, c6_str):
     }
 
 
-def test_ef_solver_counters_in_telemetry(capsys, c6_str, two_c3_str):
+def test_ef_solver_counters_in_telemetry(capsys, two_c3_str):
+    # DC[ and D@s are one class on 5 nodes, relabeled.
     code, envelope, _ = run_cli(
-        capsys, ["ef", "--spec", "fwl_k", "--g", c6_str, "--h", two_c3_str]
+        capsys, ["ef", "--spec", "fwl_k", "--g", "DC[", "--h", "D@s"]
     )
     assert code == 0
     telemetry, payload = envelope["telemetry"], envelope["payload"]
@@ -363,8 +364,10 @@ def test_ef_solver_counters_in_telemetry(capsys, c6_str, two_c3_str):
     assert not any(name in payload for name in counters)
     assert telemetry["states_explored"] > 0
     assert all(telemetry[name] >= 0 for name in ("table_ms", "generate_ms", "fixpoint_ms"))
-    # fwl_k is fwl_spec(2), under which Spoiler wins on C6 vs 2C3: some
-    # putting states fail Hall's condition, and the fixpoint matches others
+    # fwl_k is fwl_spec(2), under which Duplicator wins on the pair: some
+    # putting states are still cut at birth (their two sides' keys
+    # differ), and the fixpoint matches others
+    assert envelope["payload"]["winner"] == "duplicator"
     assert 0 < telemetry["cut_states"] < telemetry["states_explored"]
     assert 0 < telemetry["matching_calls"] < telemetry["states_explored"]
     verdict = wl.spoiler_wins(wl.fwl_spec(2), wl.cycle_graph(6), wl.parse_graph6(two_c3_str))

@@ -25,7 +25,7 @@ from wlpower.games import (
     _next_phase,
     _pebble_order,
 )
-from wlpower.refinement import _TupleTable
+from wlpower.refinement import _tables_of, _TupleTable
 from furer import furer_pair
 from wlpower.graphs import component_masks, mask_nodes
 from test_golden import UNEVEN_SPECS
@@ -33,7 +33,7 @@ from test_golden import UNEVEN_SPECS
 
 def ef_solver(spec: wl.GfwlSpec, g: wl.Graph, h: wl.Graph, max_states: int) -> _EfSolver:
     """The bijection solver on ``(g, h)``, not yet run."""
-    return _EfSolver(_TupleTable(spec, g), _TupleTable(spec, h), max_states)
+    return _EfSolver(*_tables_of(spec, (g, h), None), max_states)
 
 
 def nx_trees(n: int) -> list[wl.Graph]:
@@ -168,13 +168,15 @@ def test_bijection_budget():
 def test_bijection_takes_the_pair_tables(c6, two_c3):
     # Tuple tables built by the caller give the same verdict; tables of
     # other graphs, of the pair in the other order or of another spec
-    # are refused.
+    # are refused, and so are tables whose Hall rows do not compare.
     spec = wl.fwl_spec(2)
-    tables = (_TupleTable(spec, c6), _TupleTable(spec, two_c3))
+    tables = tuple(_tables_of(spec, (c6, two_c3), None))
     assert wl.spoiler_wins(spec, c6, two_c3, tables=tables) == wl.spoiler_wins(spec, c6, two_c3)
     for bad_spec, g, h in [(spec, two_c3, c6), (spec, c6, wl.path_graph(6)), (wl.local_fwl_spec(2), c6, two_c3)]:
         with pytest.raises(ValueError):
             wl.spoiler_wins(bad_spec, g, h, tables=tables)
+    with pytest.raises(ValueError):
+        wl.spoiler_wins(spec, c6, two_c3, tables=(_TupleTable(spec, c6), _TupleTable(spec, two_c3)))
 
 
 def test_bijection_agrees_with_refinement(classes4):
@@ -394,7 +396,7 @@ def test_replay_duplicator(c6, two_c3):
     assert not wl.replay_certificate(without(lambda key: key[0] == ("U", 1)), spec, (c6, two_c3))
     # Spoiler picks the removal, so every removal must stay inside.
     removing = next(key for key in verdict.certificate["region"] if key[0][0] == "R")
-    removed = set(_BijectionMoves(_TupleTable(spec, c6), _TupleTable(spec, two_c3)).removals(removing))
+    removed = set(_BijectionMoves(*_tables_of(spec, (c6, two_c3), None)).removals(removing))
     assert not wl.replay_certificate(without(lambda key: key in removed), spec, (c6, two_c3))
 
 
@@ -431,16 +433,36 @@ def test_replay_duplicator_rejects_type_mismatch(classes4):
     assert forged_count == 4 * 45
 
 
-def test_replay_spoiler(c6, two_c3):
-    spec = wl.fwl_spec(2)
-    verdict = wl.spoiler_wins(spec, c6, two_c3)
+# A pair Spoiler wins with removal choices in the certificate.  Under
+# fwl_2, C6 against 2C3 no longer has one: Hall's condition one move
+# ahead cuts its root at birth, so the certificate is ``dead: [root]``.
+REMOVAL_SPEC = wl.local_fwl_spec(1)
+REMOVAL_PAIR = (wl.parse_graph6("DIk"), wl.parse_graph6("D`["))
+
+
+def test_replay_spoiler():
+    spec, pair = REMOVAL_SPEC, REMOVAL_PAIR
+    verdict = wl.spoiler_wins(spec, *pair)
     assert verdict.winner == "spoiler"
-    assert wl.replay_certificate(verdict, spec, (c6, two_c3))
+    assert wl.replay_certificate(verdict, spec, pair)
 
     tampered = copy.deepcopy(verdict)
     tampered.certificate["dead"] = []
     tampered.certificate["remove_choices"] = []
-    assert not wl.replay_certificate(tampered, spec, (c6, two_c3))
+    assert not wl.replay_certificate(tampered, spec, pair)
+
+
+def test_spoiler_certificate_of_a_root_cut_at_birth(c6, two_c3):
+    # Under fwl_2 the root of C6 against 2C3 passes the type-count check
+    # but not Hall's condition one move ahead, so it is cut at birth:
+    # the arena is the root alone, and the certificate names it dead.
+    spec = wl.fwl_spec(2)
+    verdict = wl.spoiler_wins(spec, c6, two_c3)
+    root = (("I", 1), (), ())
+    assert verdict.states_explored == 1 and verdict.stats["cut_states"] == 1
+    assert verdict.certificate == {"winner": "spoiler", "dead": [root], "remove_choices": []}
+    assert wl.replay_certificate(verdict, spec, (c6, two_c3))
+    assert wl.replay_certificate(json_round_trip(verdict), spec, (c6, two_c3))
 
 
 def test_replay_spoiler_small_pair():
@@ -523,22 +545,22 @@ def test_replay_cops_move_not_a_pair():
         wl.replay_certificate(verdict, spec, g)
 
 
-def test_replay_spoiler_remove_choice_not_a_selection(c6, two_c3):
-    spec = wl.fwl_spec(2)
-    verdict = wl.spoiler_wins(spec, c6, two_c3)
+def test_replay_spoiler_remove_choice_not_a_selection():
+    spec, pair = REMOVAL_SPEC, REMOVAL_PAIR
+    verdict = wl.spoiler_wins(spec, *pair)
     remove_choices = verdict.certificate["remove_choices"]
     assert remove_choices
     remove_choices[:] = [(key, 7) for key, _ in remove_choices]
     with pytest.raises(CertificateError):
-        wl.replay_certificate(verdict, spec, (c6, two_c3))
+        wl.replay_certificate(verdict, spec, pair)
 
 
-def test_replay_table_not_pairs(c6, two_c3):
+def test_replay_table_not_pairs():
     # A keyed table is a list of [state key, value] pairs: a dict, a bare
     # state key, a pair whose key is no state key and a triple are not.
     cases = [
         (wl.local_fwl_spec(1), wl.path_graph(4), "moves"),
-        (wl.fwl_spec(2), (c6, two_c3), "remove_choices"),
+        (REMOVAL_SPEC, REMOVAL_PAIR, "remove_choices"),
     ]
     for spec, inputs, name in cases:
         if isinstance(inputs, wl.Graph):
@@ -700,6 +722,41 @@ def test_bijection_pebble_order_quotient_matches_full_game(name, n_max, request,
     assert sum(v.states_explored for v in quotient) < sum(v.states_explored for v in full)
 
 
+def keys_by_type(self, phase: tuple, pos: tuple) -> tuple:
+    """``_TupleTable.put_keys`` with every Hall row equal: each choice's
+    key is its type code, so puts pair choices of one type, as before
+    they applied Hall's condition one move ahead."""
+    _, codes, _ = self.put_row(phase, pos)
+    buckets: dict = {}
+    for index, code in enumerate(codes):
+        buckets.setdefault(code, []).append(index)
+    return codes, sorted(codes), buckets
+
+
+@pytest.mark.parametrize("name, n_max", BIJECTION_QUOTIENT_CASES)
+def test_lookahead_matches_pairing_by_type(name, n_max, request, monkeypatch):
+    """Hall's condition one move ahead against pairing by type alone, on
+    every unordered pair of classes, equal pairs included, with the
+    second graph relabeled: the winners must agree, the lookahead must
+    explore no more states on any pair and fewer in total, and its
+    certificates must replay, from memory and from their JSON dump."""
+    spec, classes = QUOTIENT_SPECS[name], request.getfixturevalue(f"classes{n_max}")
+    rng = random.Random(n_max + 1)
+    pairs = [
+        (g, h.permuted(rng.sample(range(h.n), h.n)))
+        for g, h in itertools.combinations_with_replacement(classes, 2)
+    ]
+    ahead = [wl.spoiler_wins(spec, g, h) for g, h in pairs]
+    for (g, h), verdict in zip(pairs, ahead):
+        assert wl.replay_certificate(verdict, spec, (g, h)), (wl.emit_graph6(g), wl.emit_graph6(h))
+        assert wl.replay_certificate(json_round_trip(verdict), spec, (g, h))
+    monkeypatch.setattr("wlpower.refinement._TupleTable.put_keys", keys_by_type)
+    by_type = [wl.spoiler_wins(spec, g, h, want_certificate=False) for g, h in pairs]
+    assert [v.winner for v in ahead] == [v.winner for v in by_type]
+    assert all(a.states_explored <= b.states_explored for a, b in zip(ahead, by_type))
+    assert sum(v.states_explored for v in ahead) < sum(v.states_explored for v in by_type)
+
+
 # ---------------------------------------------------------------------------
 # The spec space
 
@@ -774,7 +831,9 @@ def bijection_agrees(spec: wl.GfwlSpec, g: wl.Graph, h: wl.Graph, closed: bool) 
     """Check the bijection game on ``(g, h)``: it refuses the pair when
     either graph is refused (``closed`` False), and otherwise follows
     refinement (Theorem 2), wins as the full game does, and its
-    certificate replays, from memory and from its JSON dump."""
+    certificate replays, from memory and from its JSON dump; pairing
+    choices by type alone (:func:`keys_by_type`) wins alike in no fewer
+    states."""
     if not closed:
         assert raises_closure_error(lambda: wl.spoiler_wins(spec, g, h))
         return
@@ -786,6 +845,10 @@ def bijection_agrees(spec: wl.GfwlSpec, g: wl.Graph, h: wl.Graph, closed: bool) 
     with mock.patch("wlpower.games._pebble_order", played_order):
         full = wl.spoiler_wins(spec, g, h, want_certificate=False)
     assert bijection.winner == full.winner, (spec, wl.emit_graph6(g), wl.emit_graph6(h))
+    with mock.patch("wlpower.refinement._TupleTable.put_keys", keys_by_type):
+        by_type = wl.spoiler_wins(spec, g, h, want_certificate=False)
+    assert bijection.winner == by_type.winner, (spec, wl.emit_graph6(g), wl.emit_graph6(h))
+    assert bijection.states_explored <= by_type.states_explored
 
 
 @settings(max_examples=100, deadline=None)

@@ -49,8 +49,13 @@ COPS_FWL2_N5_SHA256 = "f6a90bb1f3402b65c5b66785aeca921ce36b0915e1e6d6aa8c1c7d8d0
 # Recomputed when the bijection solver began to key states up to joint
 # pebble order, after checking against the parent solver that each of
 # the 45 pinned pairs keeps its winner (Spoiler on all 45); the states
-# explored fell from 313 to 237 in total.
-SPOILER_FWL2_N4_SHA256 = "9466101fa66913cbe60422237933a22086245989cf4b0101229c52c4a45aa3e3"
+# explored fell from 313 to 237 in total.  Recomputed when puts began to
+# pair only choices whose successors pass Hall's condition one move
+# ahead, after checking against the parent solver that each of the 45
+# pinned pairs keeps its winner (Spoiler on all 45): every root is now
+# cut at birth, so each certificate is ``dead: [root]`` and the states
+# explored fell from 237 to 45.
+SPOILER_FWL2_N4_SHA256 = "56b86fd9ec03a02935e3217ba07d5b795c8b79c803c16e069a93afa743ae3fb1"
 
 
 def verdicts_digest(verdicts) -> str:
@@ -282,11 +287,15 @@ def test_joint_color_id_digests(name, classes4, classes6):
 # states up to joint pebble order, after checking against the parent
 # solver that each of the 55 pairs per schedule keeps its winner (the
 # states explored fell from 14,720 to 2,864 and from 58,384 to 7,122).
+# The two bijection pins were recomputed again when puts began to pair
+# only choices whose successors pass Hall's condition one move ahead,
+# after the same parent-side check of all 55 winners per schedule (the
+# states explored fell from 2,864 to 2,366 and from 7,122 to 6,716).
 UNEVEN_GAMES_SHA256 = {
     ("k3_t1_i023", "pursuit"): "5fd6a7599e4983ad822d3be6d636a01bd9344363d12d50264cb8409b80634f0a",
-    ("k3_t1_i023", "bijection"): "7d1a79841c1d73d3441a290067d1119b7945348baba315129ae4c54d6859c06a",
+    ("k3_t1_i023", "bijection"): "c5fd602e0e879cf7e26db42420b878013782c072327b0f2e5c41a0a7506cc109",
     ("k2_t3_j023", "pursuit"): "3e8ced830e86d94ac66c047288df3a5bd5786ed53664b4aed7375c1e19fce437",
-    ("k2_t3_j023", "bijection"): "fdf5d269be271b8a1c4d5255ccd4fd3c08f7c24aea230d36399348cac9b1f288",
+    ("k2_t3_j023", "bijection"): "2c278e124d47243779316502c6d4a7ede567102ec1050114ffb7d1eb6b6e7835",
 }
 
 

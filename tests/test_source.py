@@ -157,6 +157,15 @@ def test_positions_canonicalized_in_one_place():
     assert not found, found
 
 
+def test_one_pairing_rule():
+    # One rule pairs the bijection game's choices: only the tuple table
+    # and ``_BijectionMoves.puts`` read put rows and their choice keys,
+    # so the solver and both replays take every put from ``puts`` and
+    # cannot pair choices, or cut a state, by a second rule.
+    found = calls_outside({"_TupleTable", "puts"}, {"put_row", "put_keys"}, sorted(PACKAGE.glob("*.py")))
+    assert not found, found
+
+
 def test_pursuit_solver_reads_moves_once():
     # One pass over the pursuit moves: inside ``_CrSolver`` only
     # ``generate`` reads the game's successor function, so both
