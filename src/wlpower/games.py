@@ -71,6 +71,39 @@ round the main part ``pos[:k]``, whose aggregation set the next stage
 draws from, and the aux part are sorted separately.  The bijection game
 sorts ``(g node, h node)`` pairs, so its pairs stay together.
 
+Under selectors that ignore the graph (``all_k_tuples`` with
+``all_nodes`` or ``all_t_tuples``), on a graph of at least k + t nodes,
+both games put on unpebbled nodes only: the new nodes of a put are
+distinct from each other and from the pebbled nodes
+(:meth:`~wlpower.refinement._TupleTable.put_choices`, licensed by
+``_distinct_puts``; graph searching places its searchers as a set for
+the same reason, Seymour and Thomas, JCTB 1993).  The distinct-node
+game has the full game's winner:
+
+- Only the first player loses moves.  A Duplicator bijection that
+  sends a choice repeating a pebbled g-node anywhere but to the choice
+  repeating its h-partner leads to two positions with different
+  equality patterns, a type mismatch; so Duplicator's safe bijections
+  already pair the repeating choices by the partner map, and what is
+  left is a bijection of the distinct choices, one of the distinct game.
+  Robber's moves do not change.  So a first-player win in the distinct
+  game is one in the full game.
+- A spare pebble never hurts the first player, who plays a full-game
+  strategy in the distinct game: where it puts on a pebbled node, the
+  put goes to an unpebbled one instead, and one exists since n >= k +
+  t; where it later puts on a node that holds a spare, that spare is
+  re-designated and the next spare put elsewhere.  A spare only blocks
+  more nodes, so Robber's component, grown or not, stays inside the
+  full game's; or it adds a pebble pair whose type Duplicator must also
+  respect, since the type of a sub-tuple is a function of the whole
+  tuple's type.  Every put is legal because the selectors ignore the
+  graph.
+- A pair of graphs with different node counts is cut at the root
+  either way: the first stage's choice counts differ, with or without
+  the license on either side (a product of two or more consecutive
+  positive integers is no perfect power: Erdős and Selfridge, Illinois
+  J. Math. 1975).
+
 Each game has one successor function (``_BijectionMoves``,
 ``_PursuitMoves``) that both its solver and :func:`replay_certificate`
 call, so replay is no second copy of the rules; the independent oracles

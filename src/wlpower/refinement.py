@@ -266,6 +266,24 @@ def _next_phase(spec: GfwlSpec, phase: tuple) -> tuple:
     return ("U", 1)
 
 
+# The F selector kinds that ignore the graph and the colored tuple: every
+# colored tuple aggregates over one set.
+_SHARED_F_KINDS = ("all_nodes", "all_t_tuples")
+
+
+def _distinct_puts(spec: GfwlSpec, g: Graph) -> bool:
+    """Whether both games on ``g`` may put on unpebbled nodes only: the
+    selectors ignore the graph (``all_k_tuples`` with ``all_nodes`` or
+    ``all_t_tuples``) and ``g`` has at least ``k + t`` nodes, so a put
+    that repeats a node only throws a pebble away (the proof is in the
+    docstring of :mod:`wlpower.games`)."""
+    return (
+        spec.r_selector.kind == "all_k_tuples"
+        and spec.f_selector.kind in _SHARED_F_KINDS
+        and g.n >= spec.k + spec.t
+    )
+
+
 def _deadline_checked(items: Iterable):
     """``items`` one by one, with the run deadline checked before each."""
     for item in items:
@@ -296,10 +314,16 @@ class _TupleTable:
         self.g = g
         self.hall_ids = ColorDictionary() if hall_ids is None else hall_ids
         self.rset = sorted(r_set(spec.r_selector, spec.k, g))
-        self.fsets = {
-            v: sorted(f_set(spec.f_selector, spec.t, g, v)) for v in _deadline_checked(self.rset)
-        }
-        self.stages = {v: _stage_groups(us, spec.j_seq) for v, us in self.fsets.items()}
+        if spec.f_selector.kind in _SHARED_F_KINDS and self.rset:
+            # one f-set and one stage-group list serve every colored tuple
+            us = sorted(f_set(spec.f_selector, spec.t, g, self.rset[0]))
+            self.fsets = dict.fromkeys(_deadline_checked(self.rset), us)
+            self.stages = dict.fromkeys(self.rset, _stage_groups(us, spec.j_seq))
+        else:
+            self.fsets = {
+                v: sorted(f_set(spec.f_selector, spec.t, g, v)) for v in _deadline_checked(self.rset)
+            }
+            self.stages = {v: _stage_groups(us, spec.j_seq) for v, us in self.fsets.items()}
         self.stages[()] = _stage_groups(self.rset, spec.i_seq)
         self.getters = getters = _replacement_getters(spec.k, spec.t)
         self._types: dict = {}
@@ -332,9 +356,17 @@ class _TupleTable:
         putting phase ``phase``: ``("I", n)`` chooses from the universe
         by ``i_seq``, ``("U", m)`` from the aggregation tuples of the
         colored tuple ``pos[:k]`` by ``j_seq``.  Closure holds once the
-        table is built, so every colored tuple a game reaches is a key."""
+        table is built, so every colored tuple a game reaches is a key.
+        Where :func:`_distinct_puts` licenses it, only the suffixes
+        whose nodes are distinct from each other and from ``pos``: this
+        is both games' one choice point, so their solvers, replays and
+        Hall lookahead all play the distinct-node arena."""
         main = () if phase[0] == "I" else pos[: self.spec.k]
-        return self.stages[main][phase[1] - 1].get(pos[len(main):], [])
+        choices = self.stages[main][phase[1] - 1].get(pos[len(main):], [])
+        if not _distinct_puts(self.spec, self.g):
+            return choices
+        size = len(pos)
+        return [delta for delta in choices if len({*pos, *delta}) == size + len(delta)]
 
     def put_row(self, phase: tuple, pos: tuple) -> tuple:
         """One side of a bijection-game putting state, built once per
@@ -493,15 +525,31 @@ def joint_graph_colors(
     return tuple(ctx.pool(cols) for ctx, cols in zip(contexts, colors))
 
 
+def _round_1_signatures(table: _TupleTable, id_for) -> list:
+    """Each colored tuple's round-1 signature, sorted: the fold of the
+    type codes of ``v + u`` over ``v``'s stage groups (:func:`_collapse`,
+    ``id_for`` a dictionary shared by the graphs compared).  The codes
+    land in the table's memo, so the refinement rows reuse them.  The
+    run deadline is checked per colored tuple."""
+    seq, stages, type_code = table.spec.j_seq, table.stages, table.type_code
+    return sorted(
+        _collapse([type_code(v + u) for u in us], stages[v], seq, "sig", id_for)
+        for v, us in _deadline_checked(table.fsets.items())
+    )
+
+
 def distinguish(spec: GfwlSpec, g: Graph, h: Graph) -> bool:
     """True when the refinement assigns ``g`` and ``h`` different
     graph-level colors, the verdict of ``joint_graph_colors(spec, g,
     h)``.  The joint run stops at the first round whose color multisets
-    of ``g`` and ``h`` differ: from round 1 on always, and at round 0
-    (the sorted type codes of the two universes, read from the tuple
-    tables before any row or dictionary id is built) only when every
-    colored tuple of both graphs has a nonempty aggregation set.
-    Otherwise it runs to stability and compares the pooled colors.
+    of ``g`` and ``h`` differ.  Round 0 compares the sorted type codes
+    of the two universes, read from the tuple tables before any row or
+    dictionary id is built, and only when every colored tuple of both
+    graphs has a nonempty aggregation set.  Round 1 compares the sorted
+    signatures of :func:`_round_1_signatures`, before any refinement
+    row is built; only a pair they do not separate builds the rows and
+    steps them.  When no round differs, the run goes to stability and
+    compares the pooled colors.
 
     Why a differing round decides the pair.  (a) Replacement 0 of
     ``(v, u)`` is ``v``, so each of ``v``'s messages holds its previous
@@ -517,12 +565,26 @@ def distinguish(spec: GfwlSpec, g: Graph, h: Graph) -> bool:
     from round 0; without it, round 0 proves nothing, since an empty
     aggregation set drops the tuple's type at round 1.  Pooling hashes
     the stable colors' nested multisets, so different stable multisets
-    give different graph-level colors."""
+    give different graph-level colors.
+
+    Why signatures decide round 1.  The round-1 color of ``v`` is an
+    injective function of the nested multiset of the codes of ``v +
+    u``: each message holds the type id of ``v + u``, and its
+    replacements' round-0 colors are the types of index selections of
+    ``v + u``, which that type determines.  Both colors and signatures
+    fold the same stage groups through injective dictionaries, so two
+    tuples, of either graph, get equal signatures exactly when they get
+    equal round-1 colors, and the sorted signatures differ exactly when
+    the round-1 color multisets do.  By (c) that decides the pair, with
+    no guard."""
     tables = [_TupleTable(spec, g), _TupleTable(spec, h)]
     if all(all(table.fsets.values()) for table in tables):
         codes_g, codes_h = (sorted(map(table.type_code, table.rset)) for table in tables)
         if codes_g != codes_h:
             return True
+    id_for = ColorDictionary().id_for
+    if _round_1_signatures(tables[0], id_for) != _round_1_signatures(tables[1], id_for):
+        return True
     dic = ColorDictionary()
     ctx_g, ctx_h = contexts = [_Context(table, dic) for table in tables]
     for colors_g, colors_h in itertools.islice(_stabilize(contexts), 1, None):

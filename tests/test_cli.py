@@ -257,14 +257,18 @@ def test_validate_suite_time_limit_exits_3(capsys, argv):
 
 # Inputs that run far past 1 ms, so a deadline checked inside the work
 # fires before it finishes.  "FWL3" stands for a spec file holding
-# fwl_spec(3); E~~w is K6 (1,513 pursuit states), E~~o is K6 minus an
-# edge, F~~~w and G~~~~{ are K7 and K8.  The bijection game runs on an
+# fwl_spec(3); E~~w is K6, E~~o is K6 minus an edge, F~~~w and G~~~~{
+# are K7 and K8, IheA@GUAo is the Petersen graph (411 pursuit states in
+# the distinct-node arena, ~0.01 s; K6 has 36 and solves in under 1 ms,
+# too soon for a deadline check to fire).  The bijection game runs on an
 # isomorphic pair, whose root Hall's condition cannot cut (E~~o against
-# itself: 2,947 states, ~0.06 s); K6 against E~~o is cut at the root and
-# solved in one state.
+# itself: 969 states, ~0.03 s); K6 against E~~o is cut at the root and
+# solved in one state.  So does refinement: K6 against E~~o is decided
+# at round 0 in about 1.5 ms, E~~o against itself refines to stability
+# (~0.04 s).
 TIME_LIMIT_CASES = {
-    "distinguish": ["--spec", "FWL3", "--g", "E~~w", "--h", "E~~o"],
-    "cops": ["--spec", "FWL3", "--g", "E~~w"],
+    "distinguish": ["--spec", "FWL3", "--g", "E~~o", "--h", "E~~o"],
+    "cops": ["--spec", "FWL3", "--g", "IheA@GUAo"],
     "ef": ["--spec", "FWL3", "--g", "E~~o", "--h", "E~~o"],
     "hom": ["--pattern", "F~~~w", "--target", "G~~~~{"],
     "power": ["--spec", "fwl_k", "--max-nodes", "5"],
@@ -314,11 +318,12 @@ def test_time_limit_during_class_enumeration(capsys):
 
 
 def test_time_limit_during_table_build(capsys):
-    # The deadline is checked per colored tuple while the tuple table and
-    # the refinement rows are built.  Under fwl_plus_k_t, the 4x4 rook's
-    # graph and the Shrikhande graph (both 6-regular on 16 nodes) have
-    # equal type codes, so round 0 cannot separate them: the two tuple
-    # tables take about 0.2 s, one graph's row build about 0.8 s more.
+    # The deadline is checked per colored tuple while the round-1
+    # signatures and the refinement rows are built.  Under fwl_plus_k_t,
+    # the 4x4 rook's graph and the Shrikhande graph (both 6-regular on 16
+    # nodes) have equal type codes, so round 0 cannot separate them: the
+    # two tuple tables, which share one f-set each, take about 2 ms, and
+    # each graph's signatures about 0.15 s more.
     rook = wl.Graph(16, [
         (i, j) for i in range(16) for j in range(i + 1, 16) if (i // 4 == j // 4) != (i % 4 == j % 4)
     ])
@@ -409,7 +414,7 @@ def test_ef_decides_the_furer_k4_pair(tmp_path):
 
 def test_power_incomplete_exits_3(capsys):
     code, envelope, _ = run_cli(
-        capsys, ["power", "--spec", "fwl_k", "--max-nodes", "4", "--max-states", "30"]
+        capsys, ["power", "--spec", "fwl_k", "--max-nodes", "4", "--max-states", "10"]
     )
     assert code == 3
     assert envelope["payload"]["complete"] is False

@@ -25,7 +25,7 @@ from wlpower.games import (
     _next_phase,
     _pebble_order,
 )
-from wlpower.refinement import _tables_of, _TupleTable
+from wlpower.refinement import _distinct_puts, _tables_of, _TupleTable
 from furer import furer_pair
 from wlpower.graphs import component_masks, mask_nodes
 from test_golden import UNEVEN_SPECS
@@ -268,11 +268,12 @@ def test_removals_keep_one_type_on_both_sides(classes4, monkeypatch):
     # A removing state is reached only by a put that type-checked the
     # whole position, so every index selection keeps pebbles of one type
     # on both sides; this is why a removal needs no type check.  Both
-    # the quotient's arenas and the full game's are checked.
+    # the quotient's distinct-node arenas and the full game's are checked.
     specs = [*wl.BUILTIN_SPECS.values(), wl.fwl_plus_spec(2, 2)]
     checked = 0
-    for order in (_pebble_order, played_order):
+    for order, distinct in ((_pebble_order, _distinct_puts), (played_order, no_license)):
         monkeypatch.setattr("wlpower.games._pebble_order", order)
+        monkeypatch.setattr("wlpower.refinement._distinct_puts", distinct)
         for spec in specs:
             combos = list(itertools.combinations(range(spec.k + spec.t), spec.k))
             for g, h in itertools.combinations_with_replacement(classes4, 2):
@@ -654,8 +655,25 @@ def test_pursuit_moves_match_networkx_components(classes4, classes5):
 
 def played_order(k: int, phase: tuple, pebbles: tuple) -> tuple:
     """The identity in place of ``_pebble_order``: both games then key
-    positions in the order the pebbles were played, the full game."""
+    positions in the order the pebbles were played.  With
+    :func:`no_license` too, they play the full game."""
     return pebbles
+
+
+def no_license(spec: wl.GfwlSpec, g: wl.Graph) -> bool:
+    """``False`` in place of ``_distinct_puts``: both games then also
+    put on pebbled nodes."""
+    return False
+
+
+def relabeled_class_pairs(n_max: int) -> list:
+    """Every unordered pair of classes n <= ``n_max``, equal pairs
+    included, with the second graph relabeled."""
+    rng = random.Random(n_max)
+    return [
+        (g, h.permuted(rng.sample(range(h.n), h.n)))
+        for g, h in itertools.combinations_with_replacement(wl.connected_classes(n_max), 2)
+    ]
 
 
 # Specs and the largest class size on which the pebble-order quotient is
@@ -679,14 +697,16 @@ QUOTIENT_CASES = [
 
 @pytest.mark.parametrize("name, n_max", QUOTIENT_CASES)
 def test_pebble_order_quotient_matches_full_game(name, n_max, request, monkeypatch):
-    """Keys up to pebble order against the full game, with the
-    canonicalization replaced by the identity: the winners must agree,
-    and the quotient's certificates must replay."""
+    """Keys up to pebble order, in the distinct-node arena where it is
+    licensed, against the full game, with the canonicalization replaced
+    by the identity and the license switched off: the winners must
+    agree, and the quotient's certificates must replay."""
     spec, classes = QUOTIENT_SPECS[name], request.getfixturevalue(f"classes{n_max}")
     quotient = [wl.cops_robber_wins(spec, g) for g in classes]
     for g, verdict in zip(classes, quotient):
         assert wl.replay_certificate(verdict, spec, g), wl.emit_graph6(g)
     monkeypatch.setattr("wlpower.games._pebble_order", played_order)
+    monkeypatch.setattr("wlpower.refinement._distinct_puts", no_license)
     full = [wl.cops_robber_wins(spec, g, want_certificate=False) for g in classes]
     assert [v.winner for v in quotient] == [v.winner for v in full]
     assert sum(v.states_explored for v in quotient) < sum(v.states_explored for v in full)
@@ -701,22 +721,20 @@ BIJECTION_QUOTIENT_CASES = [
 
 
 @pytest.mark.parametrize("name, n_max", BIJECTION_QUOTIENT_CASES)
-def test_bijection_pebble_order_quotient_matches_full_game(name, n_max, request, monkeypatch):
-    """Bijection keys up to joint pebble order against the full game, on
-    every unordered pair of classes, equal pairs included, with the
-    second graph relabeled: the winners must agree, the quotient's
+def test_bijection_pebble_order_quotient_matches_full_game(name, n_max, monkeypatch):
+    """Bijection keys up to joint pebble order, in the distinct-node
+    arena where it is licensed, against the full game (as in
+    :func:`test_pebble_order_quotient_matches_full_game`), on every
+    unordered pair of classes, equal pairs included, with the second
+    graph relabeled: the winners must agree, the quotient's
     certificates must replay, and the quotient must explore fewer
     states in total."""
-    spec, classes = QUOTIENT_SPECS[name], request.getfixturevalue(f"classes{n_max}")
-    rng = random.Random(n_max)
-    pairs = [
-        (g, h.permuted(rng.sample(range(h.n), h.n)))
-        for g, h in itertools.combinations_with_replacement(classes, 2)
-    ]
+    spec, pairs = QUOTIENT_SPECS[name], relabeled_class_pairs(n_max)
     quotient = [wl.spoiler_wins(spec, g, h) for g, h in pairs]
     for (g, h), verdict in zip(pairs, quotient):
         assert wl.replay_certificate(verdict, spec, (g, h)), (wl.emit_graph6(g), wl.emit_graph6(h))
     monkeypatch.setattr("wlpower.games._pebble_order", played_order)
+    monkeypatch.setattr("wlpower.refinement._distinct_puts", no_license)
     full = [wl.spoiler_wins(spec, g, h, want_certificate=False) for g, h in pairs]
     assert [v.winner for v in quotient] == [v.winner for v in full]
     assert sum(v.states_explored for v in quotient) < sum(v.states_explored for v in full)
@@ -821,7 +839,9 @@ def pursuit_agrees(spec: wl.GfwlSpec, x: wl.Graph) -> bool:
         return False
     assert wl.replay_certificate(pursuit, spec, x)
     assert wl.replay_certificate(json_round_trip(pursuit), spec, x)
-    with mock.patch("wlpower.games._pebble_order", played_order):
+    with mock.patch("wlpower.games._pebble_order", played_order), mock.patch(
+        "wlpower.refinement._distinct_puts", no_license
+    ):
         full = wl.cops_robber_wins(spec, x, want_certificate=False)
     assert pursuit.winner == full.winner, (spec, wl.emit_graph6(x))
     return True
@@ -842,7 +862,9 @@ def bijection_agrees(spec: wl.GfwlSpec, g: wl.Graph, h: wl.Graph, closed: bool) 
     assert bijection.winner == expected, (spec, wl.emit_graph6(g), wl.emit_graph6(h))
     assert wl.replay_certificate(bijection, spec, (g, h))
     assert wl.replay_certificate(json_round_trip(bijection), spec, (g, h))
-    with mock.patch("wlpower.games._pebble_order", played_order):
+    with mock.patch("wlpower.games._pebble_order", played_order), mock.patch(
+        "wlpower.refinement._distinct_puts", no_license
+    ):
         full = wl.spoiler_wins(spec, g, h, want_certificate=False)
     assert bijection.winner == full.winner, (spec, wl.emit_graph6(g), wl.emit_graph6(h))
     with mock.patch("wlpower.refinement._TupleTable.put_keys", keys_by_type):
@@ -867,3 +889,112 @@ def test_spec_space_games_agree_exhaustive(spec):
     closed = [pursuit_agrees(spec, x) for x in CLASSES4]
     for (g, g_ok), (h, h_ok) in itertools.combinations_with_replacement(zip(CLASSES4, closed), 2):
         bijection_agrees(spec, g, h, g_ok and h_ok)
+
+
+# ---------------------------------------------------------------------------
+# Distinct-node arenas
+
+
+def spec_name(spec: wl.GfwlSpec) -> str:
+    seqs = "".join(map(str, spec.i_seq)), "".join(map(str, spec.j_seq))
+    return f"k{spec.k}_t{spec.t}_i{seqs[0]}_j{seqs[1]}_{spec.f_selector.kind}"
+
+
+# The specs whose selectors ignore the graph, the class that
+# ``_distinct_puts`` licenses: 28 of the spec space, and both uneven
+# schedules.
+LICENSED_SPECS = {
+    **{
+        spec_name(spec): spec
+        for spec in SPEC_SPACE
+        if spec.r_selector.kind == "all_k_tuples" and spec.f_selector.kind in ("all_nodes", "all_t_tuples")
+    },
+    **UNEVEN_SPECS,
+}
+
+
+def test_licensed_specs():
+    assert len(LICENSED_SPECS) == 28 + len(UNEVEN_SPECS)
+    classes = [*CLASSES4, wl.empty_graph(0), wl.empty_graph(5)]
+    for spec in SPEC_SPACE + list(UNEVEN_SPECS.values()):
+        licensed = spec in LICENSED_SPECS.values()
+        assert [_distinct_puts(spec, g) for g in classes] == [licensed and g.n >= spec.k + spec.t for g in classes]
+
+
+def pursuit_size(spec: wl.GfwlSpec) -> int:
+    """The largest class size of the exhaustive pursuit check: 6 for
+    k + t <= 3, else 5, which the license reaches up to k + t = 5."""
+    return 6 if spec.k + spec.t <= 3 else 5
+
+
+def bijection_size(spec: wl.GfwlSpec) -> int:
+    """The largest class size of the exhaustive bijection check: 4, or
+    k + t where that is larger."""
+    return max(4, spec.k + spec.t)
+
+
+def assert_distinct_pursuit_matches_full_game(spec: wl.GfwlSpec, classes: list) -> None:
+    """The distinct-node pursuit arena against the full game on every
+    class: the winners must agree, the distinct arena's certificates must
+    replay, from memory and from their JSON dump, and it must explore
+    fewer states in total."""
+    distinct = [wl.cops_robber_wins(spec, g) for g in classes]
+    for g, verdict in zip(classes, distinct):
+        assert wl.replay_certificate(verdict, spec, g), wl.emit_graph6(g)
+        assert wl.replay_certificate(json_round_trip(verdict), spec, g), wl.emit_graph6(g)
+    with mock.patch("wlpower.refinement._distinct_puts", no_license):
+        full = [wl.cops_robber_wins(spec, g, want_certificate=False) for g in classes]
+    assert [v.winner for v in distinct] == [v.winner for v in full]
+    assert sum(v.states_explored for v in distinct) < sum(v.states_explored for v in full)
+
+
+def assert_distinct_bijection_matches_full_game(spec: wl.GfwlSpec, pairs: list) -> None:
+    """The distinct-node bijection arena against the full game on each
+    pair: the winners must agree, the distinct arena's certificates must
+    replay, from memory and from their JSON dump, and it must explore
+    fewer states in total."""
+    distinct = [wl.spoiler_wins(spec, g, h) for g, h in pairs]
+    for (g, h), verdict in zip(pairs, distinct):
+        assert wl.replay_certificate(verdict, spec, (g, h)), (wl.emit_graph6(g), wl.emit_graph6(h))
+        assert wl.replay_certificate(json_round_trip(verdict), spec, (g, h))
+    with mock.patch("wlpower.refinement._distinct_puts", no_license):
+        full = [wl.spoiler_wins(spec, g, h, want_certificate=False) for g, h in pairs]
+    assert [v.winner for v in distinct] == [v.winner for v in full]
+    assert sum(v.states_explored for v in distinct) < sum(v.states_explored for v in full)
+
+
+SMALL_LICENSED = [name for name, spec in LICENSED_SPECS.items() if spec.k + spec.t <= 3]
+
+
+@pytest.mark.parametrize("name", SMALL_LICENSED)
+def test_distinct_pursuit_matches_full_game(name):
+    assert_distinct_pursuit_matches_full_game(LICENSED_SPECS[name], wl.connected_classes(5))
+
+
+@pytest.mark.parametrize("name", SMALL_LICENSED)
+def test_distinct_bijection_matches_full_game(name):
+    assert_distinct_bijection_matches_full_game(LICENSED_SPECS[name], relabeled_class_pairs(4))
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("name", sorted(LICENSED_SPECS))
+def test_distinct_arenas_match_full_game_exhaustive(name):
+    """Every licensed spec: the pursuit on every class n <= 6 for k + t
+    <= 3 and n <= 5 otherwise, the bijection game on every pair of
+    classes n <= max(4, k + t), so every spec meets graphs the license
+    applies to."""
+    spec = LICENSED_SPECS[name]
+    assert_distinct_pursuit_matches_full_game(spec, wl.connected_classes(pursuit_size(spec)))
+    assert_distinct_bijection_matches_full_game(spec, relabeled_class_pairs(bijection_size(spec)))
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("spec", [wl.fwl_spec(1), wl.fwl_spec(2)], ids=["fwl_1", "2fwl"])
+def test_distinct_bijection_matches_full_game_on_furer_pairs(spec):
+    # The Fürer pairs of C4 and K4 - e (8 and 12 nodes), each against
+    # its twisted copy and, relabeled, against itself.
+    pairs = []
+    for f in (wl.cycle_graph(4), wl.parse_graph6("C^")):
+        g, h = furer_pair(f)
+        pairs += [(g, h), (g, g.permuted(random.Random(g.n).sample(range(g.n), g.n)))]
+    assert_distinct_bijection_matches_full_game(spec, pairs)

@@ -35,7 +35,12 @@ POWER_SHA256 = {
 # as lists of [state key, value] pairs, components as sorted nodes): on
 # every class n <= 5 under the four built-in specs, the old and new
 # certificates name the same states and moves in the same order.
-COPS_FWL2_N5_SHA256 = "f6a90bb1f3402b65c5b66785aeca921ce36b0915e1e6d6aa8c1c7d8d06cb2e02"
+# Recomputed when the games began to put on unpebbled nodes only under
+# graph-independent selectors (``_distinct_puts``), after checking that
+# every class n <= 6 keeps its winner against the parent solver (the
+# winners pin below is unchanged): the states explored fell from 1,694
+# to 690.
+COPS_FWL2_N5_SHA256 = "5e3e9afea7791a11384aa1a8490a291bbfd2f50eaa95b63d021bc02113788c84"
 # Recomputed when the bijection solver began to cut putting states that
 # fail Hall's condition: cut states get no successors, so Spoiler
 # certificates list fewer dead states (the winners pin below is unchanged).
@@ -84,11 +89,15 @@ def test_pursuit_certificate_digest(classes5):
 # before the move to node masks: a differential test of the mask path
 # against the path it replaced.  Recomputed when the solver began to key
 # states by positions up to pebble order, which changes ``states_explored``
-# and no winner (``COPS_WINNERS_SHA256``).
+# and no winner (``COPS_WINNERS_SHA256``).  ``fwl_1`` and ``2fwl`` were
+# recomputed when the games began to put on unpebbled nodes only under
+# graph-independent selectors, after the same parent-side check of all
+# 143 winners: the states explored fell from 4,617 to 3,677 and from
+# 13,436 to 6,372.
 COPS_N6_SHA256 = {
-    "fwl_1": "11e3d47bcf919fb91153a5c8aa099f545589a35f546c0b5cd934b2e5dac670a8",
+    "fwl_1": "65cf8edfe4a2241cf30d443547704bbcaa09b3598093c2c4cbae860245a095a2",
     "local_1fwl": "652b74e00a227c2c7c31a47327e9e37187a360dd321c696a3d9d90a8fe1b8f82",
-    "2fwl": "aacf1c6eecae9e307a6a4713caaff1875338d64c83f1a7ddc5ef4dda2e7a153b",
+    "2fwl": "9f2089586e2b55109967cc02859f271593f1a50405dea8666a59d11499cf48ce",
     "local_2fwl": "780f6c6cb0ce3f55b6814f465db0cb8b5c8f6e2927d76e0c1feccc97519976b3",
     "drfwl2_1": "2ec21e2abb1d8e2d4773afb6cf802e0445e0a0b6a9627f3817710dd840b6f34b",
 }
@@ -291,9 +300,15 @@ def test_joint_color_id_digests(name, classes4, classes6):
 # only choices whose successors pass Hall's condition one move ahead,
 # after the same parent-side check of all 55 winners per schedule (the
 # states explored fell from 2,864 to 2,366 and from 7,122 to 6,716).
+# The two ``k3_t1_i023`` pins were recomputed when the games began to put
+# on unpebbled nodes only under graph-independent selectors, after
+# checking against the parent solver that its 10 classes and 55 pairs
+# keep their winners (pursuit states 538 to 144, bijection 1,037 to
+# 469); ``k2_t3_j023`` needs k + t = 5 nodes, so its n <= 4 arenas do
+# not change.
 UNEVEN_GAMES_SHA256 = {
-    ("k3_t1_i023", "pursuit"): "5fd6a7599e4983ad822d3be6d636a01bd9344363d12d50264cb8409b80634f0a",
-    ("k3_t1_i023", "bijection"): "c5fd602e0e879cf7e26db42420b878013782c072327b0f2e5c41a0a7506cc109",
+    ("k3_t1_i023", "pursuit"): "1ff66d29152feb7cff00aee476254b02fd75f956fd721cf245f23690d59f68ff",
+    ("k3_t1_i023", "bijection"): "ed459befa6abde936db22217fff4106e7f9c27b0c67a020ab6e69c183705a520",
     ("k2_t3_j023", "pursuit"): "3e8ced830e86d94ac66c047288df3a5bd5786ed53664b4aed7375c1e19fce437",
     ("k2_t3_j023", "bijection"): "2c278e124d47243779316502c6d4a7ede567102ec1050114ffb7d1eb6b6e7835",
 }
@@ -319,12 +334,15 @@ def test_uneven_schedule_game_digests(name, game, classes4):
 # for the uneven schedules).  The attractor picks each Cops-win state's
 # move by edge order, so this pins the order the other pins do not see.
 # Computed before the component table filled itself and the removal
-# choices were built once per game.
+# choices were built once per game.  ``fwl_1``, ``2fwl`` and
+# ``k3_t1_i023`` were recomputed when the games began to put on
+# unpebbled nodes only under graph-independent selectors (their winners
+# pins above are unchanged).
 PURSUIT_ARENA_SHA256 = {
-    "fwl_1": "992ffebbf0b1f9e175270e2a42b6b5831b15125d6758ebc37b17e8ae1d9c9f9f",
-    "2fwl": "a9bf4fb7dd8ef63b28ae5cb9f3eba43266a5676d0b5ed37f00d3b3f458aef0a7",
+    "fwl_1": "f3493cb8af1edfc0ccb2477eee348ddb99e7c9d59c37f1af06b8b102d3489fa8",
+    "2fwl": "e426280ba478b894cf6bcbf07bbda3368bfbab38befe4e25d285ac34dd9270e0",
     "drfwl2_1": "ac0ed154866453d05d50410d3a893c5f25090941107519dcd291bc31d9a7a85c",
-    "k3_t1_i023": "41211a62d9691fb088c7708525ce30b06a2ea4004c4f84607c9318148630c009",
+    "k3_t1_i023": "a7d48660b535d972bc5ade1e8bcc22a7a9b5748f2c202d2322c2d0fba38f14d4",
     "k2_t3_j023": "46022b30bf72377dd223f46cb3ee12883563d931ec4c2df95d718279cfeb5475",
 }
 

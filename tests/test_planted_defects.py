@@ -9,19 +9,31 @@ judge sees shows up here.
 
 import itertools
 import random
+from unittest import mock
 
 import pytest
 
 import wlpower as wl
 from wlpower import refinement
 from wlpower.games import DEFAULT_MAX_STATES, _BijectionMoves, _EfSolver, _PursuitMoves, _pebble_order
-from wlpower.refinement import ColorDictionary, _Context, _next_phase, _stabilize, _tables_of, _TupleTable
+from wlpower.refinement import (
+    ColorDictionary,
+    _collapse,
+    _Context,
+    _deadline_checked,
+    _next_phase,
+    _stabilize,
+    _tables_of,
+    _TupleTable,
+)
 
 CLASSES4 = wl.connected_classes(4)
 TRUE_PUTS = _BijectionMoves.puts
 TRUE_PUT_ROW = _TupleTable.put_row
 TRUE_PUT_KEYS = _TupleTable.put_keys
 TRUE_PURSUIT_MOVES = _PursuitMoves.moves
+TRUE_DISTINGUISH = refinement.distinguish
+TRUE_SIGNATURES = refinement._round_1_signatures
 
 
 def relabeled_pairs(rng: random.Random) -> list:
@@ -77,14 +89,38 @@ def treewidth_judge() -> list:
 def early_exit_judge() -> list:
     """``distinguish``, read from its module at call time so a planted
     version is the one called, against one joint run of
-    ``joint_graph_colors`` on every unordered pair of classes n <= 5
-    under the four built-in specs.  Returns the disagreements."""
+    ``joint_graph_colors`` on every unordered pair of classes n <= 5,
+    equal pairs included, with the second graph relabeled, under the
+    four built-in specs.  Returns the disagreements."""
     classes = wl.connected_classes(5)
+    rng = random.Random(5)
+    relabeled = [h.permuted(rng.sample(range(h.n), h.n)) for h in classes]
     failures = []
     for name, spec in wl.BUILTIN_SPECS.items():
         colors = wl.joint_graph_colors(spec, *classes)
-        for (i, g), (j, h) in itertools.combinations(enumerate(classes), 2):
-            if refinement.distinguish(spec, g, h) != (colors[i] != colors[j]):
+        for i, j in itertools.combinations_with_replacement(range(len(classes)), 2):
+            if refinement.distinguish(spec, classes[i], relabeled[j]) != (colors[i] != colors[j]):
+                failures.append((name, wl.emit_graph6(classes[i]), wl.emit_graph6(relabeled[j])))
+    return failures
+
+
+def round_0_guard_judge() -> list:
+    """``distinguish`` on every pair of graphs n <= 3, connected or not,
+    under the two local specs, where some colored tuple aggregates over
+    an empty set: its verdict must follow one joint run of
+    ``joint_graph_colors``, and round 0 must not decide it, so the
+    round-1 signatures are computed.  Returns the failures."""
+    graphs = list(wl.enumerate_connected_graphs(3, connected_only=False))
+    failures = []
+    for name in ("local_1fwl", "local_2fwl"):
+        spec = wl.BUILTIN_SPECS[name]
+        colors = wl.joint_graph_colors(spec, *graphs)
+        for (i, g), (j, h) in itertools.combinations(enumerate(graphs), 2):
+            if all(all(_TupleTable(spec, x).fsets.values()) for x in (g, h)):
+                continue
+            with mock.patch.object(refinement, "_round_1_signatures", wraps=TRUE_SIGNATURES) as signed:
+                verdict = refinement.distinguish(spec, g, h)
+            if verdict != (colors[i] != colors[j]) or not signed.called:
                 failures.append((name, wl.emit_graph6(g), wl.emit_graph6(h)))
     return failures
 
@@ -156,6 +192,31 @@ def distinguish_stops_at_round_1(spec: wl.GfwlSpec, g: wl.Graph, h: wl.Graph) ->
     return False
 
 
+def licensed_for_every_spec(spec: wl.GfwlSpec, g: wl.Graph) -> bool:
+    """The distinct-node license granted to every spec on a graph of at
+    least k + t nodes, also to specs whose selectors read the graph."""
+    return g.n >= spec.k + spec.t
+
+
+def signatures_unsorted(table: _TupleTable, id_for) -> list:
+    """Round-1 signatures in universe order, not sorted, so two graphs
+    that agree up to relabeling can compare unequal."""
+    seq, stages, type_code = table.spec.j_seq, table.stages, table.type_code
+    return [
+        _collapse([type_code(v + u) for u in us], stages[v], seq, "sig", id_for)
+        for v, us in _deadline_checked(table.fsets.items())
+    ]
+
+
+def round_0_unguarded(spec: wl.GfwlSpec, g: wl.Graph, h: wl.Graph) -> bool:
+    """``distinguish`` that compares the round-0 type codes also when an
+    aggregation set is empty, where round 0 proves nothing."""
+    tables = [_TupleTable(spec, g), _TupleTable(spec, h)]
+    if sorted(map(tables[0].type_code, tables[0].rset)) != sorted(map(tables[1].type_code, tables[1].rset)):
+        return True
+    return TRUE_DISTINGUISH(spec, g, h)
+
+
 # name: (the fast path's import path, its wrong version, the judge)
 PLANTED = {
     "joint-order-sides-sorted-apart": ("wlpower.games._pebble_order", sides_sorted_apart, bijection_judge),
@@ -168,6 +229,13 @@ PLANTED = {
     "distinguish-stops-at-round-1": (
         "wlpower.refinement.distinguish", distinguish_stops_at_round_1, early_exit_judge
     ),
+    "distinct-license-for-every-spec": (
+        "wlpower.refinement._distinct_puts", licensed_for_every_spec, bijection_judge
+    ),
+    "round-1-signatures-unsorted": (
+        "wlpower.refinement._round_1_signatures", signatures_unsorted, early_exit_judge
+    ),
+    "round-0-guard-dropped": ("wlpower.refinement.distinguish", round_0_unguarded, round_0_guard_judge),
 }
 
 

@@ -325,19 +325,26 @@ def test_joint_colors_match_pairwise_distinguish(graphs):
             assert (colors[i] == colors[j]) == (not wl.distinguish(spec, g, h)), name
 
 
-def assert_distinguish_matches_joint_colors(classes):
-    # Every pair with repetition of ``classes``, under each built-in spec:
-    # the early-stopping pairwise verdict against one joint run to
-    # stability.
-    for name, spec in wl.BUILTIN_SPECS.items():
+def assert_distinguish_matches_joint_colors(classes, specs=wl.BUILTIN_SPECS):
+    # Every pair with repetition of ``classes``, the second graph
+    # relabeled, under each spec of ``specs``: the early-stopping
+    # pairwise verdict against one joint run to stability.
+    rng = random.Random(len(classes))
+    relabeled = [h.permuted(rng.sample(range(h.n), h.n)) for h in classes]
+    for name, spec in specs.items():
         colors = wl.joint_graph_colors(spec, *classes)
         for i, j in itertools.combinations_with_replacement(range(len(classes)), 2):
             expected = colors[i] != colors[j]
-            assert wl.distinguish(spec, classes[i], classes[j]) == expected, (name, i, j)
+            assert wl.distinguish(spec, classes[i], relabeled[j]) == expected, (name, i, j)
 
 
 def test_distinguish_matches_joint_colors_exhaustive(classes5):
     assert_distinguish_matches_joint_colors(classes5)
+
+
+def test_distinguish_matches_joint_colors_exhaustive_staged(classes4):
+    # The multi-stage folds: fwl_plus_2_2 and both uneven schedules.
+    assert_distinguish_matches_joint_colors(classes4, {"fwl_plus_2_2": wl.fwl_plus_spec(2, 2), **UNEVEN_SPECS})
 
 
 @pytest.mark.slow
@@ -369,13 +376,25 @@ def test_distinguish_stops_at_round_0(monkeypatch):
     assert len(built) == 2
 
 
+def test_distinguish_decides_at_round_1_without_rows(monkeypatch):
+    # P4 and the star on 4 nodes have equal type codes under fwl_k (4
+    # nodes, 3 edges), so round 0 passes; their round-1 signatures hold
+    # the degrees, which differ, so no refinement row is built.
+    signed = count_calls(monkeypatch, wl.refinement, "_round_1_signatures")
+    built = count_calls(monkeypatch, wl.refinement, "_Context")
+    assert wl.distinguish(wl.PRESET_SPECS["fwl_k"], wl.path_graph(4), wl.star_graph(3))
+    assert len(signed) == 2 and built == []
+
+
 def test_distinguish_skips_round_0_with_empty_aggregation_sets(monkeypatch):
     # Under local_2fwl no tuple of two isolated nodes has a neighbour to
     # aggregate over: all its tuples get one color at round 1, whatever
-    # their types, so round 0 proves nothing and the run must refine.
+    # their types, so round 0 proves nothing and the run goes on to
+    # round 1, whose signatures decide the pair without a row.
+    signed = count_calls(monkeypatch, wl.refinement, "_round_1_signatures")
     built = count_calls(monkeypatch, wl.refinement, "_Context")
     assert wl.distinguish(wl.BUILTIN_SPECS["local_2fwl"], wl.empty_graph(2), wl.complete_graph(2))
-    assert len(built) == 2
+    assert len(signed) == 2 and built == []
 
 
 def test_distinguish_stops_at_the_separating_round(monkeypatch):
@@ -407,6 +426,21 @@ def test_joint_colors_wait_for_the_slowest_graph(c6, two_c3):
 def test_joint_colors_single_graph(c6):
     (color,) = wl.joint_graph_colors(wl.fwl_spec(2), c6)
     assert color == wl.stabilize(wl.fwl_spec(2), c6).graph_color
+
+
+def test_graph_independent_f_set_built_once(monkeypatch, c6):
+    # Under all_nodes and all_t_tuples every colored tuple aggregates over
+    # one set: the table calls f_set once and every colored tuple shares
+    # its list and its stage groups, equal to a per-tuple build.
+    calls = count_calls(monkeypatch, wl.refinement, "f_set")
+    for spec in (wl.fwl_spec(2), wl.fwl_plus_spec(2, 2), *UNEVEN_SPECS.values()):
+        calls.clear()
+        table = _TupleTable(spec, c6)
+        assert len(calls) == 1
+        assert len({id(table.fsets[v]) for v in table.rset}) == len({id(table.stages[v]) for v in table.rset}) == 1
+        for v in table.rset:
+            assert table.fsets[v] == sorted(f_set(spec.f_selector, spec.t, c6, v))
+            assert table.stages[v] == _stage_groups(table.fsets[v], spec.j_seq)
 
 
 def test_distinguish_different_sizes():

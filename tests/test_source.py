@@ -166,6 +166,29 @@ def test_one_pairing_rule():
     assert not found, found
 
 
+def test_distinct_license_read_in_put_choices_only():
+    # One choice point for the distinct-node arenas: only
+    # ``_TupleTable.put_choices`` reads the license ``_distinct_puts``,
+    # so both games' solvers, replays and Hall lookahead drop pebbled
+    # nodes alike, and no second path can drop them by its own rule.
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=path.name)
+        inside = {
+            id(node)
+            for owner in ast.walk(tree)
+            if isinstance(owner, ast.FunctionDef) and owner.name == "put_choices"
+            for node in ast.walk(owner)
+        }
+        found += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if (getattr(node, "id", None) == "_distinct_puts" or getattr(node, "attr", None) == "_distinct_puts")
+            and id(node) not in inside
+        ]
+    assert not found, found
+
+
 def test_pursuit_solver_reads_moves_once():
     # One pass over the pursuit moves: inside ``_CrSolver`` only
     # ``generate`` reads the game's successor function, so both
