@@ -64,12 +64,28 @@ the same choices up to the same permutation.  In the bijection game one
 permutation moves both sides at once, so it keeps two occupied tuples'
 types equal or unequal (the type of a permuted tuple is the permuted
 type); in the pursuit game Robber's component depends only on the set of
-pebbled nodes.  A whole-tuple sort is safe in the initialization round,
-whose choices depend only on the universe, and where the next move is a
-removal, which keeps every k-subset of the positions; within an update
-round the main part ``pos[:k]``, whose aggregation set the next stage
-draws from, and the aux part are sorted separately.  The bijection game
-sorts ``(g node, h node)`` pairs, so its pairs stay together.
+pebbled nodes.
+
+Both games sort the whole position in every phase.  That is plainly
+safe in the initialization round, whose choices depend only on the
+universe, and where the next move is a removal, which keeps every
+k-subsequence of the position.  Inside an update round the next stage
+draws from the aggregation set of the main part ``pos[:k]``, and a sort
+may move aux entries into it; that matters only where a put leads into
+a phase ``("U", m)`` with m >= 2.  Such a phase needs a ``j_seq`` of two
+or more stages, so t >= 2, and only ``all_t_tuples`` takes t >= 2
+(``FSelector.validate_arity``; ``tests/test_selectors.py`` guards this
+premise).  Under ``all_t_tuples`` every colored tuple's stage groups
+continue every prefix with the same suffixes, so the choices of a
+position do not depend on which k entries form its main part, and the
+distinct-node filter reads only its node set.  And the main part of a
+sorted position is a colored tuple: every k-subsequence of the
+position, in any order, is in the universe, which is closed under
+entry permutations, and closure under replacement by every t-tuple
+forces a ``distance_restricted`` universe to hold every pair.  So
+permuting the whole position keeps a state's value, by the argument
+above.  The bijection game sorts ``(g node, h node)`` pairs, so its
+pairs stay together.
 
 Under selectors that ignore the graph (``all_k_tuples`` with
 ``all_nodes`` or ``all_t_tuples``), on a graph of at least k + t nodes,
@@ -176,15 +192,12 @@ def _max_matching(n: int, pairs: Iterable[tuple[int, int]]) -> list:
 # Successor functions, shared by the solvers and certificate replay
 
 
-def _pebble_order(k: int, phase: tuple, pebbles: tuple) -> tuple:
-    """``pebbles`` up to pebble order in phase ``phase``, the one rule by
-    which both games key their positions: the whole tuple sorted in
-    phases ``I`` and ``R``, the main part ``[:k]`` and the aux part
-    ``[k:]`` sorted separately in phase ``U``.  The pursuit game passes
-    its pebbled nodes; the bijection game passes ``(g node, h node)``
-    pairs, so one permutation of pebble indices moves both sides."""
-    if phase[0] == "U":
-        return (*sorted(pebbles[:k]), *sorted(pebbles[k:]))
+def _pebble_order(pebbles: tuple) -> tuple:
+    """``pebbles`` up to pebble order, the one rule by which both games
+    key their positions in every phase: the whole tuple sorted (sound as
+    the module docstring says).  The pursuit game passes its pebbled
+    nodes; the bijection game passes ``(g node, h node)`` pairs, so one
+    permutation of pebble indices moves both sides."""
     return tuple(sorted(pebbles))
 
 
@@ -234,9 +247,8 @@ class _BijectionMoves:
         if sorted_g != sorted_h:
             return len(new_g), None
         nxt = _next_phase(self.spec, phase)
-        k, order = self.spec.k, _pebble_order
         return len(new_g), [
-            (ai, bi, (nxt, *zip(*order(k, nxt, tuple(zip(tup, new_h[bi]))))))
+            (ai, bi, (nxt, *zip(*_pebble_order(tuple(zip(tup, new_h[bi]))))))
             for ai, (tup, choice) in enumerate(zip(new_g, keys_g))
             for bi in buckets[choice]
         ]
@@ -308,10 +320,9 @@ class _PursuitMoves:
         if phase[0] != "R":
             nxt = _next_phase(self.spec, phase)
             blocked = node_mask(pos)
-            k = self.spec.k
             offered = set()
             for delta in self.tables.put_choices(phase, pos):
-                new_pos = _pebble_order(k, nxt, pos + delta)
+                new_pos = _pebble_order(pos + delta)
                 if new_pos in offered:
                     continue
                 offered.add(new_pos)

@@ -43,6 +43,7 @@ from .graphs import (
 # wraps ``wlpower.power.distinguish``, and ``--trace 1`` fails without it.
 from .refinement import (  # noqa: F401
     GfwlSpec,
+    _SHARED_F_KINDS,
     _tables_of,
     distinguish,
     fwl_spec,
@@ -383,8 +384,8 @@ def _r_contained(small: RSelector, large: RSelector) -> bool:
 
 
 def _f_contained(small: FSelector, large: FSelector) -> bool:
-    # both specs share t, and ``all_nodes`` (t = 1) is ``all_t_tuples``
-    if large.kind in ("all_t_tuples", "all_nodes"):
+    # both specs share t, and a shared-F kind selects every t-tuple
+    if large.kind in _SHARED_F_KINDS:
         return True
     if small.kind != large.kind:
         return False

@@ -267,7 +267,8 @@ def _next_phase(spec: GfwlSpec, phase: tuple) -> tuple:
 
 
 # The F selector kinds that ignore the graph and the colored tuple: every
-# colored tuple aggregates over one set.
+# colored tuple aggregates over one set, every t-tuple of the graph
+# (``power.check_monotonicity`` reads that too).
 _SHARED_F_KINDS = ("all_nodes", "all_t_tuples")
 
 

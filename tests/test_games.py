@@ -356,14 +356,27 @@ def test_replay_robber():
     assert verdict.winner == "robber"
     assert wl.replay_certificate(verdict, spec, g)
 
-    def without(drop) -> wl.GameVerdict:
-        tampered = copy.deepcopy(verdict)
-        tampered.certificate["region"] = [key for key in verdict.certificate["region"] if not drop(key)]
-        return tampered
+    assert not any(wl.replay_certificate(tampered, spec, g) for tampered in robber_regions_cut(verdict))
 
-    assert not wl.replay_certificate(without(lambda key: True), spec, g)  # empty region
-    assert not wl.replay_certificate(without(lambda key: key[0] == ("I", 1) and not key[1]), spec, g)
-    assert not wl.replay_certificate(without(lambda key: key[0] == ("U", 1)), spec, g)
+
+def region_without(verdict: wl.GameVerdict, drop) -> wl.GameVerdict:
+    """``verdict`` with the states that ``drop`` picks cut from its
+    certificate's region."""
+    tampered = copy.deepcopy(verdict)
+    tampered.certificate["region"] = [key for key in verdict.certificate["region"] if not drop(key)]
+    return tampered
+
+
+def robber_regions_cut(verdict: wl.GameVerdict) -> list[wl.GameVerdict]:
+    """Regions cut from a Robber certificate, none of which may replay:
+    the empty region, the region without the root states, and without
+    the ``("U", 1)`` states, where some Cops move then has no reply
+    inside."""
+    return [
+        region_without(verdict, lambda key: True),
+        region_without(verdict, lambda key: key[0] == ("I", 1) and not key[1]),
+        region_without(verdict, lambda key: key[0] == ("U", 1)),
+    ]
 
 
 def test_replay_robber_forged_region_on_cops_win():
@@ -386,19 +399,24 @@ def test_replay_duplicator(c6, two_c3):
     assert set(verdict.certificate) == {"winner", "region"}
     assert wl.replay_certificate(verdict, spec, (c6, two_c3))
 
-    def without(drop) -> wl.GameVerdict:
-        tampered = copy.deepcopy(verdict)
-        tampered.certificate["region"] = [key for key in verdict.certificate["region"] if not drop(key)]
-        return tampered
+    tampered = duplicator_regions_cut(verdict, spec, c6, two_c3)
+    assert not any(wl.replay_certificate(cut, spec, (c6, two_c3)) for cut in tampered)
 
-    root = (("I", 1), (), ())
-    assert not wl.replay_certificate(without(lambda key: True), spec, (c6, two_c3))  # empty region
-    assert not wl.replay_certificate(without(lambda key: key == root), spec, (c6, two_c3))
-    assert not wl.replay_certificate(without(lambda key: key[0] == ("U", 1)), spec, (c6, two_c3))
-    # Spoiler picks the removal, so every removal must stay inside.
+
+def duplicator_regions_cut(verdict: wl.GameVerdict, spec: wl.GfwlSpec, g: wl.Graph, h: wl.Graph) -> list:
+    """Regions cut from a Duplicator certificate on ``(g, h)``, none of
+    which may replay: the empty region, the region without the root,
+    without the ``("U", 1)`` states, where the puts inside admit no
+    perfect matching, and without the successors of one removing state:
+    Spoiler picks the removal, so every removal must stay inside."""
     removing = next(key for key in verdict.certificate["region"] if key[0][0] == "R")
-    removed = set(_BijectionMoves(*_tables_of(spec, (c6, two_c3), None)).removals(removing))
-    assert not wl.replay_certificate(without(lambda key: key in removed), spec, (c6, two_c3))
+    removed = set(_BijectionMoves(*_tables_of(spec, (g, h), None)).removals(removing))
+    return [
+        region_without(verdict, lambda key: True),
+        region_without(verdict, lambda key: key == (("I", 1), (), ())),
+        region_without(verdict, lambda key: key[0] == ("U", 1)),
+        region_without(verdict, lambda key: key in removed),
+    ]
 
 
 def test_duplicator_region_is_the_complement_of_spoiler_dead(c6, two_c3):
@@ -639,12 +657,12 @@ def test_pursuit_moves_match_networkx_components(classes4, classes5):
                         expected = sorted(map(frozenset, nx.connected_components(rest)), key=min)
                         assert [nodes(s) for s in succs] == expected
                         nxt = _next_phase(spec, phase)
-                        assert all(s[1] == _pebble_order(spec.k, nxt, pos + payload) for s in succs)
+                        assert all(s[1] == _pebble_order(pos + payload) for s in succs)
                     else:
                         kept = tuple(pos[i] for i in payload)
                         rest = nx_g.subgraph(set(range(g.n)) - set(kept))
                         grown = frozenset(nx.node_connected_component(rest, min(comp)))
-                        canon = _pebble_order(spec.k, ("U", 1), kept)
+                        canon = _pebble_order(kept)
                         assert [(s[1], nodes(s)) for s in succs] == [(canon, grown)]
                     for succ in succs:
                         if succ not in seen:
@@ -653,7 +671,7 @@ def test_pursuit_moves_match_networkx_components(classes4, classes5):
         assert len(phases) == spec.n_stages + spec.m_stages + 1  # every stage reached
 
 
-def played_order(k: int, phase: tuple, pebbles: tuple) -> tuple:
+def played_order(pebbles: tuple) -> tuple:
     """The identity in place of ``_pebble_order``: both games then key
     positions in the order the pebbles were played.  With
     :func:`no_license` too, they play the full game."""
@@ -691,7 +709,7 @@ QUOTIENT_CASES = [
     ("fwl_3", 5),
     ("fwl_plus_2_2", 5),
     *((name, 4) for name in UNEVEN_SPECS),
-    pytest.param("fwl_3", 6, marks=pytest.mark.slow),
+    *(pytest.param(name, 6, marks=pytest.mark.slow) for name in ["fwl_3", "fwl_plus_2_2", *UNEVEN_SPECS]),
 ]
 
 
@@ -717,6 +735,8 @@ def test_pebble_order_quotient_matches_full_game(name, n_max, request, monkeypat
 BIJECTION_QUOTIENT_CASES = [
     *((name, 5) for name in wl.BUILTIN_SPECS),
     *((name, 4) for name in QUOTIENT_SPECS if name not in wl.BUILTIN_SPECS),
+    # k2_t3_j023 (k + t = 5) stays at n <= 4, the case above
+    *(pytest.param(name, 5, marks=pytest.mark.slow) for name in ["fwl_plus_2_2", "k3_t1_i023"]),
 ]
 
 
@@ -738,6 +758,34 @@ def test_bijection_pebble_order_quotient_matches_full_game(name, n_max, monkeypa
     full = [wl.spoiler_wins(spec, g, h, want_certificate=False) for g, h in pairs]
     assert [v.winner for v in quotient] == [v.winner for v in full]
     assert sum(v.states_explored for v in quotient) < sum(v.states_explored for v in full)
+
+
+# Specs on which every reachable position is checked to be sorted: the
+# built-in specs, ``fwl_plus_spec(2, 2)`` and both uneven schedules.  The
+# two with t >= 2 hold a partial aux part in an update round.
+SORTED_SPECS = {**wl.BUILTIN_SPECS, "fwl_plus_2_2": wl.fwl_plus_spec(2, 2), **UNEVEN_SPECS}
+
+
+@pytest.mark.parametrize("name", sorted(SORTED_SPECS))
+def test_every_reachable_position_is_sorted(name, classes4):
+    """The pebble order sorts the whole position in every phase: on
+    every reachable state of the pursuit game on the classes n <= 4, the
+    pebbled nodes are sorted, and on every reachable state of the
+    bijection game on every unordered pair of them, the second graph
+    relabeled, the ``(g node, h node)`` pairs are.  A rule that sorts
+    the main part and the aux part of an update round apart fails this
+    under the t >= 2 specs."""
+    spec = SORTED_SPECS[name]
+    unsorted = []
+    for g in classes4:
+        solver = _CrSolver(spec, g, DEFAULT_MAX_STATES)
+        solver.generate()
+        unsorted += [key for key in solver.states.keys if list(key[1]) != sorted(key[1])]
+    for g, h in relabeled_class_pairs(4):
+        solver = ef_solver(spec, g, h, DEFAULT_MAX_STATES)
+        solver.generate()
+        unsorted += [key for key in solver.states.keys if list(zip(*key[1:])) != sorted(zip(*key[1:]))]
+    assert not unsorted, unsorted[:5]
 
 
 def keys_by_type(self, phase: tuple, pos: tuple) -> tuple:

@@ -305,12 +305,16 @@ def test_joint_color_id_digests(name, classes4, classes6):
 # checking against the parent solver that its 10 classes and 55 pairs
 # keep their winners (pursuit states 538 to 144, bijection 1,037 to
 # 469); ``k2_t3_j023`` needs k + t = 5 nodes, so its n <= 4 arenas do
-# not change.
+# not change.  The two ``k2_t3_j023`` pins were recomputed when both
+# games began to sort the whole position in every phase, not the main
+# and aux parts of an update round apart, after checking against the
+# parent solver that its 10 classes and 55 pairs keep their winners
+# (pursuit states 1,192 to 764, bijection 6,716 to 3,926).
 UNEVEN_GAMES_SHA256 = {
     ("k3_t1_i023", "pursuit"): "1ff66d29152feb7cff00aee476254b02fd75f956fd721cf245f23690d59f68ff",
     ("k3_t1_i023", "bijection"): "ed459befa6abde936db22217fff4106e7f9c27b0c67a020ab6e69c183705a520",
-    ("k2_t3_j023", "pursuit"): "3e8ced830e86d94ac66c047288df3a5bd5786ed53664b4aed7375c1e19fce437",
-    ("k2_t3_j023", "bijection"): "2c278e124d47243779316502c6d4a7ede567102ec1050114ffb7d1eb6b6e7835",
+    ("k2_t3_j023", "pursuit"): "af16828458cec6517e3983a80f7616b6b6fe61537c64a814e24b42d4557bb0d7",
+    ("k2_t3_j023", "bijection"): "0c964dcf4177ff108fe9642e09163fa78174c7b18e1103be56f5ee8b9d578573",
 }
 
 
@@ -337,13 +341,15 @@ def test_uneven_schedule_game_digests(name, game, classes4):
 # choices were built once per game.  ``fwl_1``, ``2fwl`` and
 # ``k3_t1_i023`` were recomputed when the games began to put on
 # unpebbled nodes only under graph-independent selectors (their winners
-# pins above are unchanged).
+# pins above are unchanged).  ``k2_t3_j023`` was recomputed when both
+# games began to sort the whole position in every phase (its winners
+# pin is unchanged, and so is every winner against the parent solver).
 PURSUIT_ARENA_SHA256 = {
     "fwl_1": "f3493cb8af1edfc0ccb2477eee348ddb99e7c9d59c37f1af06b8b102d3489fa8",
     "2fwl": "e426280ba478b894cf6bcbf07bbda3368bfbab38befe4e25d285ac34dd9270e0",
     "drfwl2_1": "ac0ed154866453d05d50410d3a893c5f25090941107519dcd291bc31d9a7a85c",
     "k3_t1_i023": "a7d48660b535d972bc5ade1e8bcc22a7a9b5748f2c202d2322c2d0fba38f14d4",
-    "k2_t3_j023": "46022b30bf72377dd223f46cb3ee12883563d931ec4c2df95d718279cfeb5475",
+    "k2_t3_j023": "e52ed93c29d96641cd461b68e6b52bd29d4180fcc771d25d3106ba65cd029945",
 }
 
 

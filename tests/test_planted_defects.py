@@ -14,8 +14,19 @@ from unittest import mock
 import pytest
 
 import wlpower as wl
-from wlpower import refinement
-from wlpower.games import DEFAULT_MAX_STATES, _BijectionMoves, _EfSolver, _PursuitMoves, _pebble_order
+from wlpower import graphs, refinement
+from wlpower.games import (
+    DEFAULT_MAX_STATES,
+    _bijection_key,
+    _BijectionMoves,
+    _EfSolver,
+    _max_matching,
+    _pebble_order,
+    _pursuit_key,
+    _PursuitMoves,
+    _read,
+    _stays_in_region,
+)
 from wlpower.refinement import (
     ColorDictionary,
     _collapse,
@@ -27,6 +38,8 @@ from wlpower.refinement import (
     _TupleTable,
 )
 
+from test_games import duplicator_regions_cut, robber_regions_cut
+
 CLASSES4 = wl.connected_classes(4)
 TRUE_PUTS = _BijectionMoves.puts
 TRUE_PUT_ROW = _TupleTable.put_row
@@ -34,6 +47,7 @@ TRUE_PUT_KEYS = _TupleTable.put_keys
 TRUE_PURSUIT_MOVES = _PursuitMoves.moves
 TRUE_DISTINGUISH = refinement.distinguish
 TRUE_SIGNATURES = refinement._round_1_signatures
+TRUE_LEAST_KEY = graphs._new_node_has_least_key
 
 
 def relabeled_pairs(rng: random.Random) -> list:
@@ -125,12 +139,67 @@ def round_0_guard_judge() -> list:
     return failures
 
 
-def sides_sorted_apart(k: int, phase: tuple, pebbles: tuple) -> tuple:
+def robber_replay_judge() -> list:
+    """Robber replay on K4 under ``fwl_spec(2)``, a Robber win: the
+    solver's region must replay, and no region cut from it
+    (``tests/test_games.py::robber_regions_cut``) may.  Returns the
+    failures."""
+    spec, g = wl.fwl_spec(2), wl.complete_graph(4)
+    verdict = wl.cops_robber_wins(spec, g)
+    failures = [] if wl.replay_certificate(verdict, spec, g) else ["the solver's region"]
+    return failures + [i for i, cut in enumerate(robber_regions_cut(verdict)) if wl.replay_certificate(cut, spec, g)]
+
+
+def duplicator_replay_judge() -> list:
+    """Duplicator replay on C6 against two triangles under
+    ``local_fwl_spec(1)``, a Duplicator win: the solver's region must
+    replay, and no region cut from it
+    (``tests/test_games.py::duplicator_regions_cut``) may.  Returns the
+    failures."""
+    spec, g, h = wl.local_fwl_spec(1), wl.cycle_graph(6), wl.disjoint_union(wl.cycle_graph(3), wl.cycle_graph(3))
+    verdict = wl.spoiler_wins(spec, g, h)
+    failures = [] if wl.replay_certificate(verdict, spec, (g, h)) else ["the solver's region"]
+    cuts = duplicator_regions_cut(verdict, spec, g, h)
+    return failures + [i for i, cut in enumerate(cuts) if wl.replay_certificate(cut, spec, (g, h))]
+
+
+def barbell(path_edges: int) -> wl.Graph:
+    """Two triangles joined by a path of ``path_edges`` edges."""
+    end = 2 + path_edges
+    path = [(v, v + 1) for v in range(2, end)]
+    return wl.Graph(end + 3, [(0, 1), (0, 2), (1, 2), *path, (end, end + 1), (end, end + 2), (end + 1, end + 2)])
+
+
+def least_key_judge() -> list:
+    """The least-key filter of class enumeration, which must keep a
+    candidate of every connected class: ``enumerate_connected_graphs(6)``
+    against OEIS A001349, the connected graphs by node count, and, on
+    the barbells of two triangles joined by a path of 1 to 4 edges (up
+    to 9 nodes, past the enumerator's 8), some non-cut node moved last
+    must pass the filter, read from its module at call time.  The
+    9-node barbell is the first of them whose least-key nodes are all
+    cut nodes.  Returns the failures."""
+    counts = [0] * 6
+    for g in wl.enumerate_connected_graphs(6):
+        counts[g.n - 1] += 1
+    failures = [(n, count) for n, (count, want) in enumerate(zip(counts, [1, 1, 2, 6, 21, 112]), 1) if count != want]
+    for g in map(barbell, range(1, 5)):
+        last = [
+            g.permuted([u - (u > v) if u != v else g.n - 1 for u in range(g.n)])
+            for v in range(g.n)
+            if len(graphs.component_masks(g.adj_masks, 1 << v)) == 1
+        ]
+        if not any(graphs._new_node_has_least_key(h.adj_masks, True) for h in last):
+            failures.append(wl.emit_graph6(g))
+    return failures
+
+
+def sides_sorted_apart(pebbles: tuple) -> tuple:
     """A joint pebble order that sorts the g side and the h side each on
     its own, which breaks the (g node, h node) pairs."""
     if pebbles and isinstance(pebbles[0], tuple):  # the bijection game's pairs
-        return tuple(zip(*(_pebble_order(k, phase, side) for side in zip(*pebbles))))
-    return _pebble_order(k, phase, pebbles)
+        return tuple(zip(*map(_pebble_order, zip(*pebbles))))
+    return _pebble_order(pebbles)
 
 
 def puts_merged(self, key: tuple) -> tuple:
@@ -178,6 +247,48 @@ def removal_not_grown(self, key: tuple) -> list:
     if key[0][0] != "R":
         return moves
     return [(choice, [(phase, pos, key[2]) for phase, pos, _ in succs]) for choice, succs in moves]
+
+
+def robber_skips_moves_without_reply(cert: dict, spec: wl.GfwlSpec, g: wl.Graph) -> bool:
+    """Robber replay that skips a Cops move with no reply inside the
+    region, instead of refusing the certificate there."""
+    region = _read(cert, "region", _pursuit_key)
+    game = _PursuitMoves(spec, g)
+
+    def follow(key: tuple) -> list:
+        replies = [next((s for s in succs if s in region), None) for _, succs in game.moves(key)]
+        return [reply for reply in replies if reply is not None]
+
+    return _stays_in_region(region, game.initial(), follow)
+
+
+def duplicator_matching_not_perfect(cert: dict, spec: wl.GfwlSpec, g: wl.Graph, h: wl.Graph) -> bool:
+    """Duplicator replay that follows a maximum matching of the puts
+    inside the region even when it is not perfect, so a choice with no
+    partner inside goes unchecked."""
+    region = _read(cert, "region", _bijection_key)
+    game = _BijectionMoves(*_tables_of(spec, (g, h), None))
+
+    def follow(key: tuple) -> list | None:
+        if key[0][0] == "R":
+            succs = game.removals(key)
+            return succs if all(s in region for s in succs) else None
+        count, puts = game.puts(key)
+        if puts is None:
+            return None
+        inside = [(ai, bi, s) for ai, bi, s in puts if s in region]
+        match = _max_matching(count, [(ai, bi) for ai, bi, _ in inside])
+        return [s for ai, bi, s in inside if match[ai] == bi]
+
+    return _stays_in_region(region, [(("I", 1), (), ())], follow)
+
+
+def cut_nodes_eligible(adj: list, connected_only: bool) -> bool:
+    """The least-key filter with cut nodes eligible also when only
+    connected classes are built; a connected class whose least-key
+    nodes are all cut nodes then has no candidate that passes.  No
+    class up to 8 nodes, the enumerator's limit, is one."""
+    return TRUE_LEAST_KEY(adj, False)
 
 
 def distinguish_stops_at_round_1(spec: wl.GfwlSpec, g: wl.Graph, h: wl.Graph) -> bool:
@@ -236,6 +347,13 @@ PLANTED = {
         "wlpower.refinement._round_1_signatures", signatures_unsorted, early_exit_judge
     ),
     "round-0-guard-dropped": ("wlpower.refinement.distinguish", round_0_unguarded, round_0_guard_judge),
+    "robber-replay-skips-moves": ("wlpower.games._replay_robber", robber_skips_moves_without_reply, robber_replay_judge),
+    "duplicator-replay-matching-not-perfect": (
+        "wlpower.games._replay_duplicator", duplicator_matching_not_perfect, duplicator_replay_judge
+    ),
+    "least-key-cut-nodes-eligible": (
+        "wlpower.graphs._new_node_has_least_key", cut_nodes_eligible, least_key_judge
+    ),
 }
 
 

@@ -50,6 +50,22 @@ def test_selector_arity_validation():
     wl.FSelector("all_t_tuples").validate_arity(3, 2)
 
 
+def test_only_all_t_tuples_takes_t_2():
+    # The premise of the whole-position pebble order (the proof in the
+    # module docstring of ``wlpower.games``): an update round holds a
+    # partial aux part only when t >= 2, and only ``all_t_tuples``,
+    # whose choices do not depend on which entries form the main part,
+    # takes t >= 2.  A new kind that takes t >= 2 needs its own proof
+    # there before it may pass here.
+    for kind in wl.FSelector._KINDS:
+        sel = wl.FSelector(kind, 1 if kind == wl.FSelector._DELTA_KIND else None)
+        if kind == "all_t_tuples":
+            sel.validate_arity(2, 2)
+            continue
+        with pytest.raises(ConfigurationError, match="requires t=1"):
+            sel.validate_arity(2, 2)
+
+
 def test_selector_json_round_trip():
     for sel in (
         wl.RSelector("all_k_tuples"),
